@@ -14,9 +14,11 @@ physical location across a reconfiguration.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from repro.util.hashing import mix64, mix64_array
+from repro.util.hashing import mix64, mix64_array, mix64_inplace
 
 VIRTUAL_NODES = 8
 
@@ -25,51 +27,62 @@ class ConsistentRing:
     """A consistent-hash ring over (unit, row) spots for one stream.
 
     Each spot is placed at ``VIRTUAL_NODES`` pseudo-random ring positions
-    for load balance.  Lookups are fully vectorised.
+    for load balance.  Construction and lookups are fully vectorised.
     """
 
     def __init__(self, spots: list[tuple[int, int]], salt: int = 0) -> None:
         """``spots`` are (unit, row_index) pairs; ``salt`` decorrelates
-        rings of different streams."""
+        rings of different streams.
+
+        Spot ``i`` sits at ``mix64(base_i + v)`` for ``v < VIRTUAL_NODES``
+        with ``base_i = mix64(((unit + 1) << 32) ^ row ^ mix64(salt))``;
+        wrapping uint64 arithmetic equals the masked Python integers.
+        """
         if not spots:
             raise ValueError("a ring needs at least one spot")
-        self.spots = list(spots)
-        keys = []
-        owners = []
-        for index, (unit, row) in enumerate(self.spots):
-            base = mix64(((unit + 1) << 32) ^ row ^ mix64(salt))
-            for v in range(VIRTUAL_NODES):
-                keys.append(mix64(base + v))
-                owners.append(index)
-        order = np.argsort(np.array(keys, dtype=np.uint64))
-        self._positions = np.array(keys, dtype=np.uint64)[order]
-        self._owners = np.array(owners, dtype=np.int64)[order]
+        self._units, self._rows = (
+            np.fromiter(chain.from_iterable(spots), dtype=np.int64, count=2 * len(spots))
+            .reshape(-1, 2)
+            .T.copy()
+        )
+        base = (self._units.astype(np.uint64) + np.uint64(1)) << np.uint64(32)
+        base ^= self._rows.astype(np.uint64)
+        base ^= np.uint64(mix64(salt))
+        mix64_inplace(base)
+        keys = base[:, None] + np.arange(VIRTUAL_NODES, dtype=np.uint64)
+        del base
+        keys = mix64_inplace(keys.ravel())
+        order = np.argsort(keys)
+        keys.sort()  # == keys[order], without a second full-size array
+        self._positions = keys
+        order //= VIRTUAL_NODES  # key k belongs to spot k // VIRTUAL_NODES
+        self._owners = order
 
     def __len__(self) -> int:
-        return len(self.spots)
+        return len(self._units)
 
     def lookup(self, tags: np.ndarray) -> np.ndarray:
-        """Map each tag to the index (into ``spots``) of its owning spot."""
+        """Map each tag to the index (into the spot list) of its owning spot."""
         hashes = mix64_array(np.asarray(tags, dtype=np.uint64), salt=17)
         idx = np.searchsorted(self._positions, hashes, side="right")
         idx[idx == len(self._positions)] = 0  # wrap around the ring
         return self._owners[idx]
 
     def units_of(self, spot_indices: np.ndarray) -> np.ndarray:
-        units = np.array([u for u, _ in self.spots], dtype=np.int64)
-        return units[spot_indices]
+        return self._units[spot_indices]
 
     def rows_of(self, spot_indices: np.ndarray) -> np.ndarray:
-        rows = np.array([r for _, r in self.spots], dtype=np.int64)
-        return rows[spot_indices]
+        return self._rows[spot_indices]
 
 
 def spots_of_group(units: np.ndarray, shares: np.ndarray) -> list[tuple[int, int]]:
     """Enumerate the (unit, row_index) spots of one replication group."""
-    spots: list[tuple[int, int]] = []
-    for unit, rows in zip(units, shares):
-        spots.extend((int(unit), r) for r in range(int(rows)))
-    return spots
+    shares = np.asarray(shares, dtype=np.int64)
+    total = int(shares.sum())
+    starts = np.cumsum(shares) - shares
+    rows = np.arange(total, dtype=np.int64) - np.repeat(starts, shares)
+    unit_of_spot = np.repeat(np.asarray(units, dtype=np.int64), shares)
+    return list(zip(unit_of_spot.tolist(), rows.tolist()))
 
 
 def preserved_mask(

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.ata import AffineTagArray
-from repro.core.consistent import ConsistentRing, spots_of_group
+from repro.core.consistent import VIRTUAL_NODES, ConsistentRing, spots_of_group
 from repro.core.remap import NO_GROUP, RemapTable, StreamAllocation
 from repro.core.slb import StreamLookaheadBuffer
 from repro.core.stream import StreamConfig, StreamTable
@@ -217,6 +217,7 @@ class StreamCacheMapper:
         )
         n_units = self.config.n_units
         group_of_unit = np.full(n_units, -1, dtype=np.int64)
+        installed = self._mappings.get(stream.sid)
         for g_index, gid in enumerate(alloc.group_ids):
             unit_sel = np.flatnonzero(alloc.groups == gid)
             shares = alloc.shares[unit_sel]
@@ -225,9 +226,11 @@ class StreamCacheMapper:
             sets_per_unit = np.maximum(entries // max(1, ways), 0)
             ring = None
             if self.placement == "consistent":
-                spots = spots_of_group(unit_sel, shares)
-                if spots:
-                    ring = ConsistentRing(spots, salt=stream.sid)
+                ring = self._installed_ring(installed, unit_sel, shares)
+                if ring is None and shares.sum() > 0:
+                    ring = ConsistentRing(
+                        spots_of_group(unit_sel, shares), salt=stream.sid
+                    )
             mapping.groups.append(
                 GroupMapping(
                     gid=gid,
@@ -251,6 +254,33 @@ class StreamCacheMapper:
                 group_of_unit[unit] = best
         mapping.group_of_unit = group_of_unit
         return mapping
+
+    @staticmethod
+    def _installed_ring(
+        installed: StreamMapping | None, units: np.ndarray, shares: np.ndarray
+    ) -> ConsistentRing | None:
+        """The ring of an installed group of the same stream with the same
+        units and shares: a ring depends on nothing else, so it is reused
+        instead of rebuilt."""
+        if installed is None:
+            return None
+        for group in installed.groups:
+            if (
+                group.ring is not None
+                and np.array_equal(group.units, units)
+                and np.array_equal(group.shares, shares)
+            ):
+                return group.ring
+        return None
+
+    def ring_positions(self) -> int:
+        """Consistent-hash ring positions held by the installed mappings."""
+        return VIRTUAL_NODES * sum(
+            len(group.ring)
+            for mapping in self._mappings.values()
+            for group in mapping.groups
+            if group.ring is not None
+        )
 
     def apply(self, allocations: list[StreamAllocation]) -> ReconfigStats:
         """Install a new configuration; returns movement/invalidation stats."""

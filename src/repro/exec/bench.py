@@ -1,6 +1,6 @@
 """The ``python -m repro bench`` harness.
 
-Measures the three performance pillars this repo's execution layer
+Measures the performance pillars this repo's execution layer
 provides, and writes one ``BENCH_<date>.json`` so numbers can be
 committed alongside the code they describe:
 
@@ -14,6 +14,8 @@ committed alongside the code they describe:
   perform zero simulations.
 * **cache** — hit/miss counters and the measured round-trip cost of the
   persistent report store.
+* **paper_setup** — NDPExt set-up seconds, ring positions and peak RSS
+  on the unshrunk paper preset (full runs only).
 
 ``--quick`` shrinks everything to the tiny preset for CI smoke runs.
 ``--check PREV.json`` feeds the fresh result through the regression
@@ -252,6 +254,47 @@ def bench_paper(repeats: int) -> dict:
     }
 
 
+def _paper_setup_cell(preset: str, workload_name: str) -> dict:
+    """Child-process body of :func:`bench_paper_setup`."""
+    import resource
+
+    from repro.core import NdpExtPolicy
+    from repro.experiments.runner import PRESETS, SCALES
+    from repro.sim import SimulationEngine
+    from repro.workloads import SMALL, build
+
+    config = PRESETS[preset]()
+    workload = build(workload_name, SCALES.get(preset, SMALL))
+    policy = NdpExtPolicy()
+    setup_s, _session = _time(SimulationEngine(config).begin_session, workload, policy)
+    return {
+        "preset": preset,
+        "workload": workload_name,
+        "n_units": config.n_units,
+        "unit_cache_mb": config.unit_cache_bytes / 2**20,
+        "setup_s": setup_s,
+        "ring_positions": policy.mapper.ring_positions(),
+        # Linux reports ru_maxrss in kB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "pid": os.getpid(),
+    }
+
+
+def bench_paper_setup(preset: str = "paper", workload_name: str = "mv") -> dict:
+    """NDPExt set-up (``begin_session``) on the unshrunk paper preset.
+
+    Unlike :func:`bench_paper`, which shrinks the unit cache until ring
+    construction is negligible, this cell keeps Table II's 256 MB per
+    unit, so ring construction and ring memory dominate.  It runs in a
+    freshly spawned process so ``peak_rss_mb`` is the cell's own high
+    water mark, not the bench process's.
+    """
+    import multiprocessing
+
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(_paper_setup_cell, (preset, workload_name))
+
+
 def _suite_grid(workloads, policies):
     from repro.experiments.runner import Cell
 
@@ -327,7 +370,7 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
         workloads = ("pr", "hotspot", "recsys", "mv")
         policies = ("ndpext", "nexus", "ndpext-static", "jigsaw")
         repeats = 3
-    return {
+    result = {
         "date": datetime.date.today().isoformat(),
         "quick": quick,
         "cpu_count": os.cpu_count(),
@@ -335,8 +378,11 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
         "engine": bench_engine(preset, workloads[0], repeats),
         "kernels": bench_kernels(quick, max(repeats, 3)),
         "engine_paper": bench_paper(max(1, repeats - 1)),
-        "suite": bench_suite(preset, workloads, policies, jobs),
     }
+    if not quick:
+        result["paper_setup"] = bench_paper_setup()
+    result["suite"] = bench_suite(preset, workloads, policies, jobs)
+    return result
 
 
 HISTORY_CAP = 20
@@ -356,6 +402,8 @@ def _history_snapshot(payload: dict) -> dict:
         "engine.accesses_per_second",
         "kernels.kernel_speedup",
         "engine_paper.accesses_per_second",
+        "paper_setup.setup_s",
+        "paper_setup.peak_rss_mb",
     ):
         value = _lookup(payload, dotted)
         if value is not None:
@@ -403,6 +451,18 @@ def cmd_bench(args) -> None:
     kernels = result["kernels"]
     paper = result["engine_paper"]
     suite = result["suite"]
+    setup = result.get("paper_setup")
+    setup_rows = (
+        [
+            [
+                f"paper set-up ({setup['unit_cache_mb']:.0f} MB/unit, "
+                f"{setup['ring_positions']:,} ring positions)",
+                f"{setup['setup_s']:.2f} s, {setup['peak_rss_mb']:,.0f} MB peak RSS",
+            ]
+        ]
+        if setup
+        else []
+    )
     backend_row = " / ".join(
         f"{name} {row['accesses_per_second']:,.0f}/s"
         for name, row in kernels["backends"].items()
@@ -421,6 +481,7 @@ def cmd_bench(args) -> None:
                     f"paper mesh ({paper['n_units']} units) accesses/s",
                     f"{paper['accesses_per_second']:,.0f}",
                 ],
+                *setup_rows,
                 ["L1 filter speedup (grouped vs legacy)", f"{engine['l1_speedup']:.2f}x"],
                 ["suite cells", str(suite["cells"])],
                 ["suite serial cold", f"{suite['serial_cold_s']:.2f} s"],

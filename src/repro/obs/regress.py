@@ -21,6 +21,8 @@ GUARDED_METRICS: tuple[tuple[str, bool, str], ...] = (
     ("engine.accesses_per_second", True, "engine throughput"),
     ("kernels.kernel_speedup", True, "numpy kernel speedup over python"),
     ("engine_paper.accesses_per_second", True, "paper-mesh throughput"),
+    ("paper_setup.setup_s", False, "paper-preset NDPExt set-up wall clock"),
+    ("paper_setup.peak_rss_mb", False, "paper-preset NDPExt set-up peak RSS"),
     ("engine.l1_speedup", True, "grouped L1 filter speedup"),
     ("suite.serial_cold_s", False, "suite serial cold wall clock"),
     ("suite.parallel_cold_s", False, "suite parallel cold wall clock"),

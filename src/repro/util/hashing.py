@@ -50,10 +50,18 @@ def mix64_array(keys: np.ndarray, salt: int = 0) -> np.ndarray:
     z = keys.astype(np.uint64, copy=True)
     if salt:
         z ^= np.uint64(mix64(salt))
+    return mix64_inplace(z)
+
+
+def mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` applied to a uint64 array in place; returns ``z``."""
     z += np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def bucket_array(keys: np.ndarray, buckets: int, salt: int = 0) -> np.ndarray:

@@ -5,11 +5,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.consistent import ConsistentRing, preserved_mask, spots_of_group
+from repro.core.consistent import (
+    VIRTUAL_NODES,
+    ConsistentRing,
+    preserved_mask,
+    spots_of_group,
+)
+from repro.util.hashing import mix64
 
 
 def spots(n_units=4, rows=8):
     return [(u, r) for u in range(n_units) for r in range(rows)]
+
+
+def reference_ring(spots, salt=0):
+    """The scalar ring constructor, verbatim: one ``mix64`` call per
+    (spot, virtual node).  The vectorised ring must match it bit for bit."""
+    keys = []
+    owners = []
+    for index, (unit, row) in enumerate(spots):
+        base = mix64(((unit + 1) << 32) ^ row ^ mix64(salt))
+        for v in range(VIRTUAL_NODES):
+            keys.append(mix64(base + v))
+            owners.append(index)
+    order = np.argsort(np.array(keys, dtype=np.uint64))
+    positions = np.array(keys, dtype=np.uint64)[order]
+    owners = np.array(owners, dtype=np.int64)[order]
+    units = np.array([u for u, _ in spots], dtype=np.int64)
+    rows = np.array([r for _, r in spots], dtype=np.int64)
+    return positions, owners, units, rows
+
+
+def assert_matches_reference(spot_list, salt):
+    positions, owners, units, rows = reference_ring(spot_list, salt)
+    ring = ConsistentRing(spot_list, salt=salt)
+    assert ring._positions.dtype == positions.dtype
+    assert ring._owners.dtype == owners.dtype
+    assert np.array_equal(ring._positions, positions)
+    assert np.array_equal(ring._owners, owners)
+    every_spot = np.arange(len(spot_list))
+    assert np.array_equal(ring.units_of(every_spot), units)
+    assert np.array_equal(ring.rows_of(every_spot), rows)
+    assert np.array_equal(ring.units_of(owners), units[owners])
+    assert np.array_equal(ring.rows_of(owners), rows[owners])
+    assert len(ring) == len(spot_list)
+
+
+SPOT = st.tuples(
+    st.integers(min_value=0, max_value=127),
+    st.integers(min_value=0, max_value=1 << 17),
+)
+SALT = st.one_of(
+    st.just(0),
+    st.integers(min_value=0, max_value=1 << 16),
+    st.integers(min_value=(1 << 63) - 8, max_value=(1 << 64) - 1),
+)
+
+
+class TestScalarIdentity:
+    """The vectorised constructor against the scalar definition."""
+
+    @given(st.lists(SPOT, min_size=1, max_size=300), SALT)
+    @settings(max_examples=60, deadline=None)
+    def test_random_spots_match_reference(self, spot_list, salt):
+        assert_matches_reference(spot_list, salt)
+
+    def test_paper_sized_group_matches_reference(self):
+        """128 units x 48 rows: the Table II mesh at a small share."""
+        spot_list = spots_of_group(np.arange(128), np.full(128, 48))
+        assert_matches_reference(spot_list, salt=11)
 
 
 class TestRing:
@@ -55,6 +119,22 @@ class TestConsistency:
         preserved = preserved_mask(old_ring, new_ring, tags)
         # Going from 32 to 40 spots should move ~ 8/40 of tags.
         assert preserved.mean() > 0.7
+
+    @given(st.lists(SPOT, min_size=2, max_size=120, unique=True), SALT, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_growth_only_moves_tags_owned_by_new_spots(self, spot_list, salt, data):
+        """Exact form of the property above: after adding spots, a tag
+        whose new owner is an old spot keeps its (unit, row); a tag now
+        owned by a new spot moves."""
+        split = data.draw(st.integers(min_value=1, max_value=len(spot_list) - 1))
+        old_spots = spot_list[:split]
+        tags = np.arange(4000)
+        old_ring = ConsistentRing(old_spots, salt=salt)
+        new_ring = ConsistentRing(spot_list, salt=salt)
+        on_old = new_ring.lookup(tags) < len(old_spots)
+        preserved = preserved_mask(old_ring, new_ring, tags)
+        assert preserved[on_old].all()
+        assert not preserved[~on_old].any()
 
     def test_rehash_comparison(self):
         """Plain mod-rehashing (simulated by a different salt) moves almost

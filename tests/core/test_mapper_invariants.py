@@ -1,10 +1,14 @@
 """Property tests on the stream-cache mapper's structural invariants."""
 
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.configure import equal_share_allocations
+from repro.core.consistent import ConsistentRing
 from repro.core.remap import StreamAllocation
 from repro.core.stream import StreamTable, configure_stream
 from repro.core.stream_cache import StreamCacheMapper, unpack_unit
@@ -149,3 +153,81 @@ class TestMappingInvariants:
         assert np.array_equal(
             unpack_unit(sets), unpack_unit(sets)
         )  # stable unpacking
+
+
+def installed_allocations(mapper):
+    return [mapper.table.get(sid) for sid in mapper.table.sids]
+
+
+@contextmanager
+def counting_ring_builds():
+    """Counts ``ConsistentRing`` constructions inside the block."""
+    builds = []
+    original = ConsistentRing.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    with mock.patch.object(ConsistentRing, "__init__", counted):
+        yield builds
+
+
+class TestReapply:
+    @given(
+        st.lists(
+            st.integers(min_value=0, max_value=3), min_size=4, max_size=4
+        ),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=511),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+        st.sampled_from(["hash", "consistent"]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_reapplying_installed_config_is_a_noop(self, shares_a, picks, placement):
+        """Re-installing the installed allocations drops nothing, moves
+        nothing and builds no ring."""
+        config, streams, mapper = build_mapper(placement=placement)
+        shares_a = np.asarray(shares_a, dtype=np.int64)
+        shares_b = np.full(config.n_units, 4, dtype=np.int64)
+        allocations = [
+            StreamAllocation.single_group(streams[1].sid, shares_b)
+        ]
+        if shares_a.sum() > 0:
+            allocations.append(
+                StreamAllocation.single_group(streams[0].sid, shares_a)
+            )
+        mapper.apply(allocations)
+        cores = [i % config.n_units for i in range(len(picks))]
+        mapper.process(trace_for(streams, picks, cores))
+        resident = {sid: len(r.set_ids) for sid, r in mapper._resident.items()}
+        with counting_ring_builds() as builds:
+            stats = mapper.apply(installed_allocations(mapper))
+        assert stats.invalidations == 0
+        assert stats.movements == 0
+        assert builds == []
+        assert {sid: len(r.set_ids) for sid, r in mapper._resident.items()} == resident
+
+    def test_resizing_one_stream_keeps_the_others_ring(self):
+        config, streams, mapper = build_mapper()
+        sid_a, sid_b = streams[0].sid, streams[1].sid
+        ring_b = mapper._mappings[sid_b].groups[0].ring
+        assert ring_b is not None
+        shrunk = [
+            StreamAllocation.single_group(
+                alloc.sid,
+                alloc.shares - (1 if alloc.sid == sid_a else 0),
+            )
+            for alloc in installed_allocations(mapper)
+        ]
+        with counting_ring_builds() as builds:
+            mapper.apply(shrunk)
+        assert mapper._mappings[sid_b].groups[0].ring is ring_b
+        # Only stream A's group was rebuilt.
+        assert len(builds) == 1
+        assert mapper._mappings[sid_a].groups[0].ring is not ring_b

@@ -1,8 +1,11 @@
 """Workload trace memoization and the bench harness smoke test."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.core.consistent import VIRTUAL_NODES
 from repro.exec.cache import cache_root
 from repro.exec.tracecache import TraceCache, workload_key
 from repro.workloads import TINY, build
@@ -169,11 +172,27 @@ class TestBenchSmoke:
         assert kernels["kernel_speedup"] > 1.0
         assert paper["n_units"] == 128
         assert paper["accesses_per_second"] > 0
+        # The unshrunk paper-preset set-up cell is a full-run cell only.
+        assert "paper_setup" not in result
         assert suite["cells"] == 4
         # The warm pass must be pure cache: zero simulations.
         assert suite["warm_counters"]["cache_misses"] == 0
         assert suite["warm_counters"]["cache_hits_disk"] == suite["cells"]
         assert suite["warm_speedup"] > 1.0
+
+    def test_paper_setup_cell_runs_in_a_child_process(self, tmp_path, monkeypatch):
+        """The cell's peak RSS must be its own, so it runs in a spawned
+        child; on the tiny preset it still builds rings and reports them."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "setup-cache"))
+        from repro.exec.bench import bench_paper_setup
+
+        cell = bench_paper_setup(preset="tiny")
+        assert cell["pid"] != os.getpid()
+        assert cell["preset"] == "tiny" and cell["workload"] == "mv"
+        assert cell["setup_s"] > 0
+        assert cell["ring_positions"] > 0
+        assert cell["ring_positions"] % VIRTUAL_NODES == 0
+        assert cell["peak_rss_mb"] > 0
 
     def test_cli_bench_writes_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))

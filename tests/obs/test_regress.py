@@ -31,6 +31,8 @@ def bench(
     speedup=2.5,
     kernel=4.0,
     paper_aps=80_000.0,
+    paper_setup_s=30.0,
+    paper_rss=2800.0,
     quick=False,
 ):
     return {
@@ -38,6 +40,7 @@ def bench(
         "engine": {"accesses_per_second": aps, "l1_speedup": l1},
         "kernels": {"kernel_speedup": kernel},
         "engine_paper": {"accesses_per_second": paper_aps},
+        "paper_setup": {"setup_s": paper_setup_s, "peak_rss_mb": paper_rss},
         "suite": {
             "serial_cold_s": serial,
             "parallel_cold_s": parallel,
@@ -60,6 +63,17 @@ class TestCompare:
         by_name = {d.metric: d for d in deltas}
         assert by_name["engine.accesses_per_second"].regression == pytest.approx(1.0)
         assert by_name["engine.accesses_per_second"].failed
+
+    def test_paper_setup_time_and_memory_are_lower_is_better(self):
+        deltas = compare_bench(
+            bench(paper_setup_s=45.0, paper_rss=2000.0),
+            bench(paper_setup_s=30.0, paper_rss=2800.0),
+        )
+        by_name = {d.metric: d for d in deltas}
+        assert by_name["paper_setup.setup_s"].regression == pytest.approx(0.5)
+        assert by_name["paper_setup.setup_s"].failed
+        assert by_name["paper_setup.peak_rss_mb"].regression < 0
+        assert not by_name["paper_setup.peak_rss_mb"].failed
 
     def test_wall_clock_growth_is_positive_regression(self):
         """Higher wall clock is worse: the sign is normalized."""
