@@ -726,18 +726,14 @@ def _parse_slo(spec: str):
 
 def cmd_serve(args) -> None:
     """Replay a tenant-mix scenario through the resident serving loop."""
-    from repro.serve import ServeHarness, ServeScenario, two_tenant_scenario
-
-    faults = (
-        {
-            "unit_failures": 1,
-            "row_faults": 1,
-            "crc_bursts": 1,
-            "downtrains": 1,
-        }
-        if args.storm
-        else None
+    from repro.serve import (
+        STORM_FAULTS,
+        ServeHarness,
+        ServeScenario,
+        two_tenant_scenario,
     )
+
+    faults = dict(STORM_FAULTS) if args.storm else None
     common = dict(
         workload=args.workload,
         policy=args.policy,

@@ -86,7 +86,9 @@ class StreamAllocation:
 
     @property
     def group_ids(self) -> list[int]:
-        return sorted(int(g) for g in np.unique(self.groups) if g != NO_GROUP)
+        # One entry per unit: a set over the list beats np.unique's
+        # per-call overhead and gives the same sorted ints.
+        return sorted(set(self.groups.tolist()) - {NO_GROUP})
 
     @property
     def n_groups(self) -> int:

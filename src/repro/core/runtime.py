@@ -238,22 +238,25 @@ class NdpExtPolicy(DramCachePolicy):
                 unit_capacity=self.mapper.table.capacity,
                 write_excepted=self.mapper.write_excepted,
             )
-        old_cost = self._predicted_cost(curves, self._current_allocations())
-        new_cost = self._predicted_cost(curves, result.allocations)
+        with self.recorder.span("configure.predict_cost"):
+            monotone = {sid: curve.monotone() for sid, curve in curves.items()}
+            current = self._current_allocations()
+            old_cost = self._predicted_cost(monotone, current)
+            new_cost = self._predicted_cost(monotone, result.allocations)
         skipped = (
             not forced
             and old_cost > 0
             and new_cost > old_cost * (1.0 - self.RECONFIG_GAIN_THRESHOLD)
         )
         if skipped:
-            chosen = self._current_allocations()
+            chosen = current
             stats = ReconfigStats()
         else:
             chosen = result.allocations
             stats = self.mapper.apply(result.allocations)
             self.applied_reconfigs += 1
         if self.recorder.enabled:
-            self._predicted_hit_rate = self._predict_hit_rates(curves, chosen)
+            self._predicted_hit_rate = self._predict_hit_rates(monotone, chosen)
             alloc_by_sid = {alloc.sid: alloc for alloc in chosen}
             # Per-unit rows the chosen configuration allocates — the
             # placement's spatial footprint, next to the spatial
@@ -286,20 +289,21 @@ class NdpExtPolicy(DramCachePolicy):
         return stats
 
     def _predict_hit_rates(
-        self, curves: dict[int, MissCurve], allocations
+        self, monotone: dict[int, MissCurve], allocations
     ) -> dict[int, float]:
         """Per-stream hit rate the miss-curve model promises for
-        ``allocations``, on the post-L1 request stream."""
+        ``allocations``, on the post-L1 request stream.  ``monotone``
+        holds each stream's :meth:`MissCurve.monotone` curve."""
         row_bytes = self.config.ndp_dram.row_bytes
         rates: dict[int, float] = {}
         for alloc in allocations:
-            curve = curves.get(alloc.sid)
+            curve = monotone.get(alloc.sid)
             accesses = self._epoch_access_totals.get(alloc.sid, 0)
             if curve is None or accesses <= 0:
                 continue
             copies = max(1, alloc.n_groups)
             per_copy = alloc.total_rows * row_bytes / copies
-            misses = curve.monotone().misses_at(per_copy)
+            misses = curve.misses_at(per_copy)
             rates[alloc.sid] = float(
                 np.clip(1.0 - misses / accesses, 0.0, 1.0)
             )
@@ -310,8 +314,9 @@ class NdpExtPolicy(DramCachePolicy):
             self.mapper.table.get_or_empty(sid) for sid in sorted(self._streams)
         ]
 
-    def _predicted_cost(self, curves: dict[int, MissCurve], allocations) -> float:
-        """Expected memory time (ns) if ``allocations`` served the curves.
+    def _predicted_cost(self, monotone: dict[int, MissCurve], allocations) -> float:
+        """Expected memory time (ns) if ``allocations`` served the curves
+        (``monotone`` holds each stream's :meth:`MissCurve.monotone`).
 
         Misses pay the extended-memory penalty; hits pay the round trip to
         wherever the accessing units' replication group lives — so a
@@ -323,12 +328,12 @@ class NdpExtPolicy(DramCachePolicy):
         total = 0.0
         for alloc in allocations:
             sid = alloc.sid
-            curve = curves.get(sid)
+            curve = monotone.get(sid)
             if curve is None:
                 continue
             copies = max(1, alloc.n_groups)
             per_copy = alloc.total_rows * row_bytes / copies
-            misses = curve.monotone().misses_at(per_copy)
+            misses = curve.misses_at(per_copy)
             accesses = self._epoch_access_totals.get(sid, 0)
             hits = max(0.0, accesses - misses)
             total += misses * miss_penalty
@@ -456,38 +461,40 @@ class NdpExtPolicy(DramCachePolicy):
             }
             self._epoch_access_totals[sid] = int(counts[:, sid].sum())
 
-        assignment = self.assigner.assign(bitvec)
-        for sid in assignment.assignment:
-            stream = self._streams.get(sid)
-            if stream is None:
-                continue
-            mask = epoch.sid == sid
-            elems = stream.element_ids(epoch.addr[mask])
-            if self.adaptive_blocks and stream.is_affine:
-                block = self._pick_block_size(stream, elems, epoch.core[mask])
-                if self.mapper.set_block_override(sid, block):
-                    self._curves.pop(sid, None)  # granularity changed
-            sampler = MissCurveSampler(stream, self.sampler_params)
-            sampler.set_granularity(self.mapper.granularity_of(stream))
-            fresh = sampler.observe(elems)
-            previous = self._curves.get(sid)
-            if previous is not None and np.array_equal(
-                previous.capacities, fresh.capacities
-            ):
-                # Exponential smoothing damps epoch-to-epoch sampling
-                # noise; without it the lookahead order flips between
-                # epochs and the resulting allocation churn costs more
-                # than the reconfiguration gains.
-                fresh = MissCurve(
-                    fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses
-                )
-            self._curves[sid] = fresh
-            if self.recorder.enabled:
-                self.recorder.event(
-                    "miss_curve",
-                    epoch=epoch_idx,
-                    sid=int(sid),
-                    accesses=int(self._epoch_access_totals.get(sid, 0)),
-                    capacities=[float(c) for c in fresh.capacities],
-                    misses=[float(m) for m in fresh.misses],
-                )
+        with self.recorder.span("profile.assign"):
+            assignment = self.assigner.assign(bitvec)
+        with self.recorder.span("profile.sample"):
+            for sid in assignment.assignment:
+                stream = self._streams.get(sid)
+                if stream is None:
+                    continue
+                mask = epoch.sid == sid
+                elems = stream.element_ids(epoch.addr[mask])
+                if self.adaptive_blocks and stream.is_affine:
+                    block = self._pick_block_size(stream, elems, epoch.core[mask])
+                    if self.mapper.set_block_override(sid, block):
+                        self._curves.pop(sid, None)  # granularity changed
+                sampler = MissCurveSampler(stream, self.sampler_params)
+                sampler.set_granularity(self.mapper.granularity_of(stream))
+                fresh = sampler.observe(elems)
+                previous = self._curves.get(sid)
+                if previous is not None and np.array_equal(
+                    previous.capacities, fresh.capacities
+                ):
+                    # Exponential smoothing damps epoch-to-epoch sampling
+                    # noise; without it the lookahead order flips between
+                    # epochs and the resulting allocation churn costs more
+                    # than the reconfiguration gains.
+                    fresh = MissCurve(
+                        fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses
+                    )
+                self._curves[sid] = fresh
+                if self.recorder.enabled:
+                    self.recorder.event(
+                        "miss_curve",
+                        epoch=epoch_idx,
+                        sid=int(sid),
+                        accesses=int(self._epoch_access_totals.get(sid, 0)),
+                        capacities=[float(c) for c in fresh.capacities],
+                        misses=[float(m) for m in fresh.misses],
+                    )

@@ -16,6 +16,7 @@ sample sets, runs a direct-mapped simulation on them, and scales.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,18 @@ class SamplerParams:
         return self.sample_sets * self.capacity_points * SAMPLER_SET_BYTES
 
     def capacities(self) -> np.ndarray:
-        return geometric_capacities(
-            self.min_capacity, self.max_capacity, self.capacity_points
-        )
+        """The sampled capacity cases.  Computed once per params value and
+        shared, so the array is read-only."""
+        return _capacities(self)
+
+
+@functools.lru_cache(maxsize=64)
+def _capacities(params: SamplerParams) -> np.ndarray:
+    caps = geometric_capacities(
+        params.min_capacity, params.max_capacity, params.capacity_points
+    )
+    caps.flags.writeable = False
+    return caps
 
 
 def sample_curve(

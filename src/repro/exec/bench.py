@@ -16,6 +16,9 @@ committed alongside the code they describe:
   persistent report store.
 * **paper_setup** — NDPExt set-up seconds, ring positions and peak RSS
   on the unshrunk paper preset (full runs only).
+* **serve** — the serving loop under the committed two-tenant fault
+  storm (``python -m repro serve --storm``): batches per second and
+  wall-clock milliseconds per served batch.
 
 ``--quick`` shrinks everything to the tiny preset for CI smoke runs.
 ``--check PREV.json`` feeds the fresh result through the regression
@@ -295,6 +298,35 @@ def bench_paper_setup(preset: str = "paper", workload_name: str = "mv") -> dict:
         return pool.apply(_paper_setup_cell, (preset, workload_name))
 
 
+def bench_serve(preset: str, repeats: int) -> dict:
+    """The two-tenant ``serve --storm`` scenario, best of ``repeats``.
+
+    Only :meth:`ServeHarness.run` is timed (admission, the serve loop,
+    engine steps, per-epoch reconfiguration); building the harness and
+    its workload is set-up.
+    """
+    from repro.serve import STORM_FAULTS, ServeHarness, two_tenant_scenario
+
+    scenario = two_tenant_scenario(name="serve", faults=dict(STORM_FAULTS))
+    times = []
+    for _ in range(repeats):
+        harness = ServeHarness(scenario, preset=preset)
+        dt, report = _time(harness.run)
+        times.append(dt)
+    best = min(times)
+    batches = report.completed
+    return {
+        "preset": preset,
+        "scenario": scenario.name,
+        "batches": batches,
+        "submitted": report.submitted,
+        "seconds_best": best,
+        "seconds_all": times,
+        "batches_per_s": batches / best if best else 0.0,
+        "ms_per_batch": 1000.0 * best / batches if batches else 0.0,
+    }
+
+
 def _suite_grid(workloads, policies):
     from repro.experiments.runner import Cell
 
@@ -378,6 +410,7 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
         "engine": bench_engine(preset, workloads[0], repeats),
         "kernels": bench_kernels(quick, max(repeats, 3)),
         "engine_paper": bench_paper(max(1, repeats - 1)),
+        "serve": bench_serve("tiny" if quick else "medium", repeats),
     }
     if not quick:
         result["paper_setup"] = bench_paper_setup()
@@ -404,6 +437,7 @@ def _history_snapshot(payload: dict) -> dict:
         "engine_paper.accesses_per_second",
         "paper_setup.setup_s",
         "paper_setup.peak_rss_mb",
+        "serve.ms_per_batch",
     ):
         value = _lookup(payload, dotted)
         if value is not None:
@@ -450,6 +484,7 @@ def cmd_bench(args) -> None:
     engine = result["engine"]
     kernels = result["kernels"]
     paper = result["engine_paper"]
+    serve = result["serve"]
     suite = result["suite"]
     setup = result.get("paper_setup")
     setup_rows = (
@@ -482,6 +517,11 @@ def cmd_bench(args) -> None:
                     f"{paper['accesses_per_second']:,.0f}",
                 ],
                 *setup_rows,
+                [
+                    f"serve --storm ({serve['preset']}, {serve['batches']} batches)",
+                    f"{serve['batches_per_s']:,.1f} batches/s, "
+                    f"{serve['ms_per_batch']:.1f} ms/batch",
+                ],
                 ["L1 filter speedup (grouped vs legacy)", f"{engine['l1_speedup']:.2f}x"],
                 ["suite cells", str(suite["cells"])],
                 ["suite serial cold", f"{suite['serial_cold_s']:.2f} s"],

@@ -23,6 +23,7 @@ GUARDED_METRICS: tuple[tuple[str, bool, str], ...] = (
     ("engine_paper.accesses_per_second", True, "paper-mesh throughput"),
     ("paper_setup.setup_s", False, "paper-preset NDPExt set-up wall clock"),
     ("paper_setup.peak_rss_mb", False, "paper-preset NDPExt set-up peak RSS"),
+    ("serve.ms_per_batch", False, "serve --storm wall clock per batch"),
     ("engine.l1_speedup", True, "grouped L1 filter speedup"),
     ("suite.serial_cold_s", False, "suite serial cold wall clock"),
     ("suite.parallel_cold_s", False, "suite parallel cold wall clock"),

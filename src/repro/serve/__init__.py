@@ -29,6 +29,7 @@ from repro.serve.loop import ServeLoop, ServeOptions
 from repro.serve.report import ServeReport, TenantStats
 from repro.serve.scenario import (
     ADMISSION_MODES,
+    STORM_FAULTS,
     ServeHarness,
     ServeScenario,
     two_tenant_scenario,
@@ -52,6 +53,7 @@ __all__ = [
     "REASON_QUOTA",
     "REASON_RESUMED",
     "REASON_UNKNOWN_TENANT",
+    "STORM_FAULTS",
     "ServeHarness",
     "ServeJournal",
     "ServeLoop",

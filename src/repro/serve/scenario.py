@@ -40,6 +40,15 @@ from repro.workloads import SMALL, build
 
 ADMISSION_MODES = ("quota", "slo")
 
+# The ``serve --storm`` fault mix: one of each fault kind, seeded by the
+# scenario (kwargs for repro.faults.random_schedule).
+STORM_FAULTS = {
+    "unit_failures": 1,
+    "row_faults": 1,
+    "crc_bursts": 1,
+    "downtrains": 1,
+}
+
 
 @dataclass(frozen=True)
 class ServeScenario:

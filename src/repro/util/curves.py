@@ -100,14 +100,51 @@ class SlopeSegment:
 
 @dataclass
 class LookaheadState:
-    """Tracks per-stream allocated capacity during lookahead allocation."""
+    """Tracks per-stream allocated capacity during lookahead allocation.
+
+    Each stream's best extension depends only on its curve and its own
+    allocation, so it is cached per stream and recomputed only when one
+    of the two changed since it was derived — normally just the stream
+    the previous step committed.  Every read revalidates against the
+    live ``curves`` / ``allocated`` values, so callers may replace a
+    curve or set an allocation directly between calls.
+    """
 
     curves: dict[int, MissCurve]
     allocated: dict[int, int] = field(default_factory=dict)
+    # sid -> (allocation, curve, candidate): the candidate derived for
+    # that exact allocation and curve object; see _candidate.
+    _cache: dict[int, tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         for sid in self.curves:
             self.allocated.setdefault(sid, 0)
+
+    @staticmethod
+    def _candidate(
+        curve: MissCurve, current: int
+    ) -> tuple[float, int, float] | None:
+        """The steepest extension of one stream from ``current``:
+        ``(slope, end_capacity, gain)``, or None when no measured point
+        past the allocation saves misses."""
+        current_misses = curve.misses_at(current)
+        # Consider extending to each measured capacity beyond current.
+        # One vector pass per curve: candidate slopes for every measured
+        # point past the allocation, first-max selection (argmax)
+        # matching the strict > of the scalar loop it replaced, so ties
+        # keep resolving to the earliest capacity.
+        caps = curve.capacities
+        gains = current_misses - curve.misses
+        candidate = (caps > current) & (gains > 0)
+        if not candidate.any():
+            return None
+        cand_caps = caps[candidate]
+        cand_gains = gains[candidate]
+        slopes = cand_gains / (cand_caps - current).astype(np.float64)
+        j = int(np.argmax(slopes))
+        return float(slopes[j]), int(cand_caps[j]), float(cand_gains[j])
 
     def next_steepest_segment(
         self, exclude: set[int] | None = None
@@ -118,33 +155,26 @@ class LookaheadState:
         any further misses.  Streams in ``exclude`` are skipped (the
         configurator uses this for streams that can no longer get space).
         """
-        best: SlopeSegment | None = None
+        cache = self._cache
+        best_sid = -1
+        best: tuple[float, int, float] | None = None
         best_slope = -np.inf
         for sid, curve in self.curves.items():
             if exclude and sid in exclude:
                 continue
             current = self.allocated[sid]
-            current_misses = curve.misses_at(current)
-            # Consider extending to each measured capacity beyond current.
-            # One vector pass per curve: candidate slopes for every
-            # measured point past the allocation, first-max selection
-            # (argmax) matching the strict > of the scalar loop it
-            # replaced, so ties keep resolving to the earliest capacity.
-            caps = curve.capacities
-            gains = current_misses - curve.misses
-            candidate = (caps > current) & (gains > 0)
-            if not candidate.any():
-                continue
-            cand_caps = caps[candidate]
-            cand_gains = gains[candidate]
-            slopes = cand_gains / (cand_caps - current).astype(np.float64)
-            j = int(np.argmax(slopes))
-            if float(slopes[j]) > best_slope:
-                best = SlopeSegment(
-                    sid, current, int(cand_caps[j]), float(cand_gains[j])
-                )
-                best_slope = float(slopes[j])
-        return best
+            entry = cache.get(sid)
+            if entry is None or entry[0] != current or entry[1] is not curve:
+                entry = (current, curve, self._candidate(curve, current))
+                cache[sid] = entry
+            candidate = entry[2]
+            # Strict >: across streams, ties resolve to the first stream
+            # in dict order.
+            if candidate is not None and candidate[0] > best_slope:
+                best_sid, best, best_slope = sid, candidate, candidate[0]
+        if best is None:
+            return None
+        return SlopeSegment(best_sid, self.allocated[best_sid], best[1], best[2])
 
     def commit(self, segment: SlopeSegment) -> None:
         if segment.start_capacity != self.allocated[segment.stream_id]:

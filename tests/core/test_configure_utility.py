@@ -29,6 +29,9 @@ class FixedAttenuationTopology:
 
     def __init__(self):
         self.latency_ns = np.where(np.eye(self.n_units, dtype=bool), 0.0, 5.0)
+        self.attenuation_matrix = np.where(
+            np.eye(self.n_units, dtype=bool), 1.0, 0.9
+        )
 
     def attenuation(self, src, dst):
         return 1.0 if src == dst else 0.9

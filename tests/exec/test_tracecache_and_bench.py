@@ -172,6 +172,14 @@ class TestBenchSmoke:
         assert kernels["kernel_speedup"] > 1.0
         assert paper["n_units"] == 128
         assert paper["accesses_per_second"] > 0
+        # The serve cell replays the two-tenant storm on the tiny preset.
+        serve = result["serve"]
+        assert serve["preset"] == "tiny"
+        assert serve["batches"] > 0
+        assert serve["batches_per_s"] > 0
+        assert serve["ms_per_batch"] == pytest.approx(
+            1000.0 * serve["seconds_best"] / serve["batches"]
+        )
         # The unshrunk paper-preset set-up cell is a full-run cell only.
         assert "paper_setup" not in result
         assert suite["cells"] == 4

@@ -33,6 +33,7 @@ def bench(
     paper_aps=80_000.0,
     paper_setup_s=30.0,
     paper_rss=2800.0,
+    serve_ms=20.0,
     quick=False,
 ):
     return {
@@ -41,6 +42,7 @@ def bench(
         "kernels": {"kernel_speedup": kernel},
         "engine_paper": {"accesses_per_second": paper_aps},
         "paper_setup": {"setup_s": paper_setup_s, "peak_rss_mb": paper_rss},
+        "serve": {"ms_per_batch": serve_ms},
         "suite": {
             "serial_cold_s": serial,
             "parallel_cold_s": parallel,
@@ -74,6 +76,14 @@ class TestCompare:
         assert by_name["paper_setup.setup_s"].failed
         assert by_name["paper_setup.peak_rss_mb"].regression < 0
         assert not by_name["paper_setup.peak_rss_mb"].failed
+
+    def test_serve_ms_per_batch_is_lower_is_better(self):
+        deltas = compare_bench(bench(serve_ms=30.0), bench(serve_ms=20.0))
+        by_name = {d.metric: d for d in deltas}
+        assert by_name["serve.ms_per_batch"].regression == pytest.approx(0.5)
+        assert by_name["serve.ms_per_batch"].failed
+        faster = compare_bench(bench(serve_ms=15.0), bench(serve_ms=20.0))
+        assert not {d.metric: d for d in faster}["serve.ms_per_batch"].failed
 
     def test_wall_clock_growth_is_positive_regression(self):
         """Higher wall clock is worse: the sign is normalized."""
@@ -412,6 +422,7 @@ class TestHistory:
         assert newest["date"] == "2026-01-01"
         assert newest["engine.accesses_per_second"] == 250_000.0
         assert newest["kernels.kernel_speedup"] == 4.0
+        assert newest["serve.ms_per_batch"] == 20.0
 
     def test_roll_history_without_previous_is_empty(self):
         from repro.exec.bench import roll_history

@@ -152,6 +152,8 @@ def test_engine_profile_spans_present():
     labels = set(recorder.profiler.spans)
     assert {"policy.setup", "engine.l1_filter", "policy.process", "engine.charge"} <= labels
     assert "configure.solve" in labels
+    # Per-epoch children of policy.begin_epoch / policy.end_epoch.
+    assert {"configure.predict_cost", "profile.assign", "profile.sample"} <= labels
 
 
 def test_perf_tracer_bit_identical():

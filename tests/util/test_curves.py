@@ -233,3 +233,76 @@ class TestLookaheadVectorizedEquivalence:
         got = state.next_steepest_segment(exclude=exclude)
         want = self._reference(state, exclude=exclude)
         assert got == want
+
+    # The per-stream candidate cache must never outlive what it was
+    # derived from: each case below changes an input between calls.
+
+    @staticmethod
+    def _twin(state):
+        return LookaheadState(dict(state.curves), allocated=dict(state.allocated))
+
+    def test_matches_reference_as_exclusions_change(self):
+        rng = np.random.default_rng(44)
+        for trial in range(25):
+            state = self._random_state(rng, n_streams=int(rng.integers(2, 6)))
+            shadow = self._twin(state)
+            sids = list(state.curves)
+            for _step in range(40):
+                exclude = {s for s in sids if rng.random() < 0.4}
+                got = state.next_steepest_segment(exclude=exclude)
+                want = self._reference(shadow, exclude=exclude)
+                assert got == want, f"trial {trial}: {got} != {want}"
+                if got is None:
+                    if not exclude:
+                        break
+                    continue
+                state.commit(got)
+                shadow.commit(want)
+
+    def test_matches_reference_after_outside_allocation_changes(self):
+        rng = np.random.default_rng(45)
+        for trial in range(25):
+            state = self._random_state(rng, n_streams=int(rng.integers(1, 6)))
+            shadow = self._twin(state)
+            for _step in range(40):
+                if rng.random() < 0.3:
+                    sid = int(rng.choice(list(state.curves)))
+                    caps = state.curves[sid].capacities
+                    # Anywhere: a measured point, between points, or back
+                    # to an allocation the cache has already seen.
+                    value = int(rng.choice([0, int(rng.integers(0, caps[-1] + 2)),
+                                            int(caps[rng.integers(len(caps))])]))
+                    state.allocated[sid] = value
+                    shadow.allocated[sid] = value
+                got = state.next_steepest_segment()
+                want = self._reference(shadow)
+                assert got == want, f"trial {trial}: {got} != {want}"
+                if got is None:
+                    break
+                state.commit(got)
+                shadow.commit(want)
+
+    def test_matches_reference_after_curve_swaps(self):
+        rng = np.random.default_rng(46)
+        for trial in range(25):
+            state = self._random_state(rng, n_streams=int(rng.integers(1, 6)))
+            shadow = self._twin(state)
+            for _step in range(40):
+                if rng.random() < 0.3:
+                    sid = int(rng.choice(list(state.curves)))
+                    old = state.curves[sid]
+                    # A new object over the same capacities, so only the
+                    # curve's identity tells the cache it changed.
+                    fresh = MissCurve(
+                        old.capacities.copy(),
+                        np.sort(rng.uniform(0, 1000, size=len(old.capacities)))[::-1].copy(),
+                    )
+                    state.curves[sid] = fresh
+                    shadow.curves[sid] = fresh
+                got = state.next_steepest_segment()
+                want = self._reference(shadow)
+                assert got == want, f"trial {trial}: {got} != {want}"
+                if got is None:
+                    break
+                state.commit(got)
+                shadow.commit(want)
