@@ -177,9 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="numpy",
         choices=sorted(BACKENDS),
         help="engine kernel backend (default: numpy). 'python' is the "
-        "pure-python reference, 'numba' JIT-compiles the keyed scans "
-        "and falls back to numpy with a warning when numba is not "
-        "installed; all backends produce bit-identical reports",
+        "pure-python reference; both backends produce bit-identical reports",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -587,7 +585,7 @@ def cmd_trace(context: ExperimentContext, args) -> None:
             title=f"trace of {args.workload} under {args.policy} -> {args.out}",
         )
     )
-    profile = recorder.profiler.summary()[:8]
+    profile = recorder.profile()[:8]
     if profile:
         print(
             render_table(

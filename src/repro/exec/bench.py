@@ -170,7 +170,7 @@ def _kernel_cell(quick: bool):
 def bench_kernels(quick: bool, repeats: int) -> dict:
     """Per-backend throughput on the kernel-bound cell.
 
-    Every available backend runs the same workload ``repeats`` times
+    Both backends run the same workload ``repeats`` times
     (min-of-repeats wall clock on both sides — single runs on this class
     of shared machine are ±20% noisy) and the reports are asserted
     bit-identical before any ratio is published.  ``kernel_speedup`` is
@@ -179,16 +179,12 @@ def bench_kernels(quick: bool, repeats: int) -> dict:
     from repro.core import NdpExtPolicy
     from repro.sim import SimulationEngine
     from repro.sim.engine import EngineOptions
-    from repro.sim.kernels import numba_available
 
     workload, config = _kernel_cell(quick)
     n_accesses = len(workload.trace)
-    backend_names = ["numpy", "python"] + (
-        ["numba"] if numba_available() else []
-    )
     backends: dict = {}
     reports: dict = {}
-    for name in backend_names:
+    for name in ("numpy", "python"):
         times = []
         for _ in range(repeats):
             engine = SimulationEngine(config, EngineOptions(backend=name))
@@ -201,17 +197,15 @@ def bench_kernels(quick: bool, repeats: int) -> dict:
             "seconds_all": times,
             "accesses_per_second": n_accesses / best if best else 0.0,
         }
-    for name in backend_names[1:]:
-        _assert_reports_identical(
-            reports["numpy"], reports[name], f"backend numpy vs {name}"
-        )
+    _assert_reports_identical(
+        reports["numpy"], reports["python"], "backend numpy vs python"
+    )
     aps_numpy = backends["numpy"]["accesses_per_second"]
     aps_python = backends["python"]["accesses_per_second"]
     return {
         "workload": "pr",
         "accesses": n_accesses,
         "epoch_accesses": config.epoch_accesses,
-        "numba_available": numba_available(),
         "backends": backends,
         "kernel_speedup": aps_numpy / aps_python if aps_python else 0.0,
         "reports_identical": True,

@@ -10,12 +10,12 @@ Layers (DESIGN.md "Observability" and "Distributional observability"):
   log-bucket latency distributions per serving tier, and
   :class:`SpatialAccumulator` / :class:`SpatialReport` — per-unit load
   and the stack-to-stack link-traffic matrix.
-* :class:`SelfProfiler` — perf_counter spans over the simulator's own
-  hot paths (trace generation, L1 filter, policy, DRAM, reconfigure),
-  now an aggregate view over :class:`PerfTracer` — the hierarchical
-  span tracer behind the ``profile`` verb (Perfetto export and the
-  bottleneck report live in :mod:`repro.obs.perfreport`, imported
-  directly to keep this package import-light).
+* :class:`PerfTracer` — perf_counter spans over the simulator's own
+  hot paths (trace generation, L1 filter, policy, DRAM, reconfigure):
+  the hierarchical span tracer behind the recorder's ``profile`` rows
+  and the ``profile`` verb (Perfetto export and the bottleneck report
+  live in :mod:`repro.obs.perfreport`, imported directly to keep this
+  package import-light).
 * Exporters — :func:`prometheus_text` / :func:`json_payload` over a
   report, the ``dash`` HTML renderer, and the bench regression gate in
   :mod:`repro.obs.regress`.
@@ -31,7 +31,6 @@ from repro.obs.histogram import (
     LatencyHistogram,
     TierHistogramSet,
 )
-from repro.obs.profiler import SelfProfiler, SpanStats
 from repro.obs.recorder import (
     SCHEMA_VERSION,
     NullRecorder,
@@ -85,10 +84,8 @@ __all__ = [
     "SLO_WARN",
     "SloEngine",
     "SloObjective",
-    "SelfProfiler",
     "SpanAgg",
     "SpanEvent",
-    "SpanStats",
     "activate",
     "alert_severity",
     "current",

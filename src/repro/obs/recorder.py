@@ -7,7 +7,8 @@ A :class:`Recorder` collects three kinds of observations:
   injections, demotions.
 * **counters / gauges** — cheap named scalars folded into the trace
   footer (counters accumulate, gauges keep the last value).
-* **spans** — wall-clock self-profiling via :class:`SelfProfiler`.
+* **spans** — wall-clock self-profiling: exact per-label aggregates in
+  a :class:`~repro.obs.tracing.PerfTracer`.
 
 The default everywhere is :class:`NullRecorder`, whose methods are
 no-ops and whose ``enabled`` flag lets hot paths skip building payloads
@@ -26,7 +27,7 @@ import json
 import math
 from typing import Iterator
 
-from repro.obs.profiler import SelfProfiler
+from repro.obs.tracing import PerfTracer
 
 # Schema history:
 #   1 — initial trace layout (header / events / counters / profile / footer).
@@ -107,9 +108,10 @@ class Recorder(NullRecorder):
         self.events: list[dict] = []
         self.counters: dict[str, float] = {}
         self.gauges: dict[str, float] = {}
-        # Span timing is delegated to a PerfTracer; passing a shared one
-        # merges recorder spans into an ambient perf trace (profile verb).
-        self.profiler = SelfProfiler(tracer=tracer)
+        # Span timing is delegated to a PerfTracer (aggregates only by
+        # default); passing a shared one merges recorder spans into an
+        # ambient perf trace (profile verb).
+        self.tracer = tracer if tracer is not None else PerfTracer(keep_events=False)
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -127,10 +129,25 @@ class Recorder(NullRecorder):
         self.gauges[name] = value
 
     def span(self, label: str):
-        return self.profiler.span(label)
+        return self.tracer.span(label)
 
     def events_of(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["kind"] == kind]
+
+    def profile(self) -> list[dict]:
+        """Per-label inclusive span totals as JSON-able rows, slowest
+        label first (a label's total includes its child spans' time)."""
+        return [
+            {
+                "label": label,
+                "calls": agg.calls,
+                "total_s": agg.total_s,
+                "mean_us": (agg.total_s / agg.calls if agg.calls else 0.0) * 1e6,
+            }
+            for label, agg in sorted(
+                self.tracer.aggregates.items(), key=lambda kv: -kv[1].total_s
+            )
+        ]
 
     # ------------------------------------------------------------------
 
@@ -144,7 +161,7 @@ class Recorder(NullRecorder):
             yield {"kind": "counters", "values": dict(self.counters)}
         if self.gauges:
             yield {"kind": "gauges", "values": dict(self.gauges)}
-        for row in self.profiler.summary():
+        for row in self.profile():
             yield {"kind": "profile", **row}
         yield {"kind": "footer", "events": len(self.events)}
 

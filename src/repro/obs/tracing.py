@@ -236,8 +236,8 @@ class _TraceSpan:
 class PerfTracer(NullTracer):
     """Collects hierarchical spans; see the module docstring.
 
-    ``keep_events=False`` keeps only the exact aggregates (the mode the
-    :class:`~repro.obs.profiler.SelfProfiler` view uses); per-occurrence
+    ``keep_events=False`` keeps only the exact aggregates (the mode a
+    :class:`~repro.obs.recorder.Recorder` uses by default); per-occurrence
     events are capped at ``max_events`` with a ``dropped_events``
     counter — aggregates stay exact regardless.  ``clock`` / ``wall``
     are injectable for deterministic tests.

@@ -1,9 +1,8 @@
 """Append-only serve journal: drain a serving loop, resume it later.
 
-Same idiom as :class:`repro.exec.checkpoint.SweepManifest` — one JSONL
-file, every line flushed and fsync'd as it is appended, torn final line
-tolerated, stale file rotated aside — but journaling *batches* instead
-of sweep cells::
+A schema over :class:`repro.exec.checkpoint.AppendJournal` (the same
+fsync'd JSONL file, torn-tail truncation and stale rotation as the
+sweep manifest) journaling *batches* instead of sweep cells::
 
     {"kind": "header", "schema": 1, "stamp": "<code stamp>",
      "scenario": "<scenario key>"}
@@ -20,17 +19,17 @@ timed out — so after a drain (or a crash) the pending set is exactly
 batches are skipped without recomputation, and only the batches that
 were still waiting are processed.
 
-The header pins both the code stamp and a caller-supplied *scenario
-key*: a journal written by different simulator code, or for a different
-scenario, describes different batches, so it is rotated to
-``<path>.stale`` rather than silently resumed against the wrong run.
+The header pins the caller-supplied *scenario key* next to the code
+stamp: a journal written for a different scenario describes different
+batches, so it is rotated to ``<path>.stale`` rather than silently
+resumed against the wrong run.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
+
+from repro.exec.checkpoint import AppendJournal
 
 SERVE_JOURNAL_SCHEMA = 1
 
@@ -39,7 +38,7 @@ OUTCOME_SHED = "shed"
 OUTCOME_TIMEOUT = "timeout"
 
 
-class ServeJournal:
+class ServeJournal(AppendJournal):
     """Journal of queued/terminal batches for one resumable serve run."""
 
     def __init__(
@@ -48,64 +47,19 @@ class ServeJournal:
         scenario_key: str = "",
         stamp: str | None = None,
     ) -> None:
-        if stamp is None:
-            from repro.exec.cache import code_stamp
-
-            stamp = code_stamp()
-        self.path = Path(path)
-        self.stamp = stamp
-        self.scenario_key = scenario_key
         self._queued: dict[str, dict] = {}
         self._done: dict[str, str] = {}  # key -> outcome
-        self._fh = None
-        self._load()
+        super().__init__(path, SERVE_JOURNAL_SCHEMA, stamp, scenario=scenario_key)
 
-    # -- reading -------------------------------------------------------
-
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError:
+    def _fold(self, record: dict) -> None:
+        if record.get("kind") != "batch" or "key" not in record:
             return
-        stale = False
-        records: list[dict] = []
-        for i, line in enumerate(text.splitlines()):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                break  # torn tail from a crash mid-append; keep the prefix
-            if not isinstance(record, dict):
-                break
-            if i == 0:
-                if (
-                    record.get("kind") != "header"
-                    or record.get("schema") != SERVE_JOURNAL_SCHEMA
-                    or record.get("stamp") != self.stamp
-                    or record.get("scenario") != self.scenario_key
-                ):
-                    stale = True
-                    break
-                continue
-            records.append(record)
-        if stale:
-            try:
-                os.replace(
-                    self.path, self.path.with_name(self.path.name + ".stale")
-                )
-            except OSError:
-                pass
-            return
-        for record in records:
-            if record.get("kind") != "batch" or "key" not in record:
-                continue
-            key = record["key"]
-            status = record.get("status")
-            if status == "queued":
-                self._queued[key] = record
-            elif status == "done":
-                self._done[key] = record.get("outcome", OUTCOME_COMPLETED)
+        key = record["key"]
+        status = record.get("status")
+        if status == "queued":
+            self._queued[key] = record
+        elif status == "done":
+            self._done[key] = record.get("outcome", OUTCOME_COMPLETED)
 
     def is_done(self, key: str) -> bool:
         return key in self._done
@@ -129,41 +83,17 @@ class ServeJournal:
     def queued_count(self) -> int:
         return len(self._queued)
 
-    # -- writing -------------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fresh = not self.path.exists() or self.path.stat().st_size == 0
-            self._fh = open(self.path, "a", encoding="utf-8")
-            if fresh:
-                header = {
-                    "kind": "header",
-                    "schema": SERVE_JOURNAL_SCHEMA,
-                    "stamp": self.stamp,
-                    "scenario": self.scenario_key,
-                }
-                self._fh.write(json.dumps(header) + "\n")
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
     def journal_queued(self, key: str, **meta) -> None:
         if key in self._queued:
             return
         record = {"kind": "batch", "status": "queued", "key": key, **meta}
         self._queued[key] = record
-        self._append(record)
+        self.append(record)
 
     def journal_done(self, key: str, outcome: str = OUTCOME_COMPLETED) -> None:
         if key in self._done:
             return
         self._done[key] = outcome
-        self._append(
+        self.append(
             {"kind": "batch", "status": "done", "key": key, "outcome": outcome}
         )
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None

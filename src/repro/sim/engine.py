@@ -20,7 +20,6 @@ the slowest core does.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 
@@ -163,11 +162,9 @@ class EngineOptions:
     """Engine knobs that are not part of the system description.
 
     ``backend`` picks the kernel implementation for the exact hot-loop
-    scans (see :mod:`repro.sim.kernels`): ``numpy`` (default), ``python``
+    scans (see :mod:`repro.sim.kernels`): ``numpy`` (default) or ``python``
     (the slow reference the benchmark's ``kernel_speedup`` is measured
-    against), or ``numba`` (optional JIT; falls back to numpy with a
-    recorded warning when numba is not installed).  Reports are
-    bit-identical across backends.
+    against).  Reports are bit-identical across backends.
     """
 
     exact_l1: bool = False
@@ -196,15 +193,7 @@ class SimulationEngine:
         self.config = config
         self.options = options or EngineOptions()
         self.recorder = recorder if recorder is not None else NullRecorder()
-        self.kernels, fallback = resolve_backend(self.options.backend)
-        if fallback is not None:
-            warnings.warn(fallback, RuntimeWarning, stacklevel=2)
-            self.recorder.event(
-                "backend_fallback",
-                requested=self.options.backend,
-                resolved=self.kernels.name,
-                message=fallback,
-            )
+        self.kernels = resolve_backend(self.options.backend)
         self.fault_schedule = faults
         self.fault_state: FaultState | None = None
         self.topology = Topology(config)
@@ -223,12 +212,12 @@ class SimulationEngine:
     def _resolve_tracer(self):
         """Phase attribution target: the ambient perf tracer when one is
         active (`profile` verb, traced bench), else the recorder's
-        profiler tracer so legacy `trace` output keeps its span table,
+        tracer so `trace` output keeps its span table,
         else the shared no-op.  Spans never touch simulation state, so
         outputs are bit-identical whichever target is live."""
         tracer = current()
         if not tracer.enabled and self.recorder.enabled:
-            tracer = self.recorder.profiler.tracer
+            tracer = self.recorder.tracer
         return tracer
 
     def run(self, workload: Workload, policy: DramCachePolicy) -> SimulationReport:

@@ -4,18 +4,14 @@ Everything the engine's per-epoch hot loop does that is *exact* — keyed
 previous-occurrence scans (direct-mapped tags, DRAM row buffers, the
 grouped window-LRU of the L1 filter) and segment reductions (per-core /
 per-unit accumulation) — lives here as a small kernel inventory with
-three interchangeable implementations:
+two interchangeable implementations:
 
 * ``python`` — a straight-line pure-Python reference (dicts and loops).
-  Slow on purpose: it is the semantic ground truth the fast backends are
+  Slow on purpose: it is the semantic ground truth the numpy backend is
   pinned against, and the denominator of ``bench``'s ``kernel_speedup``.
 * ``numpy`` — the default.  Keyed scans are one stable ``argsort`` (radix
   sort for integer keys) plus adjacent-element compares; segment sums are
   one ``bincount`` per target array.
-* ``numba`` — optional JIT of the same scans as single hash-map passes
-  (no sort at all).  Selected with ``EngineOptions.backend="numba"`` /
-  ``--backend numba``; when numba is not importable the engine falls
-  back to numpy and records a warning instead of failing.
 
 Backends are **bit-identical by construction**: every kernel either
 returns integers/booleans computed by an exact scan, or folds float64
@@ -23,7 +19,7 @@ addends per segment in input order starting from zero — the same IEEE
 operation sequence whichever implementation runs.  All remaining float
 arithmetic (latency charging, energy, queueing) stays in shared numpy
 code in the engine, so a :class:`~repro.sim.metrics.SimulationReport` is
-the same bytes under every backend (pinned by
+the same bytes under either backend (pinned by
 ``tests/sim/test_backend_identity.py``).
 
 The active backend is ambient state scoped with :func:`use_backend`;
@@ -38,7 +34,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-BACKENDS = ("numpy", "python", "numba")
+BACKENDS = ("numpy", "python")
 
 
 class NumpyKernels:
@@ -239,168 +235,16 @@ class PythonKernels:
         return np.array(out, dtype=np.int64)
 
 
-def _build_numba_kernels():
-    """Compile the numba backend; raises ImportError when numba is absent.
-
-    The JIT kernels replace the numpy backend's sort-plus-compare scans
-    with single hash-map passes — O(n) instead of O(n log n), no
-    permutation arrays — while producing the same exact integers and
-    booleans.  Segment reductions fold in input order like bincount.
-    """
-    import numba
-    from numba import types
-    from numba.typed import Dict
-
-    @numba.njit(cache=True)
-    def _prev_in_group(group, value, prev_idx, prev_val):
-        last_idx = Dict.empty(types.int64, types.int64)
-        for i in range(len(group)):
-            g = group[i]
-            if g in last_idx:
-                j = last_idx[g]
-                prev_idx[i] = j
-                prev_val[i] = value[j]
-            last_idx[g] = i
-
-    @numba.njit(cache=True)
-    def _direct_mapped_hits(slots, tags, hits):
-        resident = Dict.empty(types.int64, types.int64)
-        for i in range(len(slots)):
-            s = slots[i]
-            t = tags[i]
-            hits[i] = s in resident and resident[s] == t
-            resident[s] = t
-
-    @numba.njit(cache=True)
-    def _window_hits_grouped(keys, groups, window, hits):
-        position = Dict.empty(types.int64, types.int64)
-        last_seen = Dict.empty(types.UniTuple(types.int64, 2), types.int64)
-        for i in range(len(keys)):
-            g = groups[i]
-            k = keys[i]
-            pos = position.get(g, 0)
-            pair = (g, k)
-            if pair in last_seen and pos - last_seen[pair] <= window:
-                hits[i] = True
-            last_seen[pair] = pos
-            position[g] = pos + 1
-
-    @numba.njit(cache=True)
-    def _segment_sum(index, weights, out):
-        for i in range(len(index)):
-            out[index[i]] += weights[i]
-
-    @numba.njit(cache=True)
-    def _segment_count(index, out):
-        for i in range(len(index)):
-            out[index[i]] += 1
-
-    class NumbaKernels:
-        name = "numba"
-
-        @staticmethod
-        def prev_in_group(group, value):
-            n = len(group)
-            prev_idx = np.full(n, -1, dtype=np.int64)
-            prev_val = np.zeros(n, dtype=value.dtype)
-            if n:
-                _prev_in_group(
-                    np.ascontiguousarray(group, dtype=np.int64),
-                    np.ascontiguousarray(value, dtype=np.int64),
-                    prev_idx,
-                    prev_val.view(np.int64)
-                    if prev_val.dtype == np.int64
-                    else prev_val,
-                )
-            return prev_idx, prev_val
-
-        @staticmethod
-        def direct_mapped_hits(slots, tags):
-            n = len(slots)
-            hits = np.zeros(n, dtype=np.bool_)
-            if n:
-                _direct_mapped_hits(
-                    np.ascontiguousarray(slots, dtype=np.int64),
-                    np.ascontiguousarray(tags, dtype=np.int64),
-                    hits,
-                )
-            return hits
-
-        row_hit_mask = direct_mapped_hits
-
-        @staticmethod
-        def window_hits_grouped(keys, groups, window, order=None):
-            n = len(keys)
-            hits = np.zeros(n, dtype=np.bool_)
-            if n and window:
-                _window_hits_grouped(
-                    np.ascontiguousarray(keys, dtype=np.int64),
-                    np.ascontiguousarray(groups, dtype=np.int64),
-                    np.int64(window),
-                    hits,
-                )
-            return hits
-
-        @staticmethod
-        def segment_sum(index, weights, n):
-            out = np.zeros(n, dtype=np.float64)
-            if len(index):
-                _segment_sum(
-                    np.ascontiguousarray(index, dtype=np.int64),
-                    np.ascontiguousarray(weights, dtype=np.float64),
-                    out,
-                )
-            return out
-
-        @staticmethod
-        def segment_count(index, n):
-            out = np.zeros(n, dtype=np.int64)
-            if len(index):
-                _segment_count(
-                    np.ascontiguousarray(index, dtype=np.int64), out
-                )
-            return out
-
-    return NumbaKernels()
-
-
 NUMPY_KERNELS = NumpyKernels()
 PYTHON_KERNELS = PythonKernels()
-_NUMBA_KERNELS = None
-
-
-def numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 def resolve_backend(name: str = "numpy"):
-    """Resolve a backend name to ``(kernels, warning_or_None)``.
-
-    ``numba`` degrades gracefully: when numba is not importable the
-    numpy kernels are returned along with a warning message the engine
-    records, so a run requested with ``--backend numba`` completes (and,
-    by bit-identity, produces the same report it would have JIT-ed).
-    """
+    """Resolve a backend name to its kernels."""
     if name == "numpy":
-        return NUMPY_KERNELS, None
+        return NUMPY_KERNELS
     if name == "python":
-        return PYTHON_KERNELS, None
-    if name == "numba":
-        global _NUMBA_KERNELS
-        if _NUMBA_KERNELS is None:
-            try:
-                _NUMBA_KERNELS = _build_numba_kernels()
-            except ImportError:
-                return NUMPY_KERNELS, (
-                    "backend 'numba' requested but numba is not importable; "
-                    "falling back to the numpy kernels (results are "
-                    "bit-identical, only slower)"
-                )
-        return _NUMBA_KERNELS, None
+        return PYTHON_KERNELS
     raise ValueError(
         f"unknown kernel backend {name!r}; choose from {BACKENDS}"
     )

@@ -393,6 +393,40 @@ class TestManifest:
         assert again.is_done("k2")
         assert not again.is_done("k3")
 
+    def test_reads_and_extends_the_existing_byte_format(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        old = (
+            '{"kind": "header", "schema": 1, "stamp": "s1"}\n'
+            '{"kind": "cell", "status": "done", "key": "k1", "workload": "pr"}\n'
+            '{"kind": "cell", "status": "poisoned", "key": "k2", '
+            '"failure": "timeout", "attempts": 3, "error": "boom"}\n'
+        )
+        path.write_text(old)
+        manifest = SweepManifest(path, stamp="s1")
+        assert manifest.is_done("k1")
+        assert manifest.poison_record("k2")["failure"] == "timeout"
+        manifest.journal_done("k1")  # already journaled: no new line
+        manifest.journal_done("k3")
+        manifest.close()
+        assert path.read_text() == (
+            old + '{"kind": "cell", "status": "done", "key": "k3"}\n'
+        )
+
+    def test_resume_after_torn_tail_keeps_new_records(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        manifest = SweepManifest(path, stamp="s")
+        manifest.journal_done("k1")
+        manifest.close()
+        with open(path, "a") as f:
+            f.write('{"kind": "cell", "status": "do')  # crash mid-append
+        resumed = SweepManifest(path, stamp="s")
+        resumed.journal_done("k2")
+        resumed.journal_done("k3")
+        resumed.close()
+        again = SweepManifest(path, stamp="s")
+        assert [again.is_done(k) for k in ("k1", "k2", "k3")] == [True] * 3
+        assert again.done_count == 3
+
     def test_stale_stamp_rotates_aside(self, tmp_path):
         path = tmp_path / "m.jsonl"
         old = SweepManifest(path, stamp="old")

@@ -1,4 +1,4 @@
-"""Tests for the recorder, null recorder, and self-profiler."""
+"""Tests for the recorder, null recorder, and its span profile."""
 
 import json
 import math
@@ -9,7 +9,6 @@ from repro.obs import (
     SCHEMA_VERSION,
     NullRecorder,
     Recorder,
-    SelfProfiler,
     read_trace,
     sanitize_json,
 )
@@ -64,7 +63,7 @@ class TestRecorder:
             pass
         with rec.span("work"):
             pass
-        stats = rec.profiler.spans["work"]
+        stats = rec.tracer.aggregates["work"]
         assert stats.calls == 2
         assert stats.total_s >= 0.0
 
@@ -186,17 +185,23 @@ class TestReadTrace:
             read_trace(str(path))
 
 
-class TestSelfProfiler:
+class TestProfileRows:
+    """The recorder's ``profile`` rows, read from its tracer's aggregates."""
+
     def test_add_and_summary_order(self):
-        prof = SelfProfiler()
-        prof.add("slow", 2.0)
-        prof.add("fast", 0.5, calls=5)
-        summary = prof.summary()
-        assert summary[0]["label"] == "slow"
+        rec = Recorder()
+        rec.tracer.add_external("fast", 500_000_000, calls=5)
+        rec.tracer.add_external("slow", 2_000_000_000)
+        summary = rec.profile()
+        assert [row["label"] for row in summary] == ["slow", "fast"]
         assert summary[1]["calls"] == 5
-        assert prof.total_s == pytest.approx(2.5)
+        assert rec.tracer.total_s == pytest.approx(2.5)
+        rows = [line for line in rec.lines() if line["kind"] == "profile"]
+        assert rows == [{"kind": "profile", **row} for row in summary]
+        assert set(rows[0]) == {"kind", "label", "calls", "total_s", "mean_us"}
 
     def test_mean(self):
-        prof = SelfProfiler()
-        prof.add("x", 4.0, calls=2)
-        assert prof.spans["x"].mean_s == pytest.approx(2.0)
+        rec = Recorder()
+        rec.tracer.add_external("x", 4_000_000_000, calls=2)
+        assert rec.tracer.aggregates["x"].total_s == pytest.approx(4.0)
+        assert rec.profile()[0]["mean_us"] == pytest.approx(2.0e6)

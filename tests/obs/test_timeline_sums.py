@@ -149,7 +149,7 @@ def test_fault_events_recorded_in_trace_and_timeline():
 
 def test_engine_profile_spans_present():
     _, recorder = run_recorded()
-    labels = set(recorder.profiler.spans)
+    labels = set(recorder.tracer.aggregates)
     assert {"policy.setup", "engine.l1_filter", "policy.process", "engine.charge"} <= labels
     assert "configure.solve" in labels
     # Per-epoch children of policy.begin_epoch / policy.end_epoch.

@@ -29,6 +29,24 @@ class TestRoundTrip:
         assert [r["key"] for r in reopened.pending()] == ["a:1"]
         assert (reopened.queued_count, reopened.done_count) == (2, 1)
 
+    def test_reads_and_extends_the_existing_byte_format(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        old = (
+            '{"kind": "header", "schema": 1, "stamp": "stamp-a", "scenario": "s1"}\n'
+            '{"kind": "batch", "status": "queued", "key": "a:0", "tenant": "a", "batch": 0}\n'
+            '{"kind": "batch", "status": "queued", "key": "a:1", "tenant": "a", "batch": 1}\n'
+            '{"kind": "batch", "status": "done", "key": "a:0", "outcome": "completed"}\n'
+        )
+        path.write_text(old)
+        j = _journal(path)
+        assert j.is_done("a:0")
+        assert [r["key"] for r in j.pending()] == ["a:1"]
+        j.journal_done("a:1", OUTCOME_SHED)
+        j.close()
+        assert path.read_text() == (
+            old + '{"kind": "batch", "status": "done", "key": "a:1", "outcome": "shed"}\n'
+        )
+
     def test_duplicate_appends_are_idempotent(self, tmp_path):
         path = tmp_path / "serve.jsonl"
         j = _journal(path)
@@ -54,6 +72,21 @@ class TestCrashSafety:
         reopened = _journal(path)
         assert reopened.is_done("a:0")
         assert reopened.queued_count == 1
+
+    def test_resume_after_torn_tail_keeps_new_records(self, tmp_path):
+        path = tmp_path / "serve.jsonl"
+        j = _journal(path)
+        j.journal_queued("a:0", tenant="a", batch=0)
+        j.close()
+        with open(path, "a") as f:
+            f.write('{"kind": "batch", "status": "do')  # crash mid-append
+        resumed = _journal(path)
+        assert [r["key"] for r in resumed.pending()] == ["a:0"]
+        resumed.journal_done("a:0")
+        resumed.close()
+        again = _journal(path)
+        assert again.is_done("a:0")
+        assert again.pending() == []
 
     def test_wrong_scenario_rotates_stale(self, tmp_path):
         path = tmp_path / "serve.jsonl"

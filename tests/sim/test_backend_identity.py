@@ -1,12 +1,12 @@
 """End-to-end bit identity of SimulationReports across kernel backends.
 
 The whole point of the backend seam (``EngineOptions.backend``) is that
-it changes *speed only*: the numpy kernels, the pure-python reference
-loops, and the optional numba JIT must produce literally the same
-report — every float, every counter — for every policy, with and
-without faults, through the serving loop, and with a live recorder
-attached.  Anything less and cached reports, the regression gate, and
-the paper figures would all depend on which backend happened to run.
+it changes *speed only*: the numpy kernels and the pure-python
+reference loops must produce literally the same report — every float,
+every counter — for every policy, with and without faults, through the
+serving loop, and with a live recorder attached.  Anything less and
+cached reports, the regression gate, and the paper figures would all
+depend on which backend happened to run.
 """
 
 from dataclasses import fields
@@ -18,12 +18,8 @@ from repro.faults import FaultSchedule
 from repro.faults.schedule import random_schedule
 from repro.sim import SimulationEngine, tiny
 from repro.sim.engine import EngineOptions
-from repro.sim.kernels import numba_available
+from repro.sim.kernels import BACKENDS
 from repro.workloads import TINY, build
-
-BACKENDS_PRESENT = ["numpy", "python"] + (
-    ["numba"] if numba_available() else []
-)
 
 FAULT_PROFILES = {
     "fault-free": lambda config: None,
@@ -67,17 +63,7 @@ def test_python_backend_matches_numpy(policy_name, profile):
     assert_reports_identical(reference, candidate)
 
 
-@pytest.mark.skipif(not numba_available(), reason="needs numba")
-@pytest.mark.parametrize("profile", sorted(FAULT_PROFILES))
-@pytest.mark.parametrize("policy_name", sorted(POLICIES))
-def test_numba_backend_matches_numpy(policy_name, profile):
-    make_faults = FAULT_PROFILES[profile]
-    reference = _run(policy_name, "numpy", make_faults(tiny()))
-    candidate = _run(policy_name, "numba", make_faults(tiny()))
-    assert_reports_identical(reference, candidate)
-
-
-@pytest.mark.parametrize("backend", [b for b in BACKENDS_PRESENT if b != "numpy"])
+@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "numpy"])
 def test_recorded_run_matches_numpy(backend):
     """A live recorder must not perturb backend identity (and the
     recorded runs themselves must agree across backends)."""
@@ -95,7 +81,7 @@ def test_recorded_run_matches_numpy(backend):
     assert_reports_identical(reports["numpy"], reports[backend])
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKENDS_PRESENT if b != "numpy"])
+@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "numpy"])
 def test_serve_scenario_matches_numpy(backend):
     """The resident serving loop — admission, backpressure, health
     gates, the works — replays identically on every backend."""

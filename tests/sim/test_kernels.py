@@ -8,8 +8,6 @@ kernel on adversarial random inputs; the end-to-end report equality
 across whole simulations lives in ``test_backend_identity.py``.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -19,17 +17,13 @@ from repro.sim.kernels import (
     NUMPY_KERNELS,
     PYTHON_KERNELS,
     active,
-    numba_available,
     resolve_backend,
     use_backend,
 )
 
 
 def _backends():
-    pairs = [("numpy", NUMPY_KERNELS), ("python", PYTHON_KERNELS)]
-    if numba_available():
-        pairs.append(("numba", resolve_backend("numba")[0]))
-    return pairs
+    return [("numpy", NUMPY_KERNELS), ("python", PYTHON_KERNELS)]
 
 
 def _cases(rng):
@@ -136,46 +130,18 @@ def test_segment_count_matches_python(name):
 
 
 def test_resolve_backend_known_names():
-    assert set(BACKENDS) == {"numpy", "python", "numba"}
-    impl, warning = resolve_backend("numpy")
-    assert impl is NUMPY_KERNELS and warning is None
-    impl, warning = resolve_backend("python")
-    assert impl is PYTHON_KERNELS and warning is None
+    assert BACKENDS == ("numpy", "python")
+    assert resolve_backend("numpy") is NUMPY_KERNELS
+    assert resolve_backend("python") is PYTHON_KERNELS
     with pytest.raises(ValueError):
         resolve_backend("fortran")
 
 
-@pytest.mark.skipif(numba_available(), reason="numba is installed here")
-def test_resolve_backend_numba_fallback_without_numba():
-    impl, warning = resolve_backend("numba")
-    assert impl is NUMPY_KERNELS
-    assert warning is not None and "numba" in warning
-
-
-@pytest.mark.skipif(not numba_available(), reason="needs numba")
-def test_resolve_backend_numba_when_installed():
-    impl, warning = resolve_backend("numba")
-    assert impl.name == "numba"
-    assert warning is None
-
-
-def test_engine_warns_and_records_fallback_without_numba():
-    if numba_available():
-        pytest.skip("numba is installed here")
-    from repro.obs.recorder import Recorder
-    from repro.sim import SimulationEngine, tiny
+def test_engine_options_reject_numba_backend():
     from repro.sim.engine import EngineOptions
 
-    recorder = Recorder(workload="pr", policy="ndpext", preset="tiny")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        engine = SimulationEngine(
-            tiny(), EngineOptions(backend="numba"), recorder=recorder
-        )
-    assert engine.kernels is NUMPY_KERNELS
-    assert any("numba" in str(w.message) for w in caught)
-    events = recorder.events_of("backend_fallback")
-    assert events and events[0]["requested"] == "numba"
+    with pytest.raises(ValueError, match=r"\('numpy', 'python'\)"):
+        EngineOptions(backend="numba")
 
 
 def test_engine_options_reject_unknown_backend():
