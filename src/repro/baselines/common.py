@@ -36,6 +36,7 @@ from repro.core.stream_cache import (
 from repro.faults import EpochFaults, FaultState
 from repro.sim.cachesim import _prev_in_group, direct_mapped_hits
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
+from repro.sim.kernels import stable_argsort
 from repro.sim.params import CACHELINE_BYTES, SystemConfig
 from repro.sim.topology import Topology
 from repro.util.curves import LookaheadState, MissCurve
@@ -324,8 +325,8 @@ class PartitionedNucaPolicy(DramCachePolicy):
         c_lines = lines[cached]
         c_pids = pids[cached]
         # Direct-mapped: the last line per set is resident at epoch end.
-        # Stable argsort == lexsort((arange, c_sets)), but radix-sorted.
-        order = np.argsort(c_sets, kind="stable")
+        # Stable argsort == lexsort((arange, c_sets)), in one key sort.
+        order = stable_argsort(c_sets)
         last = np.ones(len(order), dtype=bool)
         last[:-1] = c_sets[order][1:] != c_sets[order][:-1]
         keep = order[last]

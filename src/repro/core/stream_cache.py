@@ -27,6 +27,7 @@ from repro.core.slb import StreamLookaheadBuffer
 from repro.core.stream import StreamConfig, StreamTable
 from repro.sim.cachesim import _prev_in_group, set_assoc_hits
 from repro.sim.engine import ReconfigStats, RequestOutcome
+from repro.sim.kernels import stable_argsort
 from repro.sim.params import SystemConfig
 from repro.sim.topology import Topology
 from repro.util.hashing import bucket_array, mix64_array, weighted_bucket_array
@@ -516,7 +517,7 @@ class StreamCacheMapper:
         units = np.concatenate([g.units for g in mapping.groups])
         shares = np.concatenate([g.shares for g in mapping.groups])
         row_base = np.concatenate([g.row_base for g in mapping.groups])
-        order = np.argsort(units, kind="stable")
+        order = stable_argsort(units)
         entries_per_row = mapping.entries_per_row
         merged = GroupMapping(
             gid=0,
@@ -593,9 +594,9 @@ class StreamCacheMapper:
         c_ways = ways[cached]
         seq = np.arange(len(c_sets), dtype=np.int64)
         # Last occurrence of each (set, tag) pair; stable argsort is the
-        # radix-sorted equivalent of lexsort((seq, pair)).
+        # one-key equivalent of lexsort((seq, pair)).
         pair = _pair_keys(c_sets, c_tags)
-        order = np.argsort(pair, kind="stable")
+        order = stable_argsort(pair)
         last_of_pair = np.ones(len(order), dtype=bool)
         last_of_pair[:-1] = pair[order][1:] != pair[order][:-1]
         keep = order[last_of_pair]

@@ -428,6 +428,7 @@ def _history_snapshot(payload: dict) -> dict:
     for dotted in (
         "engine.accesses_per_second",
         "kernels.kernel_speedup",
+        "kernels.backends.numpy.accesses_per_second",
         "engine_paper.accesses_per_second",
         "paper_setup.setup_s",
         "paper_setup.peak_rss_mb",

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 GUARDED_METRICS: tuple[tuple[str, bool, str], ...] = (
     ("engine.accesses_per_second", True, "engine throughput"),
     ("kernels.kernel_speedup", True, "numpy kernel speedup over python"),
+    ("kernels.backends.numpy.accesses_per_second", True, "numpy kernel-cell throughput"),
     ("engine_paper.accesses_per_second", True, "paper-mesh throughput"),
     ("paper_setup.setup_s", False, "paper-preset NDPExt set-up wall clock"),
     ("paper_setup.peak_rss_mb", False, "paper-preset NDPExt set-up peak RSS"),

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import active
+from .kernels import active, stable_argsort
 
 
 def _prev_in_group(group: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,7 +80,7 @@ def set_assoc_hits(sets: np.ndarray, tags: np.ndarray, ways: int) -> np.ndarray:
     if ways == 1:
         return direct_mapped_hits(sets, tags)
 
-    order = np.argsort(sets, kind="stable")
+    order = stable_argsort(sets)
     s_set = sets[order]
     s_tag = tags[order]
 

@@ -31,7 +31,7 @@ from repro.obs.recorder import NullRecorder
 from repro.obs.spatial import SpatialAccumulator
 from repro.obs.timeline import EpochRecord, Timeline
 from repro.obs.tracing import NULL_TRACER, current
-from repro.sim.kernels import BACKENDS, resolve_backend, use_backend
+from repro.sim.kernels import BACKENDS, resolve_backend, stable_argsort, use_backend
 from repro.sim.cxl import ExtendedMemory
 from repro.sim.dram import DramModel
 from repro.sim.metrics import (
@@ -318,9 +318,9 @@ class SimulationEngine:
         A single trace-wide stable sort keyed by (epoch, core) yields
         each epoch's grouping for the L1 filter; the per-epoch slices
         only need their offsets subtracted.  The two keys are packed
-        into one int64 so the sort is a single radix pass (numpy's
-        stable sort for integer keys) — measurably faster than the
-        equivalent ``np.lexsort((pos, cores, epoch_ids))``, and
+        into one int64 so the sort is a single
+        :func:`~repro.sim.kernels.stable_argsort` — measurably faster
+        than the equivalent ``np.lexsort((pos, cores, epoch_ids))``, and
         identical by stability.
         """
         lengths = np.array([len(e) for e in epochs], dtype=np.int64)
@@ -331,9 +331,7 @@ class SimulationEngine:
         epoch_ids = np.repeat(np.arange(len(epochs), dtype=np.int64), lengths)
         span = int(cores.max()) + 1 if len(cores) else 1
         if cores.min() >= 0 and len(epochs) * span < (1 << 62):
-            order = np.argsort(
-                epoch_ids * np.int64(span) + cores, kind="stable"
-            )
+            order = stable_argsort(epoch_ids * np.int64(span) + cores)
         else:
             pos = np.arange(total, dtype=np.int64)
             order = np.lexsort((pos, cores, epoch_ids))

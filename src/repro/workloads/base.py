@@ -139,7 +139,7 @@ class WorkloadBuilder:
         final build truncates to the budget anyway, so generating more
         would only waste memory.
         """
-        if self.emitted(core) >= self.scale.accesses_per_core * 1.2:
+        if self.saturated(core):
             return
         addrs = np.asarray(addrs, dtype=np.int64)
         if isinstance(write, (bool, np.bool_)):
@@ -153,6 +153,14 @@ class WorkloadBuilder:
 
     def emitted(self, core: int) -> int:
         return self._emitted[core]
+
+    def saturated(self, core: int) -> bool:
+        """True once every further :meth:`emit` to ``core`` is dropped.
+
+        A generator may stop building a core's chunks from here on: the
+        trace it produces is the same.
+        """
+        return self._emitted[core] >= self.scale.accesses_per_core * 1.2
 
     def full(self) -> bool:
         """True when every core has reached its access budget."""

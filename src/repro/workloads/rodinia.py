@@ -73,7 +73,7 @@ def backprop(scale: WorkloadScale = WorkloadScale()) -> Workload:
     for core in range(scale.n_cores):
         lo, hi = partition_range(inputs, scale.n_cores, core)
         for i in range(lo, hi):
-            if builder.full():
+            if builder.full() or builder.saturated(core):
                 break
             row = np.arange(i * hidden, (i + 1) * hidden, step, dtype=np.int64)
             builder.emit(core, deltas.addr(np.arange(0, hidden, step)))
@@ -100,7 +100,7 @@ def hotspot(scale: WorkloadScale = WorkloadScale()) -> Workload:
         for core in range(scale.n_cores):
             lo, hi = partition_range(side, scale.n_cores, core)
             for r in range(lo, hi):
-                if builder.full():
+                if builder.full() or builder.saturated(core):
                     break
                 cols = np.arange(0, side, step, dtype=np.int64)
                 center = r * side + cols
@@ -146,7 +146,7 @@ def lavamd(scale: WorkloadScale = WorkloadScale()) -> Workload:
     for core in range(scale.n_cores):
         lo, hi = partition_range(n_boxes, scale.n_cores, core)
         for b in range(lo, hi):
-            if builder.full():
+            if builder.full() or builder.saturated(core):
                 break
             bz, rem = divmod(b, boxes_side * boxes_side)
             by, bx = divmod(rem, boxes_side)

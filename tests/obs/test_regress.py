@@ -30,6 +30,7 @@ def bench(
     warm=0.5,
     speedup=2.5,
     kernel=4.0,
+    kernel_aps=400_000.0,
     paper_aps=80_000.0,
     paper_setup_s=30.0,
     paper_rss=2800.0,
@@ -39,7 +40,10 @@ def bench(
     return {
         "quick": quick,
         "engine": {"accesses_per_second": aps, "l1_speedup": l1},
-        "kernels": {"kernel_speedup": kernel},
+        "kernels": {
+            "kernel_speedup": kernel,
+            "backends": {"numpy": {"accesses_per_second": kernel_aps}},
+        },
         "engine_paper": {"accesses_per_second": paper_aps},
         "paper_setup": {"setup_s": paper_setup_s, "peak_rss_mb": paper_rss},
         "serve": {"ms_per_batch": serve_ms},
@@ -65,6 +69,23 @@ class TestCompare:
         by_name = {d.metric: d for d in deltas}
         assert by_name["engine.accesses_per_second"].regression == pytest.approx(1.0)
         assert by_name["engine.accesses_per_second"].failed
+
+    def test_numpy_kernel_throughput_is_guarded_absolutely(self):
+        """The numpy backend's own acc/s is gated, not only its ratio
+        to the python reference: a slower numpy kernel cell regresses
+        even when the ratio holds."""
+        deltas = compare_bench(
+            bench(kernel_aps=200_000.0), bench(kernel_aps=400_000.0)
+        )
+        by_name = {d.metric: d for d in deltas}
+        metric = by_name["kernels.backends.numpy.accesses_per_second"]
+        assert metric.regression == pytest.approx(1.0)
+        assert metric.failed
+        assert not by_name["kernels.kernel_speedup"].failed
+        faster = compare_bench(
+            bench(kernel_aps=600_000.0), bench(kernel_aps=400_000.0)
+        )
+        assert not regressions(faster)
 
     def test_paper_setup_time_and_memory_are_lower_is_better(self):
         deltas = compare_bench(

@@ -10,14 +10,20 @@ across whole simulations lives in ``test_backend_identity.py``.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from repro.core.stream_cache import _pair_keys, pack_set_id
 from repro.sim import kernels
 from repro.sim.kernels import (
+    _SMALL_SORT,
     BACKENDS,
     NUMPY_KERNELS,
     PYTHON_KERNELS,
     active,
     resolve_backend,
+    stable_argsort,
     use_backend,
 )
 
@@ -43,6 +49,20 @@ def _cases(rng):
         rng.integers(0, 700, size=n, dtype=np.int64),
         rng.integers(0, 97, size=n, dtype=np.int64),
     )
+    # Wide keys, too wide to pack with an index: hashed (set, tag) pairs
+    # with repeats, as the stream cache's warm-start scans use them, ...
+    pairs = _pair_keys(
+        rng.integers(0, 300, size=n), rng.integers(0, 5, size=n)
+    )
+    yield pairs, pairs
+    # ... and packed (partition, unit, set) ids, including the baselines'
+    # shared partition id 1 << 11.
+    packed = pack_set_id(
+        rng.choice([0, 1, 2, 1 << 11], size=n),
+        rng.integers(0, 32, size=n),
+        rng.integers(0, 1 << 12, size=n),
+    )
+    yield packed, rng.integers(0, 4, size=n, dtype=np.int64)
 
 
 @pytest.mark.parametrize("name", [p[0] for p in _backends()])
@@ -87,6 +107,93 @@ def test_window_hits_grouped_huge_keys_fall_back_to_dense_reid():
     ref = PYTHON_KERNELS.window_hits_grouped(keys, groups, window=4)
     np.testing.assert_array_equal(got, ref)
     assert list(got) == [False, False, True, True, False]
+
+
+def _assert_stable_argsort(keys):
+    got = stable_argsort(keys)
+    np.testing.assert_array_equal(got, np.argsort(keys, kind="stable"))
+    assert got.dtype == np.int64
+
+
+INT_DTYPES = [
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+]
+# Both sides of the small-input cutoff, plus empty and singleton.
+SIZES = st.sampled_from(
+    [0, 1, 2, _SMALL_SORT - 1, _SMALL_SORT, _SMALL_SORT + 1, 3 * _SMALL_SORT]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from(INT_DTYPES), n=SIZES)
+def test_stable_argsort_full_range(data, dtype, n):
+    """Any value of any integer dtype, from its min to its max (so
+    negative keys, values >= 2**63 and full-width hashes)."""
+    keys = data.draw(hnp.arrays(dtype, n, elements=hnp.from_dtype(np.dtype(dtype))))
+    _assert_stable_argsort(keys)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    dtype=st.sampled_from(INT_DTYPES),
+    n=SIZES,
+    distinct=st.integers(1, 8),
+)
+def test_stable_argsort_heavy_ties(data, dtype, n, distinct):
+    """A few distinct values, drawn anywhere in the dtype's range, each
+    repeated many times: only stability decides the order."""
+    values = data.draw(
+        hnp.arrays(dtype, distinct, elements=hnp.from_dtype(np.dtype(dtype)))
+    )
+    picks = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    _assert_stable_argsort(values[picks.integers(0, distinct, size=n)])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    data=st.data(),
+    n=SIZES,
+    seed=st.integers(0, 2**32 - 1),
+    signed=st.booleans(),
+)
+def test_stable_argsort_every_key_span(data, n, seed, signed):
+    """Keys spanning up to ``width`` bits at a random offset.  Half the
+    widths sit within two bits of where key span + index bits stops
+    fitting in 64, so both sides of that line are hit at every size."""
+    edge = 64 - max(1, (n - 1).bit_length())
+    width = data.draw(
+        st.one_of(st.integers(0, 64), st.integers(edge - 2, min(64, edge + 2)))
+    )
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(0, 2**64, size=n, dtype=np.uint64)
+    raw = raw >> np.uint64(64 - width) if width else np.zeros(n, dtype=np.uint64)
+    keys = raw + np.uint64(int(rng.integers(0, 2**64 - 2**width + 1, dtype=np.uint64)))
+    if signed:
+        # Flipping the top bit maps uint64 order onto int64 order.
+        keys = (keys ^ np.uint64(1 << 63)).view(np.int64)
+    _assert_stable_argsort(keys)
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.arange(5000, dtype=np.int64)[::-1],
+        np.full(5000, -(1 << 63), dtype=np.int64),
+        np.asarray([0, (1 << 64) - 1] * 2500, dtype=np.uint64),
+        np.asarray([-(1 << 63), (1 << 63) - 1] * 2500, dtype=np.int64),
+        np.random.default_rng(3).integers(0, 2, size=5000).astype(bool),
+    ],
+    ids=["descending", "all-equal-min", "uint64-extremes", "int64-extremes", "bool"],
+)
+def test_stable_argsort_edge_inputs(keys):
+    _assert_stable_argsort(keys)
+
+
+def test_stable_argsort_rejects_non_integer_keys():
+    with pytest.raises(TypeError):
+        stable_argsort(np.zeros(4))
 
 
 def test_window_hits_grouped_respects_supplied_order():
