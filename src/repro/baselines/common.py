@@ -12,12 +12,16 @@ they share three mechanisms implemented here:
 * **partitioned mapping** — lines are classified into partitions; each
   partition owns rows on some units (possibly replicated across regions),
   and a line hashes to a unit/set within its partition's copy.
-* **epoch reconfiguration with bulk invalidation** — partitions are
-  resized from sampled miss curves; any resized partition's contents are
-  dropped (prior work's bulk invalidation [6], [7]).
+* **epoch reconfiguration with bulk invalidation** — every partition is
+  profiled each epoch, resized by lookahead from its sampled miss curve
+  and placed at its accessors' centre of mass; any resized partition's
+  contents are dropped (prior work's bulk invalidation [6], [7]).  The
+  contents kept otherwise use the stream cache's model
+  (:mod:`repro.core.stream_cache`), so both sides of the Section V-D
+  comparison carry contents with the same code.
 
 Concrete baselines subclass :class:`PartitionedNucaPolicy` and override
-classification, sizing, placement, and replication.
+only classification (Jigsaw, Whirlpool) and replication (Nexus).
 """
 
 from __future__ import annotations
@@ -26,26 +30,32 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.sampler import SamplerParams
+from repro.core.sampler import SamplerParams, sample_curve
 from repro.core.stream_cache import (
-    _pair_keys,
+    ResidentState,
     pack_set_id,
+    rescue_first_touches,
+    resident_contents,
     unpack_set_idx,
     unpack_unit,
 )
 from repro.faults import EpochFaults, FaultState
-from repro.sim.cachesim import _prev_in_group, direct_mapped_hits
+from repro.sim.cachesim import direct_mapped_hits
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
-from repro.sim.kernels import stable_argsort
 from repro.sim.params import CACHELINE_BYTES, SystemConfig
 from repro.sim.topology import Topology
-from repro.util.curves import LookaheadState, MissCurve
+from repro.util.curves import LookaheadState, MissCurve, smoothed_curve
 from repro.util.hashing import mix64_array, weighted_bucket_array
 from repro.workloads.trace import Trace, Workload
 
 META_BLOCK_BYTES = 512
 META_ENTRY_BYTES = 4
 META_HIT_NS = 1.0
+
+# The catch-all partition: every line before the first profile, and
+# afterwards the lines no classification claims (Jigsaw's lines without
+# a dominant thread, Whirlpool's accesses outside every stream).
+CATCHALL_PID = 1 << 11
 
 
 @dataclass
@@ -66,7 +76,6 @@ class PartitionSpec:
 
     pid: int
     copies: list[RegionCopy] = field(default_factory=list)
-    read_only: bool = False
 
     @property
     def allocated(self) -> bool:
@@ -103,29 +112,25 @@ class PartitionedNucaPolicy(DramCachePolicy):
 
     name = "nuca"
 
+    # Same churn guard as the NDPExt runtime: only install a resized
+    # partitioning when it predicts a meaningful miss reduction,
+    # otherwise bulk invalidation costs outweigh the gain.
+    RECONFIG_GAIN_THRESHOLD = 0.03
+
     def __init__(self, metadata_in_dram: bool = True) -> None:
         # NDP baselines pay DRAM metadata cost; the host's SRAM LLC keeps
         # tags on-chip and sets this False.
         self.metadata_in_dram = metadata_in_dram
-        self._partitions: dict[int, PartitionSpec] = {}
-        self._signatures: dict[int, tuple] = {}
-        self._resident: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- subclass hooks -------------------------------------------------
 
     def classify(self, epoch: Trace) -> np.ndarray:
-        """Partition id per request (>= 0).  Default: one big partition."""
-        return np.zeros(len(epoch), dtype=np.int64)
+        """Partition id per request (>= 0).  Default: the catch-all."""
+        return np.full(len(epoch), CATCHALL_PID, dtype=np.int64)
 
-    def reconfigure(self, epoch_idx: int) -> None:
-        """Update ``self._partitions``; default installs a static equal
-        interleave once (static NUCA)."""
-        if self._partitions:
-            return
-        self._partitions = {0: self._interleaved_partition(0)}
-
-    def observe(self, epoch_idx: int, epoch: Trace, pids: np.ndarray) -> None:
-        """Profiling hook after each epoch."""
+    def replication_degrees(self) -> dict[int, int]:
+        """Copies per partition at the coming install; default: none."""
+        return {}
 
     # -- common machinery ------------------------------------------------
 
@@ -143,18 +148,26 @@ class PartitionedNucaPolicy(DramCachePolicy):
                 config.stream.sampler_min_bytes * 2, config.total_cache_bytes
             ),
         )
-        self._partitions = {}
-        self._signatures = {}
-        self._resident = {}
+        # Per-run state: a reused instance starts every run from scratch.
+        self._partitions: dict[int, PartitionSpec] = {}
+        self._signatures: dict[int, tuple] = {}
+        self._resident: dict[int, ResidentState] = {}
+        # The latest profile, per partition: smoothed miss curve,
+        # accesses per requesting unit, and total accesses (importance).
+        self._curves: dict[int, MissCurve] = {}
+        self._weights: dict[int, dict[int, int]] = {}
+        self._importance: dict[int, int] = {}
+        # Smoothed curve of every partition ever profiled.
+        self._smoothed: dict[int, MissCurve] = {}
+        # Sizes (bytes per partition) of the installed partitioning.
+        self._installed_sizes: dict[int, int] | None = None
 
-    def _interleaved_partition(self, pid: int, read_only: bool = False) -> PartitionSpec:
+    def _interleaved_partition(self, pid: int) -> PartitionSpec:
         units = np.arange(self.config.n_units, dtype=np.int64)
         rows = np.full(
             self.config.n_units, self.config.rows_per_unit, dtype=np.int64
         )
-        return PartitionSpec(
-            pid=pid, copies=[RegionCopy(units=units, rows=rows)], read_only=read_only
-        )
+        return PartitionSpec(pid=pid, copies=[RegionCopy(units=units, rows=rows)])
 
     def begin_epoch(self, epoch_idx: int) -> ReconfigStats:
         before = dict(self._signatures)
@@ -166,7 +179,7 @@ class PartitionedNucaPolicy(DramCachePolicy):
         for pid, resident in list(self._resident.items()):
             if before.get(pid) != self._signatures.get(pid):
                 # Bulk invalidation: the partition moved or resized.
-                stats.invalidations += len(resident[0])
+                stats.invalidations += len(resident)
                 del self._resident[pid]
         return stats
 
@@ -205,8 +218,12 @@ class PartitionedNucaPolicy(DramCachePolicy):
         cached = set_ids >= 0
         hit = np.zeros(n, dtype=bool)
         hit[cached] = direct_mapped_hits(set_ids[cached], lines[cached])
-        rescued = self._rescue(pids, set_ids, lines, cached, hit)
-        self._record_resident(pids, set_ids, lines, cached)
+        rescued = rescue_first_touches(
+            self._resident, pids, set_ids, lines, cached, hit
+        )
+        self._resident.update(
+            resident_contents(pids[cached], set_ids[cached], lines[cached], 1)
+        )
 
         local_row = np.where(
             cached, unpack_set_idx(set_ids) // self.lines_per_row, -1
@@ -240,20 +257,20 @@ class PartitionedNucaPolicy(DramCachePolicy):
         """
         stats = ReconfigStats()
         dead = np.array(sorted(events.unit_failures), dtype=np.int64)
-        for pid, (sets, lines) in list(self._resident.items()):
-            units = unpack_unit(sets)
-            keep = np.ones(len(sets), dtype=bool)
+        for pid, resident in list(self._resident.items()):
+            units = unpack_unit(resident.set_ids)
+            keep = np.ones(len(resident), dtype=bool)
             if len(dead):
                 keep &= ~np.isin(units, dead)
             for unit, row in events.row_faults:
                 keep &= ~(
                     (units == unit)
-                    & (unpack_set_idx(sets) // self.lines_per_row == row)
+                    & (unpack_set_idx(resident.set_ids) // self.lines_per_row == row)
                 )
             lost = int((~keep).sum())
             if lost:
                 stats.invalidations += lost
-                self._resident[pid] = (sets[keep], lines[keep])
+                self._resident[pid] = resident.subset(keep)
         return stats
 
     # -- mapping helpers --------------------------------------------------
@@ -284,83 +301,72 @@ class PartitionedNucaPolicy(DramCachePolicy):
         ).astype(np.int64)
         return pack_set_id(np.full_like(lines, pid), units, set_idx)
 
-    def _rescue(
-        self,
-        pids: np.ndarray,
-        set_ids: np.ndarray,
-        lines: np.ndarray,
-        cached: np.ndarray,
-        hit: np.ndarray,
-    ) -> int:
-        """Warm-start: unchanged partitions keep their contents."""
-        if not self._resident:
-            return 0
-        pair = _pair_keys(set_ids, lines)
-        prev_idx, _ = _prev_in_group(pair, pair)
-        first_touch = cached & (prev_idx < 0) & ~hit
-        rescued = 0
-        for pid in np.unique(pids[first_touch]):
-            resident = self._resident.get(int(pid))
-            if resident is None:
-                continue
-            keys = np.sort(_pair_keys(resident[0], resident[1]))
-            sel = first_touch & (pids == pid)
-            qk = pair[sel]
-            pos = np.clip(np.searchsorted(keys, qk), 0, len(keys) - 1)
-            found = keys[pos] == qk
-            hit[np.flatnonzero(sel)[found]] = True
-            rescued += int(found.sum())
-        return rescued
+    # -- profiling ---------------------------------------------------------
 
-    def _record_resident(
-        self,
-        pids: np.ndarray,
-        set_ids: np.ndarray,
-        lines: np.ndarray,
-        cached: np.ndarray,
-    ) -> None:
-        if not cached.any():
-            return
-        c_sets = set_ids[cached]
-        c_lines = lines[cached]
-        c_pids = pids[cached]
-        # Direct-mapped: the last line per set is resident at epoch end.
-        # Stable argsort == lexsort((arange, c_sets)), in one key sort.
-        order = stable_argsort(c_sets)
-        last = np.ones(len(order), dtype=bool)
-        last[:-1] = c_sets[order][1:] != c_sets[order][:-1]
-        keep = order[last]
-        for pid in np.unique(c_pids[keep]):
-            sel = c_pids[keep] == pid
-            self._resident[int(pid)] = (c_sets[keep][sel], c_lines[keep][sel])
-
-    # -- sizing/placement helpers shared by Jigsaw-family baselines -------
-
-    # Same churn guard as the NDPExt runtime: only install a resized
-    # partitioning when it predicts a meaningful miss reduction,
-    # otherwise bulk invalidation costs outweigh the gain.
-    RECONFIG_GAIN_THRESHOLD = 0.03
+    def observe(self, epoch_idx: int, epoch: Trace, pids: np.ndarray) -> None:
+        """Profile every partition in ``pids`` over the finished epoch."""
+        lines = epoch.addr // CACHELINE_BYTES
+        req_unit = epoch.core.astype(np.int64) % self.config.n_units
+        self._curves = {}
+        self._weights = {}
+        self._importance = {}
+        for pid in np.unique(pids):
+            sel = pids == pid
+            self._curves[int(pid)] = self.smooth_curve(
+                int(pid),
+                sample_curve(lines[sel], CACHELINE_BYTES, self.sampler_params),
+            )
+            units, counts = np.unique(req_unit[sel], return_counts=True)
+            self._weights[int(pid)] = {int(u): int(c) for u, c in zip(units, counts)}
+            self._importance[int(pid)] = int(sel.sum())
 
     def smooth_curve(self, pid: int, fresh: MissCurve) -> MissCurve:
-        """EWMA against the previously stored curve (same capacities)."""
-        previous = getattr(self, "_smoothed", {}).get(pid)
-        if previous is not None and np.array_equal(
-            previous.capacities, fresh.capacities
-        ):
-            fresh = MissCurve(
-                fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses
-            )
-        if not hasattr(self, "_smoothed"):
-            self._smoothed = {}
-        self._smoothed[pid] = fresh
-        return fresh
+        """EWMA against the partition's previously smoothed curve."""
+        self._smoothed[pid] = smoothed_curve(fresh, self._smoothed.get(pid))
+        return self._smoothed[pid]
+
+    # -- resizing ----------------------------------------------------------
+
+    def reconfigure(self, epoch_idx: int) -> None:
+        """Update ``self._partitions`` from the latest profile.
+
+        Before the first profile one interleaved catch-all partition
+        holds every line.  Afterwards lookahead sizes every profiled
+        partition; behind the churn guard the sizing is split across
+        each partition's replicas and placed at the accessors' centre of
+        mass.
+        """
+        if not self._curves:
+            if not self._partitions:
+                self._partitions = {
+                    CATCHALL_PID: self._interleaved_partition(CATCHALL_PID)
+                }
+            return
+        sizes_bytes = self.lookahead_sizes(
+            self._curves, self.config.total_cache_bytes
+        )
+        if not self.should_install(self._curves, sizes_bytes):
+            return
+        row_bytes = self.config.ndp_dram.row_bytes
+        sizes_rows = {
+            pid: max(1, size // row_bytes) for pid, size in sizes_bytes.items()
+        }
+        degrees = self.replication_degrees()
+        # Replication trades capacity: a degree-R partition splits its
+        # budget into R copies.
+        for pid, degree in degrees.items():
+            if pid in sizes_rows and degree > 1:
+                sizes_rows[pid] = max(1, sizes_rows[pid] // degree)
+        self._partitions = self.center_of_mass_placement(
+            sizes_rows, self._weights, self._importance, replication=degrees
+        )
+        self.record_install(sizes_bytes)
 
     def should_install(
         self, curves: dict[int, MissCurve], new_sizes: dict[int, int]
     ) -> bool:
         """Compare predicted misses of the new sizing vs the installed one."""
-        old_sizes = getattr(self, "_installed_sizes", None)
-        if old_sizes is None:
+        if self._installed_sizes is None:
             return True
 
         def predicted(sizes: dict[int, int]) -> float:
@@ -369,11 +375,12 @@ class PartitionedNucaPolicy(DramCachePolicy):
                 for pid, curve in curves.items()
             )
 
-        return predicted(new_sizes) < predicted(old_sizes) * (
+        return predicted(new_sizes) < predicted(self._installed_sizes) * (
             1.0 - self.RECONFIG_GAIN_THRESHOLD
         )
 
     def record_install(self, sizes: dict[int, int]) -> None:
+        """The partitioning sized by ``sizes`` has just been installed."""
         self._installed_sizes = dict(sizes)
 
     def lookahead_sizes(

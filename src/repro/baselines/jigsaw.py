@@ -15,13 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import PartitionedNucaPolicy
-from repro.core.sampler import sample_curve
-from repro.sim.params import CACHELINE_BYTES
-from repro.util.curves import MissCurve
-from repro.workloads.trace import Trace
+from repro.baselines.common import CATCHALL_PID, PartitionedNucaPolicy
+from repro.sim.params import CACHELINE_BYTES, SystemConfig
+from repro.sim.topology import Topology
+from repro.workloads.trace import Trace, Workload
 
-SHARED_PID = 1 << 11  # partition for lines with no dominant accessor
 DOMINANCE = 0.5  # a core owns a line if it issues > 50% of its accesses
 
 
@@ -31,19 +29,17 @@ class JigsawPolicy(PartitionedNucaPolicy):
 
     name = "jigsaw"
 
-    def __init__(self, metadata_in_dram: bool = True) -> None:
-        super().__init__(metadata_in_dram=metadata_in_dram)
+    def setup(self, config: SystemConfig, topology: Topology, workload: Workload) -> None:
+        super().setup(config, topology, workload)
+        # (lines ascending, owning partition): installed and pending.
         self._line_owner: tuple[np.ndarray, np.ndarray] | None = None
         self._pending_owner: tuple[np.ndarray, np.ndarray] | None = None
-        self._curves: dict[int, MissCurve] = {}
-        self._weights: dict[int, dict[int, int]] = {}
-        self._importance: dict[int, int] = {}
 
     # -- classification ---------------------------------------------------
 
     def classify(self, epoch: Trace) -> np.ndarray:
         lines = epoch.addr // CACHELINE_BYTES
-        pids = np.full(len(epoch), SHARED_PID, dtype=np.int64)
+        pids = np.full(len(epoch), CATCHALL_PID, dtype=np.int64)
         if self._line_owner is not None:
             known_lines, owners = self._line_owner
             pos = np.searchsorted(known_lines, lines)
@@ -82,53 +78,20 @@ class JigsawPolicy(PartitionedNucaPolicy):
         owner = np.where(
             dominant,
             best_cores % self.config.n_units,
-            SHARED_PID,
+            CATCHALL_PID,
         )
-        # Adopted at the next reconfiguration, together with the sizing —
+        # Adopted at the next install, together with the sizing —
         # reclassifying lines without resizing would move data for nothing.
         self._pending_owner = (best_lines, owner)
 
         # Miss curves per partition, classified by the fresh ownership.
-        fresh_pids = np.full(len(epoch), SHARED_PID, dtype=np.int64)
+        fresh_pids = np.full(len(epoch), CATCHALL_PID, dtype=np.int64)
         pos = np.clip(np.searchsorted(best_lines, lines), 0, len(best_lines) - 1)
         found = best_lines[pos] == lines
         fresh_pids[found] = owner[pos[found]]
+        super().observe(epoch_idx, epoch, fresh_pids)
 
-        self._curves = {}
-        self._weights = {}
-        self._importance = {}
-        req_unit = cores % self.config.n_units
-        for pid in np.unique(fresh_pids):
-            sel = fresh_pids == pid
-            self._curves[int(pid)] = self.smooth_curve(
-                int(pid),
-                sample_curve(lines[sel], CACHELINE_BYTES, self.sampler_params),
-            )
-            units, ucounts = np.unique(req_unit[sel], return_counts=True)
-            self._weights[int(pid)] = {
-                int(u): int(c) for u, c in zip(units, ucounts)
-            }
-            self._importance[int(pid)] = int(sel.sum())
-
-    # -- reconfiguration ----------------------------------------------------
-
-    def reconfigure(self, epoch_idx: int) -> None:
-        if not self._curves:
-            if not self._partitions:
-                self._partitions = {SHARED_PID: self._interleaved_partition(SHARED_PID)}
-            return
-        sizes_bytes = self.lookahead_sizes(
-            self._curves, self.config.total_cache_bytes
-        )
-        if not self.should_install(self._curves, sizes_bytes):
-            return
-        row_bytes = self.config.ndp_dram.row_bytes
-        sizes_rows = {
-            pid: max(1, size // row_bytes) for pid, size in sizes_bytes.items()
-        }
+    def record_install(self, sizes: dict[int, int]) -> None:
+        super().record_install(sizes)
         if self._pending_owner is not None:
             self._line_owner = self._pending_owner
-        self._partitions = self.center_of_mass_placement(
-            sizes_rows, self._weights, self._importance
-        )
-        self.record_install(sizes_bytes)

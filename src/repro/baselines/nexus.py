@@ -15,6 +15,9 @@ cost (Section IV-B).
 from __future__ import annotations
 
 from repro.baselines.whirlpool import WhirlpoolPolicy
+from repro.sim.params import SystemConfig
+from repro.sim.topology import Topology
+from repro.workloads.trace import Workload
 
 CANDIDATE_DEGREES = (1, 2, 4, 8)
 
@@ -27,6 +30,9 @@ class NexusPolicy(WhirlpoolPolicy):
     def __init__(self, metadata_in_dram: bool = True, degree: int | None = None) -> None:
         super().__init__(metadata_in_dram=metadata_in_dram)
         self._fixed_degree = degree
+
+    def setup(self, config: SystemConfig, topology: Topology, workload: Workload) -> None:
+        super().setup(config, topology, workload)
         self.chosen_degree = 1
 
     def _avg_distance_ns(self, degree: int) -> float:

@@ -12,15 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.common import PartitionedNucaPolicy
-from repro.core.sampler import sample_curve
-from repro.sim.params import CACHELINE_BYTES
-from repro.sim.topology import Topology
+from repro.baselines.common import CATCHALL_PID, PartitionedNucaPolicy
 from repro.sim.params import SystemConfig
-from repro.util.curves import MissCurve
+from repro.sim.topology import Topology
 from repro.workloads.trace import Trace, Workload
-
-UNCLASSIFIED_PID = 1 << 11  # accesses outside every annotated structure
 
 
 class WhirlpoolPolicy(PartitionedNucaPolicy):
@@ -28,67 +23,16 @@ class WhirlpoolPolicy(PartitionedNucaPolicy):
 
     name = "whirlpool"
 
-    def __init__(self, metadata_in_dram: bool = True) -> None:
-        super().__init__(metadata_in_dram=metadata_in_dram)
-        self._curves: dict[int, MissCurve] = {}
-        self._weights: dict[int, dict[int, int]] = {}
-        self._importance: dict[int, int] = {}
-        self._read_only: dict[int, bool] = {}
-
     def setup(self, config: SystemConfig, topology: Topology, workload: Workload) -> None:
         super().setup(config, topology, workload)
+        # Partition -> read-only so far; a write in any epoch clears it.
         self._read_only = {s.sid: s.read_only for s in workload.streams}
 
     def classify(self, epoch: Trace) -> np.ndarray:
         pids = epoch.sid.astype(np.int64)
-        return np.where(pids >= 0, pids, UNCLASSIFIED_PID)
+        return np.where(pids >= 0, pids, CATCHALL_PID)
 
     def observe(self, epoch_idx: int, epoch: Trace, pids: np.ndarray) -> None:
-        lines = epoch.addr // CACHELINE_BYTES
-        req_unit = epoch.core.astype(np.int64) % self.config.n_units
-        self._curves = {}
-        self._weights = {}
-        self._importance = {}
-        written = set(np.unique(pids[epoch.write]).tolist())
-        for pid in np.unique(pids):
-            sel = pids == pid
-            self._curves[int(pid)] = self.smooth_curve(
-                int(pid),
-                sample_curve(lines[sel], CACHELINE_BYTES, self.sampler_params),
-            )
-            units, counts = np.unique(req_unit[sel], return_counts=True)
-            self._weights[int(pid)] = {int(u): int(c) for u, c in zip(units, counts)}
-            self._importance[int(pid)] = int(sel.sum())
-            if pid in written:
-                self._read_only[int(pid)] = False
-
-    def replication_degrees(self) -> dict[int, int]:
-        """No replication in Whirlpool; Nexus overrides this."""
-        return {}
-
-    def reconfigure(self, epoch_idx: int) -> None:
-        if not self._curves:
-            if not self._partitions:
-                self._partitions = {
-                    UNCLASSIFIED_PID: self._interleaved_partition(UNCLASSIFIED_PID)
-                }
-            return
-        sizes_bytes = self.lookahead_sizes(self._curves, self.config.total_cache_bytes)
-        if not self.should_install(self._curves, sizes_bytes):
-            return
-        row_bytes = self.config.ndp_dram.row_bytes
-        sizes_rows = {
-            pid: max(1, size // row_bytes) for pid, size in sizes_bytes.items()
-        }
-        degrees = self.replication_degrees()
-        # Replication trades capacity: a degree-R partition splits its
-        # budget into R copies.
-        for pid, degree in degrees.items():
-            if pid in sizes_rows and degree > 1:
-                sizes_rows[pid] = max(1, sizes_rows[pid] // degree)
-        self._partitions = self.center_of_mass_placement(
-            sizes_rows, self._weights, self._importance, replication=degrees
-        )
-        for pid, spec in self._partitions.items():
-            spec.read_only = self._read_only.get(pid, False)
-        self.record_install(sizes_bytes)
+        for pid in np.unique(pids[epoch.write]):
+            self._read_only[int(pid)] = False
+        super().observe(epoch_idx, epoch, pids)

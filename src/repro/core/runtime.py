@@ -28,7 +28,7 @@ from repro.faults import EpochFaults, FaultState
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
 from repro.sim.params import SystemConfig
 from repro.sim.topology import Topology
-from repro.util.curves import MissCurve
+from repro.util.curves import MissCurve, smoothed_curve
 from repro.workloads.trace import Trace, Workload
 
 
@@ -476,18 +476,9 @@ class NdpExtPolicy(DramCachePolicy):
                         self._curves.pop(sid, None)  # granularity changed
                 sampler = MissCurveSampler(stream, self.sampler_params)
                 sampler.set_granularity(self.mapper.granularity_of(stream))
-                fresh = sampler.observe(elems)
-                previous = self._curves.get(sid)
-                if previous is not None and np.array_equal(
-                    previous.capacities, fresh.capacities
-                ):
-                    # Exponential smoothing damps epoch-to-epoch sampling
-                    # noise; without it the lookahead order flips between
-                    # epochs and the resulting allocation churn costs more
-                    # than the reconfiguration gains.
-                    fresh = MissCurve(
-                        fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses
-                    )
+                fresh = smoothed_curve(
+                    sampler.observe(elems), self._curves.get(sid)
+                )
                 self._curves[sid] = fresh
                 if self.recorder.enabled:
                     self.recorder.event(

@@ -12,6 +12,8 @@ in the next epoch whose first touch finds its tag still resident at the
 same physical location are served as warm hits.  Under plain hashing a
 resized stream reshuffles nearly everything (bulk invalidation); under
 consistent hashing most pairs stay put — exactly the Section V-D effect.
+The NUCA baselines carry their partitions' contents with the same two
+functions, :func:`resident_contents` and :func:`rescue_first_touches`.
 """
 
 from __future__ import annotations
@@ -106,13 +108,107 @@ class StreamMapping:
 
 @dataclass
 class ResidentState:
-    """Cache contents at the end of an epoch, per stream."""
+    """Cache contents at the end of an epoch, per stream (or per NUCA
+    baseline partition)."""
 
     set_ids: np.ndarray
     tags: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.set_ids)
+
     def pair_keys(self) -> np.ndarray:
         return np.sort(_pair_keys(self.set_ids, self.tags))
+
+    def subset(self, keep: np.ndarray) -> "ResidentState":
+        return ResidentState(set_ids=self.set_ids[keep], tags=self.tags[keep])
+
+
+def resident_contents(
+    groups: np.ndarray,
+    set_ids: np.ndarray,
+    tags: np.ndarray,
+    ways: int | np.ndarray,
+) -> dict[int, ResidentState]:
+    """What each set holds after these accesses (in trace order), split
+    by group (stream or partition id).
+
+    For each set we keep the last ``ways`` distinct tags touched —
+    exactly the contents for a direct-mapped cache, and the recency
+    approximation used by :func:`set_assoc_hits` for W > 1.  ``ways``
+    is a scalar or one value per access.
+    """
+    if not len(set_ids):
+        return {}
+    if np.all(ways == 1):
+        # Direct-mapped: the last access per set is resident.  Stable
+        # argsort == lexsort((seq, set_ids)), in one key sort.
+        order = stable_argsort(set_ids)
+        last = np.ones(len(order), dtype=bool)
+        last[:-1] = set_ids[order][1:] != set_ids[order][:-1]
+        keep = order[last]
+    else:
+        seq = np.arange(len(set_ids), dtype=np.int64)
+        # Last occurrence of each (set, tag) pair; stable argsort is the
+        # one-key equivalent of lexsort((seq, pair)).
+        pair = _pair_keys(set_ids, tags)
+        order = stable_argsort(pair)
+        last_of_pair = np.ones(len(order), dtype=bool)
+        last_of_pair[:-1] = pair[order][1:] != pair[order][:-1]
+        unique = order[last_of_pair]
+        # Rank pairs within each set by recency; keep rank < ways.
+        u_sets = set_ids[unique]
+        order2 = np.lexsort((-seq[unique], u_sets))
+        s_sets = u_sets[order2]
+        new_set = np.ones(len(order2), dtype=bool)
+        new_set[1:] = s_sets[1:] != s_sets[:-1]
+        rank = np.arange(len(order2)) - np.maximum.accumulate(
+            np.where(new_set, np.arange(len(order2)), 0)
+        )
+        u_ways = np.broadcast_to(ways, set_ids.shape)[unique]
+        keep = unique[order2[rank < u_ways[order2]]]
+    k_groups = groups[keep]
+    k_sets, k_tags = set_ids[keep], tags[keep]
+    out = {}
+    for group in np.unique(k_groups):
+        sel = k_groups == group
+        out[int(group)] = ResidentState(set_ids=k_sets[sel], tags=k_tags[sel])
+    return out
+
+
+def rescue_first_touches(
+    resident: dict[int, ResidentState],
+    groups: np.ndarray,
+    set_ids: np.ndarray,
+    tags: np.ndarray,
+    cached: np.ndarray,
+    hit: np.ndarray,
+) -> int:
+    """Convert first-touch misses whose tag is still resident at the
+    same physical set into warm hits (in place in ``hit``); returns how
+    many were converted.  ``resident`` is keyed by the ids in ``groups``."""
+    if not resident:
+        return 0
+    pair = _pair_keys(set_ids, tags)
+    prev_idx, _ = _prev_in_group(pair, pair)
+    first_touch = cached & (prev_idx < 0) & ~hit
+    if not first_touch.any():
+        return 0
+    rescued = 0
+    for group in np.unique(groups[first_touch]):
+        state = resident.get(int(group))
+        if state is None or not len(state):
+            continue
+        sel = first_touch & (groups == group)
+        keys = pair[sel]
+        resident_keys = state.pair_keys()
+        pos = np.searchsorted(resident_keys, keys)
+        pos = np.clip(pos, 0, len(resident_keys) - 1)
+        found = resident_keys[pos] == keys
+        hit_idx = np.flatnonzero(sel)[found]
+        hit[hit_idx] = True
+        rescued += len(hit_idx)
+    return rescued
 
 
 class StreamCacheMapper:
@@ -295,7 +391,7 @@ class StreamCacheMapper:
             old = self._mappings.get(sid)
             new = new_mappings.get(sid)
             if old is None or new is None:
-                stats.invalidations += len(resident.set_ids)
+                stats.invalidations += len(resident)
                 del self._resident[sid]
                 continue
             if self._same_layout(old, new):
@@ -305,9 +401,7 @@ class StreamCacheMapper:
             dropped = len(preserved) - kept
             stats.invalidations += dropped
             stats.movements += kept
-            self._resident[sid] = ResidentState(
-                set_ids=resident.set_ids[preserved], tags=resident.tags[preserved]
-            )
+            self._resident[sid] = resident.subset(preserved)
         self._mappings = new_mappings
         for slb in self.slbs:
             slb.invalidate()
@@ -462,12 +556,20 @@ class StreamCacheMapper:
             hit[wsel] = set_assoc_hits(set_ids[wsel], tags[wsel], int(w))
 
         # --- Warm-start rescue from the previous epoch's contents. ---
-        rescued = self._rescue(epoch, set_ids, tags, cached, hit)
+        rescued = 0
+        if self.warm_start:
+            rescued = rescue_first_touches(
+                self._resident, epoch.sid, set_ids, tags, cached, hit
+            )
 
         # --- Indirect streams probe DRAM even on a miss (in-DRAM tags). ---
         probe = probe & cached & ~hit
 
-        self._record_resident(epoch, set_ids, tags, cached, ways)
+        self._resident.update(
+            resident_contents(
+                epoch.sid[cached], set_ids[cached], tags[cached], ways[cached]
+            )
+        )
 
         return RequestOutcome(
             hit=hit,
@@ -538,85 +640,6 @@ class StreamCacheMapper:
         )
         mapping.groups = [merged]
         mapping.group_of_unit = np.zeros(self.config.n_units, dtype=np.int64)
-
-    def _rescue(
-        self,
-        epoch,
-        set_ids: np.ndarray,
-        tags: np.ndarray,
-        cached: np.ndarray,
-        hit: np.ndarray,
-    ) -> int:
-        """Convert first-touch misses whose tag is still resident at the
-        same physical set into warm hits."""
-        rescued_total = 0
-        if not self.warm_start or not self._resident:
-            return 0
-        pair = _pair_keys(set_ids, tags)
-        prev_idx, _ = _prev_in_group(pair, pair)
-        first_touch = cached & (prev_idx < 0) & ~hit
-        if not first_touch.any():
-            return 0
-        for sid in np.unique(epoch.sid[first_touch]):
-            resident = self._resident.get(int(sid))
-            if resident is None or len(resident.set_ids) == 0:
-                continue
-            sel = first_touch & (epoch.sid == sid)
-            keys = pair[sel]
-            resident_keys = resident.pair_keys()
-            pos = np.searchsorted(resident_keys, keys)
-            pos = np.clip(pos, 0, len(resident_keys) - 1)
-            found = resident_keys[pos] == keys
-            hit_idx = np.flatnonzero(sel)[found]
-            hit[hit_idx] = True
-            rescued_total += len(hit_idx)
-        return rescued_total
-
-    def _record_resident(
-        self,
-        epoch,
-        set_ids: np.ndarray,
-        tags: np.ndarray,
-        cached: np.ndarray,
-        ways: np.ndarray,
-    ) -> None:
-        """Remember what each stream's sets hold at the end of this epoch.
-
-        For each set we keep the last ``ways`` distinct tags touched —
-        exactly the contents for a direct-mapped cache, and the recency
-        approximation used by :func:`set_assoc_hits` for W > 1.
-        """
-        if not cached.any():
-            return
-        sids = epoch.sid[cached]
-        c_sets = set_ids[cached]
-        c_tags = tags[cached]
-        c_ways = ways[cached]
-        seq = np.arange(len(c_sets), dtype=np.int64)
-        # Last occurrence of each (set, tag) pair; stable argsort is the
-        # one-key equivalent of lexsort((seq, pair)).
-        pair = _pair_keys(c_sets, c_tags)
-        order = stable_argsort(pair)
-        last_of_pair = np.ones(len(order), dtype=bool)
-        last_of_pair[:-1] = pair[order][1:] != pair[order][:-1]
-        keep = order[last_of_pair]
-        k_sets, k_tags, k_seq = c_sets[keep], c_tags[keep], seq[keep]
-        k_sids, k_ways = sids[keep], c_ways[keep]
-        # Rank pairs within each set by recency; keep rank < ways.
-        order2 = np.lexsort((-k_seq, k_sets))
-        s_sets = k_sets[order2]
-        new_set = np.ones(len(order2), dtype=bool)
-        new_set[1:] = s_sets[1:] != s_sets[:-1]
-        rank = np.arange(len(order2)) - np.maximum.accumulate(
-            np.where(new_set, np.arange(len(order2)), 0)
-        )
-        resident_mask = rank < k_ways[order2]
-        r_idx = order2[resident_mask]
-        for sid in np.unique(k_sids[r_idx]):
-            ssel = k_sids[r_idx] == sid
-            self._resident[int(sid)] = ResidentState(
-                set_ids=k_sets[r_idx][ssel], tags=k_tags[r_idx][ssel]
-            )
 
     # ------------------------------------------------------------------
     # Graceful degradation (fault handling)
@@ -702,7 +725,7 @@ class StreamCacheMapper:
             )
         for slb in self.slbs:
             slb.invalidate()
-        return len(resident.set_ids) if resident is not None else 0
+        return len(resident) if resident is not None else 0
 
     # ------------------------------------------------------------------
     # Accounting

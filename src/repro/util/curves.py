@@ -79,6 +79,21 @@ class MissCurve:
         return MissCurve(self.capacities, self.misses * factor)
 
 
+def smoothed_curve(fresh: MissCurve, previous: MissCurve | None) -> MissCurve:
+    """EWMA (weight 1/2) of a freshly sampled curve against the previous
+    one when both cover the same capacities; ``fresh`` otherwise.
+
+    Smoothing damps epoch-to-epoch sampling noise; without it the
+    lookahead order flips between epochs and the resulting allocation
+    churn costs more than the reconfiguration gains.
+    """
+    if previous is None or not np.array_equal(
+        previous.capacities, fresh.capacities
+    ):
+        return fresh
+    return MissCurve(fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses)
+
+
 @dataclass
 class SlopeSegment:
     """One candidate allocation step: spend ``size`` bytes, save ``gain`` misses."""

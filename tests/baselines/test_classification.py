@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from repro.baselines.jigsaw import DOMINANCE, SHARED_PID, JigsawPolicy
+from repro.baselines.common import CATCHALL_PID
+from repro.baselines.jigsaw import DOMINANCE, JigsawPolicy
 from repro.baselines.nexus import NexusPolicy
-from repro.baselines.whirlpool import UNCLASSIFIED_PID, WhirlpoolPolicy
+from repro.baselines.whirlpool import WhirlpoolPolicy
 from repro.sim.engine import RequestOutcome
 from repro.sim.params import tiny
 from repro.sim.topology import Topology
@@ -49,7 +50,7 @@ class TestJigsawClassification:
         trace = crafted_trace([(100, 0), (100, 1), (100, 2), (100, 3)])
         self.observe(policy, trace)
         lines, owners = policy._line_owner
-        assert owners[list(lines).index(100)] == SHARED_PID
+        assert owners[list(lines).index(100)] == CATCHALL_PID
 
     def test_dominance_threshold(self):
         assert DOMINANCE == 0.5
@@ -59,7 +60,7 @@ class TestJigsawClassification:
         trace = crafted_trace([(7, 0)] * 5)
         self.observe(policy, trace)
         fresh = crafted_trace([(9999, 0)])
-        assert policy.classify(fresh)[0] == SHARED_PID
+        assert policy.classify(fresh)[0] == CATCHALL_PID
 
     def test_curves_built_per_partition(self):
         policy = setup_policy(JigsawPolicy())
@@ -80,7 +81,7 @@ class TestWhirlpoolClassification:
     def test_unannotated_goes_to_catchall(self):
         policy = setup_policy(WhirlpoolPolicy())
         trace = crafted_trace([(1, 0)])
-        assert policy.classify(trace)[0] == UNCLASSIFIED_PID
+        assert policy.classify(trace)[0] == CATCHALL_PID
 
 
 class TestNexusDegreeModel:
