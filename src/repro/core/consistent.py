@@ -14,13 +14,13 @@ physical location across a reconfiguration.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
+from repro.sim.kernels import hash_argsort
 from repro.util.hashing import mix64, mix64_array, mix64_inplace
 
 VIRTUAL_NODES = 8
+_ROW_MASK = (1 << 32) - 1
 
 
 class ConsistentRing:
@@ -30,30 +30,30 @@ class ConsistentRing:
     for load balance.  Construction and lookups are fully vectorised.
     """
 
-    def __init__(self, spots: list[tuple[int, int]], salt: int = 0) -> None:
-        """``spots`` are (unit, row_index) pairs; ``salt`` decorrelates
-        rings of different streams.
+    def __init__(self, spots: np.ndarray, salt: int = 0) -> None:
+        """``spots`` are packed spot ids ``(unit << 32) | row`` (see
+        :func:`spots_of_group`); ``salt`` decorrelates rings of different
+        streams.
 
         Spot ``i`` sits at ``mix64(base_i + v)`` for ``v < VIRTUAL_NODES``
         with ``base_i = mix64(((unit + 1) << 32) ^ row ^ mix64(salt))``;
-        wrapping uint64 arithmetic equals the masked Python integers.
+        every row is below ``2**32``, so ``spot + 2**32`` is that
+        ``((unit + 1) << 32) ^ row``, and wrapping uint64 arithmetic equals
+        the masked Python integers.  Positions that tie keep spot order.
         """
-        if not spots:
+        spots = np.asarray(spots, dtype=np.uint64)
+        if len(spots) == 0:
             raise ValueError("a ring needs at least one spot")
-        self._units, self._rows = (
-            np.fromiter(chain.from_iterable(spots), dtype=np.int64, count=2 * len(spots))
-            .reshape(-1, 2)
-            .T.copy()
-        )
-        base = (self._units.astype(np.uint64) + np.uint64(1)) << np.uint64(32)
-        base ^= self._rows.astype(np.uint64)
+        self._units = (spots >> np.uint64(32)).astype(np.int64)
+        self._rows = (spots & np.uint64(_ROW_MASK)).astype(np.int64)
+        base = spots + np.uint64(1 << 32)
         base ^= np.uint64(mix64(salt))
         mix64_inplace(base)
         keys = base[:, None] + np.arange(VIRTUAL_NODES, dtype=np.uint64)
         del base
         keys = mix64_inplace(keys.ravel())
-        order = np.argsort(keys)
-        keys.sort()  # == keys[order], without a second full-size array
+        order = hash_argsort(keys)
+        keys.sort()  # == keys[order], and faster than that gather
         self._positions = keys
         order //= VIRTUAL_NODES  # key k belongs to spot k // VIRTUAL_NODES
         self._owners = order
@@ -75,14 +75,15 @@ class ConsistentRing:
         return self._rows[spot_indices]
 
 
-def spots_of_group(units: np.ndarray, shares: np.ndarray) -> list[tuple[int, int]]:
-    """Enumerate the (unit, row_index) spots of one replication group."""
+def spots_of_group(units: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """The packed spot ids ``(unit << 32) | row`` of one replication
+    group: rows ``0 .. share - 1`` of each unit, in unit order."""
     shares = np.asarray(shares, dtype=np.int64)
-    total = int(shares.sum())
     starts = np.cumsum(shares) - shares
-    rows = np.arange(total, dtype=np.int64) - np.repeat(starts, shares)
-    unit_of_spot = np.repeat(np.asarray(units, dtype=np.int64), shares)
-    return list(zip(unit_of_spot.tolist(), rows.tolist()))
+    spots = np.arange(int(shares.sum()), dtype=np.uint64)
+    spots -= np.repeat(starts, shares).astype(np.uint64)
+    spots |= np.repeat(np.asarray(units, dtype=np.uint64), shares) << np.uint64(32)
+    return spots
 
 
 def preserved_mask(

@@ -649,22 +649,34 @@ class StreamCacheMapper:
         self, adjust
     ) -> list[StreamAllocation]:
         """Rebuild every stream's allocation with ``adjust(sid, shares)``
-        applied; units that lose all rows leave their replication group."""
-        allocations = []
+        applied; units that lose all rows leave their replication group.
+
+        A quarantined row that no allocation covered shrinks only the
+        capacity, so a unit can hold more rows than it has left.  Such a
+        unit gives up the excess from its last rows, which row bases pack
+        in stream-id order: the highest stream ids lose rows first.
+        """
+        adjusted = []
         for stream in self.streams:
             alloc = self.table.get_or_empty(stream.sid)
             shares = alloc.shares.copy()
             adjust(stream.sid, shares)
-            groups = np.where(shares > 0, alloc.groups, NO_GROUP)
-            allocations.append(
-                StreamAllocation(
-                    sid=stream.sid,
-                    shares=shares,
-                    groups=groups,
-                    row_base=np.zeros_like(shares),
-                )
+            adjusted.append((alloc, shares))
+        held = sum(shares for _alloc, shares in adjusted)
+        excess = np.maximum(held - self.table.capacity, 0)
+        for _alloc, shares in sorted(adjusted, key=lambda pair: -pair[0].sid):
+            cut = np.minimum(shares, excess)
+            shares -= cut
+            excess -= cut
+        return [
+            StreamAllocation(
+                sid=alloc.sid,
+                shares=shares,
+                groups=np.where(shares > 0, alloc.groups, NO_GROUP),
+                row_base=np.zeros_like(shares),
             )
-        return allocations
+            for alloc, shares in adjusted
+        ]
 
     def evict_units(self, units: list[int]) -> ReconfigStats:
         """Remove failed units from every stream's allocation.

@@ -4,9 +4,14 @@ utilities.
 
 Kept verbatim, together with the uncached ``LookaheadState`` it drove
 — numpy unit budgets, ``Topology.attenuation`` scalar lookups,
-value-equality groups, no memo — as the oracle that
+identity groups, no memo — as the oracle that
 ``test_configure_oracle.py`` compares the optimised configurator
 against decision for decision.  Do not optimise this file.
+
+The one edit since: ``Group`` compares by identity (``eq=False``), as in
+``core/configure.py``.  With value equality, a merge that leaves a group
+holding the same rows as its sibling made ``list.remove`` drop the wrong
+group.
 """
 
 from __future__ import annotations
@@ -76,7 +81,7 @@ class LookaheadState:
         self.allocated[segment.stream_id] = segment.end_capacity
 
 
-@dataclass
+@dataclass(eq=False)
 class Group:
     """One replication group of one stream during configuration."""
 

@@ -12,7 +12,7 @@ write exception.
 import copy
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import configure as configure_mod
@@ -129,8 +129,42 @@ def scenario(draw):
     )
 
 
+def merged_twin_groups_case():
+    """A merge leaves one of stream 1's groups with the same rows as its
+    sibling.  A value-equality ``list.remove`` then drops the wrong group,
+    and the detached one takes a row no listed group holds."""
+    curve_ = MissCurve(
+        np.array([1, 2, 3, 513, 527]), np.array([38, 38, 38, 1, 0], dtype=np.float64)
+    )
+    streams = {
+        sid: StreamConfig(
+            sid=sid,
+            kind=StreamKind.AFFINE,
+            base=sid << 24,
+            size=1 << 20,
+            elem_size=64,
+            read_only=sid in (1, 3),
+        )
+        for sid in range(6)
+    }
+    return dict(
+        topology=TOPOLOGIES["small"],
+        rows_per_unit=2,
+        row_bytes=512,
+        affine_space_bytes=None,
+        inputs=dict(
+            streams=streams,
+            curves={sid: curve_ for sid in streams},
+            acc_units={0: [0], 1: [0, 1, 2], 2: [], 3: [0, 1], 4: [], 5: []},
+            acc_counts=None,
+            unit_capacity=np.array([2, 2, 2, 2] + [0] * 12),
+            write_excepted=None,
+        ),
+    )
+
 class TestConfiguratorOracle:
     @given(scenario())
+    @example(merged_twin_groups_case())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference(self, case):
         new, old = make_pair(

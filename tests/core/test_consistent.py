@@ -18,6 +18,15 @@ def spots(n_units=4, rows=8):
     return [(u, r) for u in range(n_units) for r in range(rows)]
 
 
+def packed(spot_list):
+    """(unit, row) pairs as the packed spot ids a ring takes."""
+    return np.array([(u << 32) | r for u, r in spot_list], dtype=np.uint64)
+
+
+def unpacked(spot_ids):
+    return [(int(s) >> 32, int(s) & 0xFFFFFFFF) for s in spot_ids]
+
+
 def reference_ring(spots, salt=0):
     """The scalar ring constructor, verbatim: one ``mix64`` call per
     (spot, virtual node).  The vectorised ring must match it bit for bit."""
@@ -28,7 +37,7 @@ def reference_ring(spots, salt=0):
         for v in range(VIRTUAL_NODES):
             keys.append(mix64(base + v))
             owners.append(index)
-    order = np.argsort(np.array(keys, dtype=np.uint64))
+    order = np.argsort(np.array(keys, dtype=np.uint64), kind="stable")
     positions = np.array(keys, dtype=np.uint64)[order]
     owners = np.array(owners, dtype=np.int64)[order]
     units = np.array([u for u, _ in spots], dtype=np.int64)
@@ -38,7 +47,7 @@ def reference_ring(spots, salt=0):
 
 def assert_matches_reference(spot_list, salt):
     positions, owners, units, rows = reference_ring(spot_list, salt)
-    ring = ConsistentRing(spot_list, salt=salt)
+    ring = ConsistentRing(packed(spot_list), salt=salt)
     assert ring._positions.dtype == positions.dtype
     assert ring._owners.dtype == owners.dtype
     assert np.array_equal(ring._positions, positions)
@@ -72,32 +81,38 @@ class TestScalarIdentity:
 
     def test_paper_sized_group_matches_reference(self):
         """128 units x 48 rows: the Table II mesh at a small share."""
-        spot_list = spots_of_group(np.arange(128), np.full(128, 48))
+        spot_list = unpacked(spots_of_group(np.arange(128), np.full(128, 48)))
         assert_matches_reference(spot_list, salt=11)
+
+    @pytest.mark.parametrize("copies", [2, 200])
+    def test_duplicate_spots_tie_to_the_lower_index(self, copies):
+        """Repeated spots give equal positions; the earlier spot owns the
+        first of them, on both sides of the small-sort cutoff."""
+        assert_matches_reference([(0, 0)] * copies + [(1, 5)] * 3, salt=0)
 
 
 class TestRing:
     def test_deterministic(self):
         tags = np.arange(100)
-        a = ConsistentRing(spots(), salt=1).lookup(tags)
-        b = ConsistentRing(spots(), salt=1).lookup(tags)
+        a = ConsistentRing(packed(spots()), salt=1).lookup(tags)
+        b = ConsistentRing(packed(spots()), salt=1).lookup(tags)
         assert np.array_equal(a, b)
 
     def test_salt_decorrelates(self):
         tags = np.arange(100)
-        a = ConsistentRing(spots(), salt=1).lookup(tags)
-        b = ConsistentRing(spots(), salt=2).lookup(tags)
+        a = ConsistentRing(packed(spots()), salt=1).lookup(tags)
+        b = ConsistentRing(packed(spots()), salt=2).lookup(tags)
         assert not np.array_equal(a, b)
 
     def test_load_roughly_balanced(self):
-        ring = ConsistentRing(spots(4, 8), salt=0)
+        ring = ConsistentRing(packed(spots(4, 8)), salt=0)
         owners = ring.lookup(np.arange(32_000))
         counts = np.bincount(owners, minlength=32)
         assert counts.min() > 0
         assert counts.max() < 5 * counts.mean()
 
     def test_units_and_rows_of(self):
-        ring = ConsistentRing([(3, 7), (5, 1)], salt=0)
+        ring = ConsistentRing(packed([(3, 7), (5, 1)]), salt=0)
         idx = ring.lookup(np.arange(10))
         units = ring.units_of(idx)
         rows = ring.rows_of(idx)
@@ -106,7 +121,7 @@ class TestRing:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            ConsistentRing([])
+            ConsistentRing(packed([]))
 
 
 class TestConsistency:
@@ -114,8 +129,8 @@ class TestConsistency:
         """The defining property: adding spots only moves the tags owned
         by the new spots."""
         tags = np.arange(20_000)
-        old_ring = ConsistentRing(spots(4, 8), salt=3)
-        new_ring = ConsistentRing(spots(4, 8) + [(4, r) for r in range(8)], salt=3)
+        old_ring = ConsistentRing(packed(spots(4, 8)), salt=3)
+        new_ring = ConsistentRing(packed(spots(4, 8) + [(4, r) for r in range(8)]), salt=3)
         preserved = preserved_mask(old_ring, new_ring, tags)
         # Going from 32 to 40 spots should move ~ 8/40 of tags.
         assert preserved.mean() > 0.7
@@ -129,8 +144,8 @@ class TestConsistency:
         split = data.draw(st.integers(min_value=1, max_value=len(spot_list) - 1))
         old_spots = spot_list[:split]
         tags = np.arange(4000)
-        old_ring = ConsistentRing(old_spots, salt=salt)
-        new_ring = ConsistentRing(spot_list, salt=salt)
+        old_ring = ConsistentRing(packed(old_spots), salt=salt)
+        new_ring = ConsistentRing(packed(spot_list), salt=salt)
         on_old = new_ring.lookup(tags) < len(old_spots)
         preserved = preserved_mask(old_ring, new_ring, tags)
         assert preserved[on_old].all()
@@ -140,9 +155,9 @@ class TestConsistency:
         """Plain mod-rehashing (simulated by a different salt) moves almost
         everything, unlike consistent growth."""
         tags = np.arange(20_000)
-        old_ring = ConsistentRing(spots(4, 8), salt=3)
-        grown = ConsistentRing(spots(4, 8) + [(4, 0)], salt=3)
-        rehashed = ConsistentRing(spots(4, 8), salt=99)
+        old_ring = ConsistentRing(packed(spots(4, 8)), salt=3)
+        grown = ConsistentRing(packed(spots(4, 8) + [(4, 0)]), salt=3)
+        rehashed = ConsistentRing(packed(spots(4, 8)), salt=99)
         assert (
             preserved_mask(old_ring, grown, tags).mean()
             > preserved_mask(old_ring, rehashed, tags).mean()
@@ -150,8 +165,8 @@ class TestConsistency:
 
     def test_identical_rings_preserve_all(self):
         tags = np.arange(1000)
-        a = ConsistentRing(spots(), salt=5)
-        b = ConsistentRing(spots(), salt=5)
+        a = ConsistentRing(packed(spots()), salt=5)
+        b = ConsistentRing(packed(spots()), salt=5)
         assert preserved_mask(a, b, tags).all()
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
@@ -160,8 +175,8 @@ class TestConsistency:
         all_spots = spots(keep_units + 1, rows)
         kept = spots(keep_units, rows)
         tags = np.arange(5000)
-        big = ConsistentRing(all_spots, salt=1)
-        small_ring = ConsistentRing(kept, salt=1)
+        big = ConsistentRing(packed(all_spots), salt=1)
+        small_ring = ConsistentRing(packed(kept), salt=1)
         owners_big = big.lookup(tags)
         on_kept = np.array(
             [all_spots[i] in set(kept) for i in owners_big]
@@ -175,7 +190,8 @@ class TestConsistency:
 class TestSpotsOfGroup:
     def test_enumeration(self):
         result = spots_of_group(np.array([2, 5]), np.array([2, 1]))
-        assert result == [(2, 0), (2, 1), (5, 0)]
+        assert result.dtype == np.uint64
+        assert unpacked(result) == [(2, 0), (2, 1), (5, 0)]
 
     def test_empty_shares(self):
-        assert spots_of_group(np.array([1]), np.array([0])) == []
+        assert unpacked(spots_of_group(np.array([1]), np.array([0]))) == []

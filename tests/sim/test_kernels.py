@@ -17,11 +17,13 @@ from hypothesis.extra import numpy as hnp
 from repro.core.stream_cache import _pair_keys, pack_set_id
 from repro.sim import kernels
 from repro.sim.kernels import (
+    _HASH_CHUNK,
     _SMALL_SORT,
     BACKENDS,
     NUMPY_KERNELS,
     PYTHON_KERNELS,
     active,
+    hash_argsort,
     resolve_backend,
     stable_argsort,
     use_backend,
@@ -195,6 +197,59 @@ def test_stable_argsort_rejects_non_integer_keys():
     with pytest.raises(TypeError):
         stable_argsort(np.zeros(4))
 
+
+
+def _assert_hash_argsort(keys):
+    got = hash_argsort(keys)
+    np.testing.assert_array_equal(got, np.argsort(keys, kind="stable"))
+    assert got.dtype == np.int64
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=SIZES,
+    prefixes=st.integers(1, 4),
+    low_bits=st.integers(0, 64),
+    duplicates=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hash_argsort_forced_prefix_ties(n, prefixes, low_bits, duplicates, seed):
+    """Keys drawn from a few shared high prefixes with random low bits,
+    plus exact duplicates: every prefix-tied run must come out ordered
+    by (full key, index)."""
+    rng = np.random.default_rng(seed)
+    high = rng.integers(0, 2**64, size=prefixes, dtype=np.uint64)
+    keys = high[rng.integers(0, prefixes, size=n)]
+    if low_bits:
+        keep = np.uint64(((1 << 64) - 1) ^ ((1 << low_bits) - 1))
+        keys = (keys & keep) | (
+            rng.integers(0, 2**64, size=n, dtype=np.uint64) >> np.uint64(64 - low_bits)
+        )
+    if n:
+        copies = rng.integers(0, n, size=(2, duplicates))
+        keys[copies[0]] = keys[copies[1]]
+    _assert_hash_argsort(keys)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=SIZES, seed=st.integers(0, 2**32 - 1))
+def test_hash_argsort_random_hashes(n, seed):
+    keys = np.random.default_rng(seed).integers(0, 2**64, size=n, dtype=np.uint64)
+    _assert_hash_argsort(keys)
+
+
+def test_hash_argsort_ties_across_chunks():
+    """Tied runs that straddle the slices the tie scan walks."""
+    rng = np.random.default_rng(5)
+    n = 2 * _HASH_CHUNK + 3
+    keys = rng.integers(0, 2**64, size=n, dtype=np.uint64) >> np.uint64(62)
+    keys |= np.uint64(1 << 63)
+    _assert_hash_argsort(keys)
+
+
+def test_hash_argsort_rejects_other_dtypes():
+    with pytest.raises(TypeError):
+        hash_argsort(np.arange(4, dtype=np.int64))
 
 def test_window_hits_grouped_respects_supplied_order():
     rng = np.random.default_rng(14)
