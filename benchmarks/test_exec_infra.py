@@ -9,10 +9,35 @@ import numpy as np
 import pytest
 
 from repro.core import NdpExtPolicy
-from repro.exec.bench import _grouped_l1_filter, _legacy_l1_filter
 from repro.exec.cache import ReportCache, cell_key
 from repro.sim import SimulationEngine, small
 from repro.workloads import SMALL, build
+
+
+def _legacy_l1_filter(epochs, params):
+    """The engine's pre-vectorization hot loop, kept verbatim for the
+    benchmark comparison: per epoch, per core, an independent window-LRU
+    pass with the results scattered back."""
+    from repro.sim.sram_cache import filter_through_l1
+
+    masks = []
+    for epoch in epochs:
+        mask = np.zeros(len(epoch), dtype=bool)
+        for core in np.unique(epoch.core):
+            sel = epoch.core == core
+            mask[sel] = filter_through_l1(epoch.addr[sel], params).hit_mask
+        masks.append(mask)
+    return masks
+
+
+def _grouped_l1_filter(epochs, params, engine_cls):
+    from repro.sim.sram_cache import filter_cores_through_l1
+
+    orders = engine_cls._epoch_core_orders(epochs)
+    return [
+        filter_cores_through_l1(epoch.addr, epoch.core, params, order=order)
+        for epoch, order in zip(epochs, orders)
+    ]
 
 
 @pytest.fixture(scope="module")

@@ -28,8 +28,9 @@ MANIFEST`` journals completed cells so an interrupted sweep picks up
 exactly where it stopped.  Completed cells persist in a
 content-addressed disk cache (``REPRO_CACHE_DIR``, disable with
 ``REPRO_DISK_CACHE=0``), so repeated invocations skip simulation
-entirely.  ``bench`` measures engine throughput, parallel fan-out, and
-cache behaviour, writing a ``BENCH_<date>.json``.
+entirely.  ``bench`` measures the kernel backends, the paper-scale
+cells, parallel fan-out, and cache behaviour, writing a
+``BENCH_<date>.json``.
 
 ``figure`` accepts: fig2, fig4b, fig5, fig6, fig7, fig8a, fig8b,
 fig9a..fig9f, sec5d, faults.
@@ -49,8 +50,8 @@ the per-unit served-request heatmap, the stack-to-stack link matrix,
 and the epoch timeline.  ``--prom``/``--json`` additionally export the
 same content in Prometheus text format / as a metrics JSON payload.
 ``bench --check PREV.json`` compares the fresh bench against a previous
-one and warns on regressions beyond ``--check-threshold`` (default
-20%); ``--check-strict`` exits non-zero instead of warning.
+one and warns on regressions beyond 20%; ``--check-strict`` exits
+non-zero instead of warning.
 
 ``profile`` answers *where the simulator's own wall clock goes*: it
 runs one cell (or, with ``--suite``, a small grid fanned through the
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench_p = sub.add_parser(
-        "bench", help="benchmark engine throughput, parallel fan-out, caching"
+        "bench", help="benchmark kernel backends, paper-scale cells, parallel fan-out, caching"
     )
     bench_p.add_argument(
         "--quick",
@@ -245,12 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PREV.json",
         help="compare against a previous bench file and flag regressions",
-    )
-    bench_p.add_argument(
-        "--check-threshold",
-        type=float,
-        default=None,
-        help="relative slowdown that counts as a regression (default: 0.20)",
     )
     bench_p.add_argument(
         "--check-strict",

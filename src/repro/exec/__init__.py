@@ -9,7 +9,9 @@ Public surface:
 * :mod:`repro.exec.parallel` — supervised worker-pool execution
   (retry/timeout/backoff, poison-list quarantine).
 * :mod:`repro.exec.checkpoint` — append-only sweep manifests (resume).
-* :mod:`repro.exec.bench` — the ``python -m repro bench`` harness.
+* :mod:`repro.exec.bench` — the ``python -m repro bench`` harness: the
+  kernel-backend, paper-mesh, paper-preset set-up and pool cells that
+  the end-to-end ``perfbench`` cannot see.
 """
 
 from repro.exec.cache import (

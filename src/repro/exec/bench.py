@@ -1,24 +1,21 @@
 """The ``python -m repro bench`` harness.
 
-Measures the performance pillars this repo's execution layer
-provides, and writes one ``BENCH_<date>.json`` so numbers can be
-committed alongside the code they describe:
+Measures what the end-to-end benchmark (``perfbench/``) cannot see, and
+writes one ``BENCH_<date>.json`` so numbers can be committed alongside
+the code they describe:
 
-* **engine** — raw simulator throughput (trace accesses per second) on
-  one representative cell, plus the vectorized grouped L1 filter against
-  the legacy per-core loop it replaced (bit-equality is asserted while
-  timing, so the speedup is for identical results).
+* **kernels** — throughput of every kernel backend on one kernel-bound
+  cell, the reports asserted bit-identical, and ``kernel_speedup``:
+  numpy kernels over the pure-python reference loops.
+* **engine_paper** — throughput on the full 128-unit paper mesh with a
+  shrunk unit cache, the guard against collapses that only show at
+  paper-scale topology.
+* **paper_setup** — NDPExt set-up seconds, ring positions and peak RSS
+  on the unshrunk paper preset (full runs only).
 * **suite** — wall clock for a policy-comparison grid run three ways:
   serial with a cold cache, parallel (``--jobs``) with a cold cache, and
   serial again against the warm persistent cache.  The warm run must
   perform zero simulations.
-* **cache** — hit/miss counters and the measured round-trip cost of the
-  persistent report store.
-* **paper_setup** — NDPExt set-up seconds, ring positions and peak RSS
-  on the unshrunk paper preset (full runs only).
-* **serve** — the serving loop under the committed two-tenant fault
-  storm (``python -m repro serve --storm``): batches per second and
-  wall-clock milliseconds per served batch.
 
 ``--quick`` shrinks everything to the tiny preset for CI smoke runs.
 ``--check PREV.json`` feeds the fresh result through the regression
@@ -33,8 +30,6 @@ import json
 import os
 import time
 
-import numpy as np
-
 from repro.util import render_table
 
 
@@ -42,92 +37,6 @@ def _time(fn, *args, **kwargs):
     t0 = time.perf_counter()
     result = fn(*args, **kwargs)
     return time.perf_counter() - t0, result
-
-
-def _legacy_l1_filter(epochs, params):
-    """The engine's pre-vectorization hot loop, kept verbatim for the
-    benchmark comparison: per epoch, per core, an independent window-LRU
-    pass with the results scattered back."""
-    from repro.sim.sram_cache import filter_through_l1
-
-    masks = []
-    for epoch in epochs:
-        mask = np.zeros(len(epoch), dtype=bool)
-        for core in np.unique(epoch.core):
-            sel = epoch.core == core
-            mask[sel] = filter_through_l1(epoch.addr[sel], params).hit_mask
-        masks.append(mask)
-    return masks
-
-
-def _grouped_l1_filter(epochs, params, engine_cls):
-    from repro.sim.sram_cache import filter_cores_through_l1
-
-    orders = engine_cls._epoch_core_orders(epochs)
-    return [
-        filter_cores_through_l1(epoch.addr, epoch.core, params, order=order)
-        for epoch, order in zip(epochs, orders)
-    ]
-
-
-def bench_engine(preset: str, workload_name: str, repeats: int) -> dict:
-    """Throughput of one simulation cell + L1 filter speedup.
-
-    The timed runs are untraced (published accesses/s stays the
-    uninstrumented number); one extra traced run afterwards yields the
-    ``phases`` breakdown — exclusive seconds and share of sim wall
-    clock per engine phase — so the perf trajectory across PRs is
-    *attributable*, not just a single scalar.
-    """
-    from repro.core import NdpExtPolicy
-    from repro.experiments.runner import PRESETS, SCALES
-    from repro.obs.perfreport import phase_summary
-    from repro.obs.tracing import PerfTracer, activate
-    from repro.sim import SimulationEngine
-    from repro.workloads import SMALL, build
-
-    config = PRESETS[preset]()
-    scale = SCALES.get(preset, SMALL)
-    workload = build(workload_name, scale)
-    n_accesses = len(workload.trace)
-
-    sim_times = []
-    for _ in range(repeats):
-        dt, _report = _time(
-            SimulationEngine(config).run, workload, NdpExtPolicy()
-        )
-        sim_times.append(dt)
-    best = min(sim_times)
-
-    tracer = PerfTracer(process_label="bench", keep_events=False)
-    with activate(tracer):
-        SimulationEngine(config).run(workload, NdpExtPolicy())
-    phases = phase_summary(tracer)
-
-    epochs = workload.trace.epochs(config.epoch_accesses)
-    l1_params = config.core.l1d
-    legacy_dt, legacy_masks = _time(_legacy_l1_filter, epochs, l1_params)
-    grouped_dt, grouped_masks = _time(
-        _grouped_l1_filter, epochs, l1_params, SimulationEngine
-    )
-    for a, b in zip(legacy_masks, grouped_masks):
-        if not np.array_equal(a, b):
-            raise AssertionError("grouped L1 filter diverged from legacy loop")
-
-    return {
-        "preset": preset,
-        "workload": workload_name,
-        "accesses": n_accesses,
-        "sim_seconds_best": best,
-        "sim_seconds_all": sim_times,
-        "accesses_per_second": n_accesses / best if best else 0.0,
-        "l1_legacy_seconds": legacy_dt,
-        "l1_grouped_seconds": grouped_dt,
-        "l1_speedup": legacy_dt / grouped_dt if grouped_dt else 0.0,
-        "phases": phases["phases"],
-        "phase_sim_wall_s": phases["sim_wall_s"],
-        "phase_coverage": phases["coverage"],
-    }
 
 
 def _assert_reports_identical(a, b, context: str) -> None:
@@ -148,8 +57,8 @@ def _assert_reports_identical(a, b, context: str) -> None:
 def _kernel_cell(quick: bool):
     """The kernel-bound cell the backend speedup is measured on.
 
-    The default bench cell spends much of its wall clock in shared
-    float math (policy configure, miss-curve sampling) that is
+    A cell at the preset's own epoch size spends much of its wall clock
+    in shared float math (policy configure, miss-curve sampling) that is
     identical across backends and dilutes the ratio; this cell enlarges
     the epoch so the keyed scans the backends actually swap dominate.
     """
@@ -292,35 +201,6 @@ def bench_paper_setup(preset: str = "paper", workload_name: str = "mv") -> dict:
         return pool.apply(_paper_setup_cell, (preset, workload_name))
 
 
-def bench_serve(preset: str, repeats: int) -> dict:
-    """The two-tenant ``serve --storm`` scenario, best of ``repeats``.
-
-    Only :meth:`ServeHarness.run` is timed (admission, the serve loop,
-    engine steps, per-epoch reconfiguration); building the harness and
-    its workload is set-up.
-    """
-    from repro.serve import STORM_FAULTS, ServeHarness, two_tenant_scenario
-
-    scenario = two_tenant_scenario(name="serve", faults=dict(STORM_FAULTS))
-    times = []
-    for _ in range(repeats):
-        harness = ServeHarness(scenario, preset=preset)
-        dt, report = _time(harness.run)
-        times.append(dt)
-    best = min(times)
-    batches = report.completed
-    return {
-        "preset": preset,
-        "scenario": scenario.name,
-        "batches": batches,
-        "submitted": report.submitted,
-        "seconds_best": best,
-        "seconds_all": times,
-        "batches_per_s": batches / best if best else 0.0,
-        "ms_per_batch": 1000.0 * best / batches if batches else 0.0,
-    }
-
-
 def _suite_grid(workloads, policies):
     from repro.experiments.runner import Cell
 
@@ -401,10 +281,8 @@ def run_bench(quick: bool = False, jobs: int | None = None) -> dict:
         "quick": quick,
         "cpu_count": os.cpu_count(),
         "code_stamp": code_stamp()[:16],
-        "engine": bench_engine(preset, workloads[0], repeats),
         "kernels": bench_kernels(quick, max(repeats, 3)),
         "engine_paper": bench_paper(max(1, repeats - 1)),
-        "serve": bench_serve("tiny" if quick else "medium", repeats),
     }
     if not quick:
         result["paper_setup"] = bench_paper_setup()
@@ -424,15 +302,14 @@ def _history_snapshot(payload: dict) -> dict:
     snap = {
         "date": payload.get("date"),
         "code_stamp": payload.get("code_stamp"),
+        "quick": bool(payload.get("quick")),
     }
     for dotted in (
-        "engine.accesses_per_second",
         "kernels.kernel_speedup",
         "kernels.backends.numpy.accesses_per_second",
         "engine_paper.accesses_per_second",
         "paper_setup.setup_s",
         "paper_setup.peak_rss_mb",
-        "serve.ms_per_batch",
     ):
         value = _lookup(payload, dotted)
         if value is not None:
@@ -445,18 +322,17 @@ def roll_history(result: dict, previous: dict | None) -> None:
 
     The previous file's history is carried forward with the previous
     run's own headline numbers appended, capped at :data:`HISTORY_CAP`
-    entries (oldest dropped).  The regression gate compares the fresh
-    run against the *best* of this history, so one slow baseline run
-    can never mask a real regression ratchet-style.
+    entries (oldest dropped).  Only entries recorded in the fresh run's
+    mode (quick or full) are carried.  The regression gate compares the
+    fresh run against the *best* of this history, so one slow baseline
+    run can never mask a real regression ratchet-style.
     """
+    from repro.obs.regress import same_mode
+
     history = []
     if previous is not None:
-        history = [
-            entry
-            for entry in previous.get("history", [])
-            if isinstance(entry, dict)
-        ]
-        history.append(_history_snapshot(previous))
+        entries = [*(previous.get("history") or []), _history_snapshot(previous)]
+        history = same_mode(entries, bool(result.get("quick")))
     result["history"] = history[-HISTORY_CAP:]
 
 
@@ -476,10 +352,8 @@ def cmd_bench(args) -> None:
     out = args.out or f"BENCH_{result['date']}.json"
     with open(out, "w") as f:
         json.dump(result, f, indent=2)
-    engine = result["engine"]
     kernels = result["kernels"]
     paper = result["engine_paper"]
-    serve = result["serve"]
     suite = result["suite"]
     setup = result.get("paper_setup")
     setup_rows = (
@@ -501,7 +375,6 @@ def cmd_bench(args) -> None:
         render_table(
             ["metric", "value"],
             [
-                ["engine accesses/s", f"{engine['accesses_per_second']:,.0f}"],
                 ["kernel backends", backend_row],
                 [
                     "kernel speedup (numpy vs python)",
@@ -512,12 +385,6 @@ def cmd_bench(args) -> None:
                     f"{paper['accesses_per_second']:,.0f}",
                 ],
                 *setup_rows,
-                [
-                    f"serve --storm ({serve['preset']}, {serve['batches']} batches)",
-                    f"{serve['batches_per_s']:,.1f} batches/s, "
-                    f"{serve['ms_per_batch']:.1f} ms/batch",
-                ],
-                ["L1 filter speedup (grouped vs legacy)", f"{engine['l1_speedup']:.2f}x"],
                 ["suite cells", str(suite["cells"])],
                 ["suite serial cold", f"{suite['serial_cold_s']:.2f} s"],
                 [
@@ -533,24 +400,6 @@ def cmd_bench(args) -> None:
             title=f"bench ({'quick' if result['quick'] else 'full'})",
         )
     )
-    top = sorted(
-        engine.get("phases", {}).items(),
-        key=lambda kv: -kv[1]["exclusive_s"],
-    )[:5]
-    if top:
-        print(
-            render_table(
-                ["phase", "excl s", "share of sim wall"],
-                [
-                    [name, f"{row['exclusive_s']:.3f}", f"{row['share']:.1%}"]
-                    for name, row in top
-                ],
-                title=(
-                    "engine phase breakdown "
-                    f"(coverage {engine.get('phase_coverage', 0):.1%})"
-                ),
-            )
-        )
     print(f"[bench] wrote {out}")
     _check_floors(result, args)
     if getattr(args, "check", None):
@@ -583,56 +432,10 @@ def _check_floors(result: dict, args) -> None:
         )
 
 
-def _check_phase_shares(result: dict, args) -> None:
-    """Warn when an engine phase's share of sim wall clock shifted.
-
-    Always warn-only (even under ``--check-strict``): a share shift is
-    attribution news — where the time went moved — not by itself a
-    slowdown; the wall-clock metrics gate that.
-    """
-    from repro.obs.regress import (
-        PHASE_SHARE_WARN_PTS,
-        compare_phase_shares,
-        load_bench,
-        phase_share_rows,
-    )
-
-    try:
-        previous = load_bench(args.check)
-    except (OSError, ValueError):
-        return
-    deltas = compare_phase_shares(result, previous)
-    if not deltas:
-        return
-    print(
-        render_table(
-            ["phase", "prev share %", "cur share %", "moved pts", "status"],
-            phase_share_rows(deltas),
-            title=(
-                "engine phase shares vs previous "
-                f"(warn beyond {PHASE_SHARE_WARN_PTS:.0f} pts)"
-            ),
-        )
-    )
-    shifted = [d for d in deltas if d.failed]
-    if shifted:
-        names = ", ".join(d.phase for d in shifted)
-        print(
-            f"[bench] note: phase share moved >"
-            f"{PHASE_SHARE_WARN_PTS:.0f} pts: {names} "
-            "(attribution shift; informational)"
-        )
-
-
 def _check_against(result: dict, args) -> None:
     """Compare the fresh result against ``args.check`` via the gate."""
     from repro.obs.regress import DEFAULT_THRESHOLD, check_bench, delta_rows
 
-    threshold = (
-        args.check_threshold
-        if getattr(args, "check_threshold", None) is not None
-        else DEFAULT_THRESHOLD
-    )
     strict = bool(getattr(args, "check_strict", False))
     if not os.path.exists(args.check):
         message = f"[bench] previous bench {args.check} not found; skipping check"
@@ -641,7 +444,7 @@ def _check_against(result: dict, args) -> None:
         print(message)
         return
     try:
-        deltas, failed = check_bench(result, args.check, threshold=threshold)
+        deltas, failed = check_bench(result, args.check)
     except ValueError as exc:
         if strict:
             raise SystemExit(f"[bench] {exc}") from exc
@@ -651,18 +454,17 @@ def _check_against(result: dict, args) -> None:
         render_table(
             ["metric", "previous", "current", "regression", "status"],
             delta_rows(deltas),
-            title=f"regression gate vs {args.check} (threshold {threshold:.0%})",
+            title=f"regression gate vs {args.check} (threshold {DEFAULT_THRESHOLD:.0%})",
         )
     )
-    _check_phase_shares(result, args)
     if failed:
         names = ", ".join(d.metric for d in failed)
         if strict:
             raise SystemExit(
-                f"[bench] REGRESSED beyond {threshold:.0%}: {names}"
+                f"[bench] REGRESSED beyond {DEFAULT_THRESHOLD:.0%}: {names}"
             )
         print(
-            f"[bench] warning: regressed beyond {threshold:.0%}: {names} "
+            f"[bench] warning: regressed beyond {DEFAULT_THRESHOLD:.0%}: {names} "
             "(warn-only; use --check-strict to fail)"
         )
     else:

@@ -17,8 +17,10 @@ Layers (DESIGN.md "Observability" and "Distributional observability"):
   live in :mod:`repro.obs.perfreport`, imported directly to keep this
   package import-light).
 * Exporters — :func:`prometheus_text` / :func:`json_payload` over a
-  report, the ``dash`` HTML renderer, and the bench regression gate in
-  :mod:`repro.obs.regress`.
+  report, and the ``dash`` HTML renderer.
+* :mod:`repro.obs.regress` — the ``bench --check`` gate: fixed 20%
+  threshold over the kept cells' metrics, a same-mode best-of-history
+  ratchet, and absolute floors.
 
 ``read_trace`` / ``summarize`` / ``diff_rows`` are the read side used
 by ``python -m repro stats``; ``report_from_trace`` rebuilds a full

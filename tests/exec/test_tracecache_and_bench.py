@@ -158,30 +158,26 @@ class TestBenchSmoke:
     def test_quick_bench_end_to_end(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "bench-cache"))
         from repro.exec.bench import run_bench
+        from repro.obs.regress import check_floors
 
         result = run_bench(quick=True, jobs=2)
-        engine = result["engine"]
+        # Only the cells perfbench cannot measure; the unshrunk
+        # paper-preset set-up cell is a full-run cell only.
+        assert set(result) == {
+            "date", "quick", "cpu_count", "code_stamp",
+            "kernels", "engine_paper", "suite",
+        }
         suite = result["suite"]
         kernels = result["kernels"]
         paper = result["engine_paper"]
-        assert engine["accesses_per_second"] > 0
-        assert engine["l1_grouped_seconds"] > 0
         # The backend comparison timed bit-identical reports.
         assert kernels["reports_identical"]
         assert set(kernels["backends"]) >= {"numpy", "python"}
         assert kernels["kernel_speedup"] > 1.0
         assert paper["n_units"] == 128
         assert paper["accesses_per_second"] > 0
-        # The serve cell replays the two-tenant storm on the tiny preset.
-        serve = result["serve"]
-        assert serve["preset"] == "tiny"
-        assert serve["batches"] > 0
-        assert serve["batches_per_s"] > 0
-        assert serve["ms_per_batch"] == pytest.approx(
-            1000.0 * serve["seconds_best"] / serve["batches"]
-        )
-        # The unshrunk paper-preset set-up cell is a full-run cell only.
-        assert "paper_setup" not in result
+        floors = {c.metric for c in check_floors(result)}
+        assert "kernels.backends.numpy.accesses_per_second" in floors
         assert suite["cells"] == 4
         # The warm pass must be pure cache: zero simulations.
         assert suite["warm_counters"]["cache_misses"] == 0
