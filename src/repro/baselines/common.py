@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.sampler import SamplerParams, sample_curve
+from repro.core.sampler import MissCurveSampler, SamplerParams
 from repro.core.stream_cache import (
     ResidentState,
     pack_set_id,
@@ -148,6 +148,7 @@ class PartitionedNucaPolicy(DramCachePolicy):
                 config.stream.sampler_min_bytes * 2, config.total_cache_bytes
             ),
         )
+        self.sampler = MissCurveSampler(self.sampler_params)
         # Per-run state: a reused instance starts every run from scratch.
         self._partitions: dict[int, PartitionSpec] = {}
         self._signatures: dict[int, tuple] = {}
@@ -306,19 +307,23 @@ class PartitionedNucaPolicy(DramCachePolicy):
     def observe(self, epoch_idx: int, epoch: Trace, pids: np.ndarray) -> None:
         """Profile every partition in ``pids`` over the finished epoch."""
         lines = epoch.addr // CACHELINE_BYTES
-        req_unit = epoch.core.astype(np.int64) % self.config.n_units
+        n_units = self.config.n_units
+        req_unit = epoch.core.astype(np.int64) % n_units
+        ids, index = np.unique(pids, return_inverse=True)
+        curves = self.sampler.observe(
+            index, lines, np.full(len(ids), CACHELINE_BYTES)
+        )
+        per_unit = np.bincount(
+            index * n_units + req_unit, minlength=len(ids) * n_units
+        ).reshape(len(ids), n_units)
         self._curves = {}
         self._weights = {}
         self._importance = {}
-        for pid in np.unique(pids):
-            sel = pids == pid
-            self._curves[int(pid)] = self.smooth_curve(
-                int(pid),
-                sample_curve(lines[sel], CACHELINE_BYTES, self.sampler_params),
-            )
-            units, counts = np.unique(req_unit[sel], return_counts=True)
-            self._weights[int(pid)] = {int(u): int(c) for u, c in zip(units, counts)}
-            self._importance[int(pid)] = int(sel.sum())
+        for pid, curve, row in zip(ids.tolist(), curves, per_unit):
+            self._curves[pid] = self.smooth_curve(pid, curve)
+            units = np.flatnonzero(row)
+            self._weights[pid] = {int(u): int(row[u]) for u in units}
+            self._importance[pid] = int(row.sum())
 
     def smooth_curve(self, pid: int, fresh: MissCurve) -> MissCurve:
         """EWMA against the partition's previously smoothed curve."""

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.assignment import SamplerAssigner
 from repro.core.configure import CacheConfigurator, equal_share_allocations
-from repro.core.sampler import MissCurveSampler, SamplerParams
+from repro.core.sampler import MissCurveSampler, SamplerParams, stream_tags
 from repro.core.stream import StreamConfig
 from repro.core.stream_cache import StreamCacheMapper
 from repro.faults import EpochFaults, FaultState
@@ -112,7 +112,11 @@ class NdpExtPolicy(DramCachePolicy):
             samplers_per_unit=config.stream.samplers_per_unit
         )
         self.sampler_params = SamplerParams(
-            sample_sets=self.sampler_sets or config.stream.sampler_sets,
+            sample_sets=(
+                self.sampler_sets
+                if self.sampler_sets is not None
+                else config.stream.sampler_sets
+            ),
             capacity_points=config.stream.sampler_points,
             min_capacity=config.stream.sampler_min_bytes,
             # A stream (or one replication-group copy) can grow up to the
@@ -121,6 +125,7 @@ class NdpExtPolicy(DramCachePolicy):
                 config.stream.sampler_min_bytes * 2, config.total_cache_bytes
             ),
         )
+        self.sampler = MissCurveSampler(self.sampler_params)
         self.configurator = CacheConfigurator(
             topology=topology,
             rows_per_unit=config.rows_per_unit,
@@ -443,9 +448,10 @@ class NdpExtPolicy(DramCachePolicy):
         max_sid = max(self._streams) if self._streams else 0
         req_unit = epoch.core.astype(np.int64) % n_units
         valid = epoch.sid >= 0
-        bitvec = np.zeros((n_units, max_sid + 1), dtype=bool)
-        counts = np.zeros((n_units, max_sid + 1), dtype=np.int64)
-        np.add.at(counts, (req_unit[valid], epoch.sid[valid]), 1)
+        n_sids = max_sid + 1
+        counts = np.bincount(
+            req_unit[valid] * n_sids + epoch.sid[valid], minlength=n_units * n_sids
+        ).reshape(n_units, n_sids)
         bitvec = counts > 0
 
         self._acc_units = {}
@@ -464,6 +470,7 @@ class NdpExtPolicy(DramCachePolicy):
         with self.recorder.span("profile.assign"):
             assignment = self.assigner.assign(bitvec)
         with self.recorder.span("profile.sample"):
+            sids, tags, granularities = [], [], []
             for sid in assignment.assignment:
                 stream = self._streams.get(sid)
                 if stream is None:
@@ -474,11 +481,18 @@ class NdpExtPolicy(DramCachePolicy):
                     block = self._pick_block_size(stream, elems, epoch.core[mask])
                     if self.mapper.set_block_override(sid, block):
                         self._curves.pop(sid, None)  # granularity changed
-                sampler = MissCurveSampler(stream, self.sampler_params)
-                sampler.set_granularity(self.mapper.granularity_of(stream))
-                fresh = smoothed_curve(
-                    sampler.observe(elems), self._curves.get(sid)
-                )
+                granularity = self.mapper.granularity_of(stream)
+                sids.append(sid)
+                tags.append(stream_tags(stream, elems, granularity))
+                granularities.append(granularity)
+            groups = np.repeat(np.arange(len(tags)), [len(t) for t in tags])
+            curves = self.sampler.observe(
+                groups,
+                np.concatenate(tags) if tags else np.empty(0, dtype=np.int64),
+                granularities,
+            )
+            for sid, curve in zip(sids, curves):
+                fresh = smoothed_curve(curve, self._curves.get(sid))
                 self._curves[sid] = fresh
                 if self.recorder.enabled:
                     self.recorder.event(

@@ -8,8 +8,10 @@ table — rare, because few workloads touch more than 32 streams per unit.
 
 The simulator replays the per-unit *stream-id sequence* through an exact
 LRU of 32 entries.  Consecutive accesses to the same stream are collapsed
-first (they can't change LRU state), which keeps the Python-level loop
-proportional to stream *transitions*, not accesses.
+first (they can't change LRU state).  When the resident entries and the
+call's streams fit in the buffer together, nothing is evicted and the
+result follows from first and last touches without a loop; otherwise a
+Python loop replays the stream *transitions*, not the accesses.
 """
 
 from __future__ import annotations
@@ -68,21 +70,38 @@ class StreamLookaheadBuffer:
         run_starts = np.flatnonzero(change)
         run_sids = sids[run_starts]
 
-        misses = 0
-        miss_positions = []
         resident = self._resident
-        for pos, sid in zip(run_starts, run_sids):
-            key = int(sid)
-            if key in resident:
-                resident.move_to_end(key)
-            else:
-                misses += 1
-                miss_positions.append(pos)
-                resident[key] = None
-                if len(resident) > self.entries:
-                    resident.popitem(last=False)
-        if miss_positions:
-            latency[np.array(miss_positions)] += self.refill_ns
+        runs = run_sids.tolist()
+        fits = False
+        # A call with no more runs than entries keeps the loop: it is
+        # short, and cheaper than the fast path's dict building.
+        if len(runs) > self.entries:
+            # Touched sids by descending last touch.
+            by_last = list(dict.fromkeys(reversed(runs)))
+            fresh = [sid for sid in by_last if sid not in resident]
+            fits = len(resident) + len(fresh) <= self.entries
+        if fits:
+            # Nothing can be evicted: the misses are the first touches of
+            # non-resident sids, and the LRU order becomes the untouched
+            # entries followed by the touched sids by last touch.
+            first = dict(zip(reversed(runs), range(len(runs) - 1, -1, -1)))
+            miss_positions = [int(run_starts[first[sid]]) for sid in fresh]
+            for sid in by_last:
+                resident.pop(sid, None)
+            resident.update(dict.fromkeys(reversed(by_last)))
+        else:
+            miss_positions = []
+            for pos, sid in zip(run_starts.tolist(), runs):
+                if sid in resident:
+                    resident.move_to_end(sid)
+                else:
+                    miss_positions.append(pos)
+                    resident[sid] = None
+                    if len(resident) > self.entries:
+                        resident.popitem(last=False)
+        misses = len(miss_positions)
+        if misses:
+            latency[np.asarray(miss_positions)] += self.refill_ns
         return SlbResult(latency_ns=latency, hits=n - misses, misses=misses)
 
     @property

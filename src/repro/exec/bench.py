@@ -10,8 +10,9 @@ the code they describe:
 * **engine_paper** — throughput on the full 128-unit paper mesh with a
   shrunk unit cache, the guard against collapses that only show at
   paper-scale topology.
-* **paper_setup** — NDPExt set-up seconds, ring positions and peak RSS
-  on the unshrunk paper preset (full runs only).
+* **paper_setup** — NDPExt set-up seconds, ring positions, the seconds
+  of stepping the trace's epochs, and peak RSS over both, on the
+  unshrunk paper preset (full runs only).
 * **suite** — wall clock for a policy-comparison grid run three ways:
   serial with a cold cache, parallel (``--jobs``) with a cold cache, and
   serial again against the warm persistent cache.  The warm run must
@@ -172,7 +173,12 @@ def _paper_setup_cell(preset: str, workload_name: str) -> dict:
     config = PRESETS[preset]()
     workload = build(workload_name, SCALES.get(preset, SMALL))
     policy = NdpExtPolicy()
-    setup_s, _session = _time(SimulationEngine(config).begin_session, workload, policy)
+    setup_s, session = _time(SimulationEngine(config).begin_session, workload, policy)
+    epochs = workload.trace.epochs(config.epoch_accesses)
+    t0 = time.perf_counter()
+    for epoch in epochs:
+        session.step(epoch)
+    epoch_s = time.perf_counter() - t0
     return {
         "preset": preset,
         "workload": workload_name,
@@ -180,6 +186,8 @@ def _paper_setup_cell(preset: str, workload_name: str) -> dict:
         "unit_cache_mb": config.unit_cache_bytes / 2**20,
         "setup_s": setup_s,
         "ring_positions": policy.mapper.ring_positions(),
+        "epochs": len(epochs),
+        "epoch_s": epoch_s,
         # Linux reports ru_maxrss in kB.
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "pid": os.getpid(),
@@ -187,13 +195,16 @@ def _paper_setup_cell(preset: str, workload_name: str) -> dict:
 
 
 def bench_paper_setup(preset: str = "paper", workload_name: str = "mv") -> dict:
-    """NDPExt set-up (``begin_session``) on the unshrunk paper preset.
+    """NDPExt set-up (``begin_session``) on the unshrunk paper preset,
+    then every epoch of the trace stepped (``epoch_s``; ``mv`` at the
+    paper scale is one epoch).
 
     Unlike :func:`bench_paper`, which shrinks the unit cache until ring
     construction is negligible, this cell keeps Table II's 256 MB per
-    unit, so ring construction and ring memory dominate.  It runs in a
-    freshly spawned process so ``peak_rss_mb`` is the cell's own high
-    water mark, not the bench process's.
+    unit, so ring construction and ring memory dominate set-up.  It runs
+    in a freshly spawned process so ``peak_rss_mb`` is the cell's own
+    high water mark, set-up and epochs included, not the bench
+    process's.
     """
     import multiprocessing
 
@@ -361,7 +372,8 @@ def cmd_bench(args) -> None:
             [
                 f"paper set-up ({setup['unit_cache_mb']:.0f} MB/unit, "
                 f"{setup['ring_positions']:,} ring positions)",
-                f"{setup['setup_s']:.2f} s, {setup['peak_rss_mb']:,.0f} MB peak RSS",
+                f"{setup['setup_s']:.2f} s + {setup['epochs']} epoch(s) "
+                f"{setup['epoch_s']:.2f} s, {setup['peak_rss_mb']:,.0f} MB peak RSS",
             ]
         ]
         if setup

@@ -205,6 +205,10 @@ class StreamCacheParams:
     max_streams: int = 512
     max_groups: int = 64
 
+    def __post_init__(self) -> None:
+        if self.sampler_sets < 1:
+            raise ValueError(f"sampler_sets must be >= 1, got {self.sampler_sets}")
+
 
 @dataclass(frozen=True)
 class SystemConfig:

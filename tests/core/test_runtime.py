@@ -27,6 +27,21 @@ class TestModes:
         with pytest.raises(ValueError):
             NdpExtPolicy(reconfig_interval=0)
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_non_positive_sampler_sets_rejected(self, config, workload, k):
+        """An explicit k is used as given, never replaced by the config's."""
+        from repro.sim.topology import Topology
+
+        with pytest.raises(ValueError, match="sample_sets"):
+            NdpExtPolicy(sampler_sets=k).setup(config, Topology(config), workload)
+
+    def test_explicit_sampler_sets_used(self, config, workload):
+        from repro.sim.topology import Topology
+
+        policy = NdpExtPolicy(sampler_sets=7)
+        policy.setup(config, Topology(config), workload)
+        assert policy.sampler_params.sample_sets == 7
+
     def test_names(self):
         assert NdpExtPolicy().name == "ndpext"
         assert NdpExtPolicy(mode="static").name == "ndpext-static"

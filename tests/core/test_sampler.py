@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.sampler import MissCurveSampler, SamplerParams, sample_curve
+from repro.core.sampler import SamplerParams, sample_curve, stream_tags
 from repro.core.stream import StreamConfig, StreamKind
+from repro.sim.cachesim import direct_mapped_hits
+from repro.util.curves import MissCurve
+from repro.util.hashing import mix64_array
 
 
 def make_stream(elem=64, n_elems=4096):
@@ -15,6 +18,18 @@ def make_stream(elem=64, n_elems=4096):
         size=elem * n_elems,
         elem_size=elem,
     )
+
+
+def exact_curve(tags, granularity, params):
+    """Reference: the full (unsampled) direct-mapped miss curve."""
+    capacities = params.capacities()
+    misses = np.zeros(len(capacities))
+    hashed = mix64_array(tags.astype(np.uint64), salt=1)
+    for i, capacity in enumerate(capacities):
+        n_sets = max(1, int(capacity) // granularity)
+        sets = (hashed % np.uint64(n_sets)).astype(np.int64)
+        misses[i] = int((~direct_mapped_hits(sets, tags)).sum())
+    return MissCurve(capacities, misses)
 
 
 def zipf_elems(n, size, seed=0, s=1.2):
@@ -30,6 +45,23 @@ class TestSamplerParams:
         """k=32 sets x c=64 capacities x 4 B = 8 kB per sampler."""
         params = SamplerParams()
         assert params.storage_bytes == 8 * 1024
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_non_positive_sample_sets(self, k):
+        with pytest.raises(ValueError, match="sample_sets"):
+            SamplerParams(sample_sets=k)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(min_capacity=0),
+            dict(min_capacity=4096, max_capacity=4096),
+            dict(capacity_points=1),
+        ],
+    )
+    def test_rejects_bad_capacity_range_at_construction(self, kwargs):
+        with pytest.raises(ValueError):
+            SamplerParams(**kwargs)
 
     def test_capacities_geometric(self):
         caps = SamplerParams().capacities()
@@ -58,11 +90,9 @@ class TestSampleCurve:
 
     def test_scaling_matches_exact_roughly(self):
         """K/k set sampling approximates the full simulation (Sec V-A)."""
-        stream = make_stream()
-        elems = zipf_elems(4096, 40_000, seed=3)
-        sampler = MissCurveSampler(stream, self.params(k=256))
-        sampled = sampler.observe(elems)
-        exact = sampler.exact_curve(elems)
+        tags = stream_tags(make_stream(), zipf_elems(4096, 40_000, seed=3), 64)
+        sampled = sample_curve(tags, 64, self.params(k=256))
+        exact = exact_curve(tags, 64, self.params(k=256))
         for cap in sampled.capacities[2:]:
             est, ref = sampled.misses_at(cap), exact.misses_at(cap)
             if ref > 500:
@@ -74,15 +104,13 @@ class TestSampleCurve:
 
 
 class TestMissCurveSampler:
+    """What the sampler is fed: a stream's tags at its caching granularity."""
+
     def test_granularity_groups_elements(self):
         stream = make_stream(elem=4, n_elems=1024)
-        sampler = MissCurveSampler(stream, SamplerParams(capacity_points=4, min_capacity=256, max_capacity=4096))
-        sampler.set_granularity(64)
-        tags = sampler._tags_of(np.array([0, 15, 16, 31, 32]))
+        tags = stream_tags(stream, np.array([0, 15, 16, 31, 32]), 64)
         assert list(tags) == [0, 0, 1, 1, 2]
 
     def test_rejects_bad_granularity(self):
-        stream = make_stream()
-        sampler = MissCurveSampler(stream, SamplerParams())
         with pytest.raises(ValueError):
-            sampler.set_granularity(0)
+            stream_tags(make_stream(), np.array([0]), 0)

@@ -197,6 +197,9 @@ class TestBenchSmoke:
         assert cell["ring_positions"] > 0
         assert cell["ring_positions"] % VIRTUAL_NODES == 0
         assert cell["peak_rss_mb"] > 0
+        # The cell also steps every epoch of the trace.
+        assert cell["epochs"] >= 1
+        assert cell["epoch_s"] > 0
 
     def test_cli_bench_writes_json(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))

@@ -14,6 +14,7 @@ from repro.sim.params import (
     CxlParams,
     NocParams,
     SramCacheParams,
+    StreamCacheParams,
     paper_hbm,
     paper_hmc,
     small,
@@ -184,6 +185,11 @@ class TestParamValidation:
     def test_core_rejects_zero_frequency(self):
         with pytest.raises(ValueError):
             CoreParams(freq_ghz=0.0)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_stream_rejects_non_positive_sampler_sets(self, k):
+        with pytest.raises(ValueError, match="sampler_sets"):
+            StreamCacheParams(sampler_sets=k)
 
     def test_all_presets_pass_validation(self):
         # Construction itself runs every __post_init__.
