@@ -44,7 +44,7 @@ from repro.sim.cachesim import direct_mapped_hits
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
 from repro.sim.params import CACHELINE_BYTES, SystemConfig
 from repro.sim.topology import Topology
-from repro.util.curves import LookaheadState, MissCurve, smoothed_curve
+from repro.util.curves import CurveTable, Lookahead
 from repro.util.hashing import mix64_array, weighted_bucket_array
 from repro.workloads.trace import Trace, Workload
 
@@ -128,8 +128,9 @@ class PartitionedNucaPolicy(DramCachePolicy):
         """Partition id per request (>= 0).  Default: the catch-all."""
         return np.full(len(epoch), CATCHALL_PID, dtype=np.int64)
 
-    def replication_degrees(self) -> dict[int, int]:
-        """Copies per partition at the coming install; default: none."""
+    def replication_degrees(self, sizes: dict[int, int]) -> dict[int, int]:
+        """Copies per partition at the coming install, given the bytes
+        lookahead sized each one; default: none."""
         return {}
 
     # -- common machinery ------------------------------------------------
@@ -140,26 +141,19 @@ class PartitionedNucaPolicy(DramCachePolicy):
         self.workload = workload
         self.lines_per_row = max(1, config.ndp_dram.row_bytes // CACHELINE_BYTES)
         self.metadata = MetadataCache(config)
-        self.sampler_params = SamplerParams(
-            sample_sets=config.stream.sampler_sets,
-            capacity_points=config.stream.sampler_points,
-            min_capacity=config.stream.sampler_min_bytes,
-            max_capacity=max(
-                config.stream.sampler_min_bytes * 2, config.total_cache_bytes
-            ),
-        )
+        self.sampler_params = SamplerParams.for_system(config)
         self.sampler = MissCurveSampler(self.sampler_params)
         # Per-run state: a reused instance starts every run from scratch.
         self._partitions: dict[int, PartitionSpec] = {}
         self._signatures: dict[int, tuple] = {}
         self._resident: dict[int, ResidentState] = {}
+        # Smoothed curve of every partition ever profiled.
+        self._history = CurveTable.empty(self.sampler_params.curve_capacities())
         # The latest profile, per partition: smoothed miss curve,
         # accesses per requesting unit, and total accesses (importance).
-        self._curves: dict[int, MissCurve] = {}
+        self._curves = self._history
         self._weights: dict[int, dict[int, int]] = {}
         self._importance: dict[int, int] = {}
-        # Smoothed curve of every partition ever profiled.
-        self._smoothed: dict[int, MissCurve] = {}
         # Sizes (bytes per partition) of the installed partitioning.
         self._installed_sizes: dict[int, int] | None = None
 
@@ -310,25 +304,19 @@ class PartitionedNucaPolicy(DramCachePolicy):
         n_units = self.config.n_units
         req_unit = epoch.core.astype(np.int64) % n_units
         ids, index = np.unique(pids, return_inverse=True)
-        curves = self.sampler.observe(
-            index, lines, np.full(len(ids), CACHELINE_BYTES)
-        )
+        ids = ids.tolist()
+        fresh = self.sampler.observe(index, lines, np.full(len(ids), CACHELINE_BYTES))
         per_unit = np.bincount(
             index * n_units + req_unit, minlength=len(ids) * n_units
         ).reshape(len(ids), n_units)
-        self._curves = {}
+        self._history = self._history.smoothed(fresh, ids)
+        self._curves = self._history.select(ids)
         self._weights = {}
         self._importance = {}
-        for pid, curve, row in zip(ids.tolist(), curves, per_unit):
-            self._curves[pid] = self.smooth_curve(pid, curve)
+        for pid, row in zip(ids, per_unit):
             units = np.flatnonzero(row)
             self._weights[pid] = {int(u): int(row[u]) for u in units}
             self._importance[pid] = int(row.sum())
-
-    def smooth_curve(self, pid: int, fresh: MissCurve) -> MissCurve:
-        """EWMA against the partition's previously smoothed curve."""
-        self._smoothed[pid] = smoothed_curve(fresh, self._smoothed.get(pid))
-        return self._smoothed[pid]
 
     # -- resizing ----------------------------------------------------------
 
@@ -356,7 +344,7 @@ class PartitionedNucaPolicy(DramCachePolicy):
         sizes_rows = {
             pid: max(1, size // row_bytes) for pid, size in sizes_bytes.items()
         }
-        degrees = self.replication_degrees()
+        degrees = self.replication_degrees(sizes_bytes)
         # Replication trades capacity: a degree-R partition splits its
         # budget into R copies.
         for pid, degree in degrees.items():
@@ -367,17 +355,14 @@ class PartitionedNucaPolicy(DramCachePolicy):
         )
         self.record_install(sizes_bytes)
 
-    def should_install(
-        self, curves: dict[int, MissCurve], new_sizes: dict[int, int]
-    ) -> bool:
+    def should_install(self, curves: CurveTable, new_sizes: dict[int, int]) -> bool:
         """Compare predicted misses of the new sizing vs the installed one."""
         if self._installed_sizes is None:
             return True
 
         def predicted(sizes: dict[int, int]) -> float:
             return sum(
-                curve.monotone().misses_at(sizes.get(pid, 0))
-                for pid, curve in curves.items()
+                curves.misses_at(pid, sizes.get(pid, 0)) for pid in curves.ids
             )
 
         return predicted(new_sizes) < predicted(self._installed_sizes) * (
@@ -388,22 +373,21 @@ class PartitionedNucaPolicy(DramCachePolicy):
         """The partitioning sized by ``sizes`` has just been installed."""
         self._installed_sizes = dict(sizes)
 
-    def lookahead_sizes(
-        self, curves: dict[int, MissCurve], budget_bytes: int
-    ) -> dict[int, int]:
+    def lookahead_sizes(self, curves: CurveTable, budget_bytes: int) -> dict[int, int]:
         """Classic lookahead sizing: repeatedly grant the steepest slope
         until the byte budget runs out.  Returns bytes per partition."""
-        state = LookaheadState({p: c.monotone() for p, c in curves.items()})
+        lookahead = Lookahead(curves)
         spent = 0
         while spent < budget_bytes:
-            segment = state.next_steepest_segment()
-            if segment is None:
+            step = lookahead.next()
+            if step is None:
                 break
-            if spent + segment.size > budget_bytes:
+            pid, size = step
+            if spent + size > budget_bytes:
                 break
-            state.commit(segment)
-            spent += segment.size
-        return dict(state.allocated)
+            lookahead.commit(pid)
+            spent += size
+        return lookahead.allocations()
 
     def center_of_mass_placement(
         self,

@@ -50,27 +50,29 @@ class NexusPolicy(WhirlpoolPolicy):
         cfg = self.config
         return cfg.cxl.link_ns + cfg.ext_dram.row_miss_ns
 
-    def _pick_degree(self) -> int:
+    def _pick_degree(self, sizes: dict[int, int]) -> int:
+        """The global degree, given the bytes lookahead sized each
+        partition."""
         if self._fixed_degree is not None:
             return self._fixed_degree
+        curves = self._curves
         read_only = [
-            pid for pid, ro in self._read_only.items() if ro and pid in self._curves
+            pid for pid, ro in self._read_only.items() if ro and pid in curves
         ]
         if not read_only:
             return 1
-        sizes = self.lookahead_sizes(self._curves, self.config.total_cache_bytes)
         penalty = self._miss_penalty_ns()
 
         def predicted_cost(degree: int) -> float:
             hop_ns = self._avg_distance_ns(degree)
             cost = 0.0
-            for pid, curve in self._curves.items():
+            for pid in curves.ids:
                 accesses = self._importance.get(pid, 0)
                 size = sizes.get(pid, 0)
                 if pid in read_only:
-                    misses = curve.monotone().misses_at(max(1, size // degree))
+                    misses = curves.misses_at(pid, max(1, size // degree))
                 else:
-                    misses = curve.monotone().misses_at(max(1, size))
+                    misses = curves.misses_at(pid, max(1, size))
                 hits = max(0.0, accesses - misses)
                 cost += misses * penalty + hits * 2.0 * hop_ns
             return cost
@@ -89,8 +91,8 @@ class NexusPolicy(WhirlpoolPolicy):
             return 1
         return best_degree
 
-    def replication_degrees(self) -> dict[int, int]:
-        self.chosen_degree = self._pick_degree()
+    def replication_degrees(self, sizes: dict[int, int]) -> dict[int, int]:
+        self.chosen_degree = self._pick_degree(sizes)
         if self.chosen_degree == 1:
             return {}
         return {

@@ -28,7 +28,7 @@ from repro.faults import EpochFaults, FaultState
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
 from repro.sim.params import SystemConfig
 from repro.sim.topology import Topology
-from repro.util.curves import MissCurve, smoothed_curve
+from repro.util.curves import CurveTable
 from repro.workloads.trace import Trace, Workload
 
 
@@ -111,20 +111,7 @@ class NdpExtPolicy(DramCachePolicy):
         self.assigner = SamplerAssigner(
             samplers_per_unit=config.stream.samplers_per_unit
         )
-        self.sampler_params = SamplerParams(
-            sample_sets=(
-                self.sampler_sets
-                if self.sampler_sets is not None
-                else config.stream.sampler_sets
-            ),
-            capacity_points=config.stream.sampler_points,
-            min_capacity=config.stream.sampler_min_bytes,
-            # A stream (or one replication-group copy) can grow up to the
-            # whole distributed cache, so the curve must span that range.
-            max_capacity=max(
-                config.stream.sampler_min_bytes * 2, config.total_cache_bytes
-            ),
-        )
+        self.sampler_params = SamplerParams.for_system(config, self.sampler_sets)
         self.sampler = MissCurveSampler(self.sampler_params)
         self.configurator = CacheConfigurator(
             topology=topology,
@@ -133,7 +120,8 @@ class NdpExtPolicy(DramCachePolicy):
             affine_space_bytes=config.stream.affine_space_bytes,
         )
         self._streams: dict[int, StreamConfig] = {s.sid: s for s in streams}
-        self._curves: dict[int, MissCurve] = {}
+        # Every sampled stream's smoothed curve.
+        self._curves = CurveTable.empty(self.sampler_params.curve_capacities())
         # sid -> hit rate the miss-curve model promised for the currently
         # installed configuration; compared against realized rates at the
         # end of each epoch when a recorder is attached.
@@ -228,12 +216,16 @@ class NdpExtPolicy(DramCachePolicy):
             return ReconfigStats()
         if forced:
             self._forced_reconfig = False
-        curves = dict(self._curves)
         # Streams the samplers have not covered yet keep a synthetic
         # linear curve so they retain some allocation until measured.
-        for sid, total in self._epoch_access_totals.items():
-            if sid not in curves and total > 0:
-                curves[sid] = self._fallback_curve(sid, total)
+        unsampled = {
+            sid: total
+            for sid, total in self._epoch_access_totals.items()
+            if sid not in self._curves and total > 0
+        }
+        curves = self._curves
+        if unsampled:
+            curves = curves.extended(unsampled, self._fallback_rows(unsampled))
         with self.recorder.span("configure.solve"):
             result = self.configurator.configure(
                 streams=self._streams,
@@ -244,10 +236,9 @@ class NdpExtPolicy(DramCachePolicy):
                 write_excepted=self.mapper.write_excepted,
             )
         with self.recorder.span("configure.predict_cost"):
-            monotone = {sid: curve.monotone() for sid, curve in curves.items()}
             current = self._current_allocations()
-            old_cost = self._predicted_cost(monotone, current)
-            new_cost = self._predicted_cost(monotone, result.allocations)
+            old_cost = self._predicted_cost(curves, current)
+            new_cost = self._predicted_cost(curves, result.allocations)
         skipped = (
             not forced
             and old_cost > 0
@@ -261,7 +252,7 @@ class NdpExtPolicy(DramCachePolicy):
             stats = self.mapper.apply(result.allocations)
             self.applied_reconfigs += 1
         if self.recorder.enabled:
-            self._predicted_hit_rate = self._predict_hit_rates(monotone, chosen)
+            self._predicted_hit_rate = self._predict_hit_rates(curves, chosen)
             alloc_by_sid = {alloc.sid: alloc for alloc in chosen}
             # Per-unit rows the chosen configuration allocates — the
             # placement's spatial footprint, next to the spatial
@@ -294,21 +285,19 @@ class NdpExtPolicy(DramCachePolicy):
         return stats
 
     def _predict_hit_rates(
-        self, monotone: dict[int, MissCurve], allocations
+        self, curves: CurveTable, allocations
     ) -> dict[int, float]:
         """Per-stream hit rate the miss-curve model promises for
-        ``allocations``, on the post-L1 request stream.  ``monotone``
-        holds each stream's :meth:`MissCurve.monotone` curve."""
+        ``allocations``, on the post-L1 request stream."""
         row_bytes = self.config.ndp_dram.row_bytes
         rates: dict[int, float] = {}
         for alloc in allocations:
-            curve = monotone.get(alloc.sid)
             accesses = self._epoch_access_totals.get(alloc.sid, 0)
-            if curve is None or accesses <= 0:
+            if alloc.sid not in curves or accesses <= 0:
                 continue
             copies = max(1, alloc.n_groups)
             per_copy = alloc.total_rows * row_bytes / copies
-            misses = curve.misses_at(per_copy)
+            misses = curves.misses_at(alloc.sid, per_copy)
             rates[alloc.sid] = float(
                 np.clip(1.0 - misses / accesses, 0.0, 1.0)
             )
@@ -319,9 +308,8 @@ class NdpExtPolicy(DramCachePolicy):
             self.mapper.table.get_or_empty(sid) for sid in sorted(self._streams)
         ]
 
-    def _predicted_cost(self, monotone: dict[int, MissCurve], allocations) -> float:
-        """Expected memory time (ns) if ``allocations`` served the curves
-        (``monotone`` holds each stream's :meth:`MissCurve.monotone`).
+    def _predicted_cost(self, curves: CurveTable, allocations) -> float:
+        """Expected memory time (ns) if ``allocations`` served the curves.
 
         Misses pay the extended-memory penalty; hits pay the round trip to
         wherever the accessing units' replication group lives — so a
@@ -333,12 +321,11 @@ class NdpExtPolicy(DramCachePolicy):
         total = 0.0
         for alloc in allocations:
             sid = alloc.sid
-            curve = monotone.get(sid)
-            if curve is None:
+            if sid not in curves:
                 continue
             copies = max(1, alloc.n_groups)
             per_copy = alloc.total_rows * row_bytes / copies
-            misses = curve.misses_at(per_copy)
+            misses = curves.misses_at(sid, per_copy)
             accesses = self._epoch_access_totals.get(sid, 0)
             hits = max(0.0, accesses - misses)
             total += misses * miss_penalty
@@ -397,13 +384,17 @@ class NdpExtPolicy(DramCachePolicy):
             block *= 2
         return block
 
-    def _fallback_curve(self, sid: int, accesses: int) -> MissCurve:
-        """Linear miss decay from footprint: a neutral prior for streams
-        the rotation has not sampled yet."""
-        stream = self._streams[sid]
-        capacities = self.sampler_params.capacities()
-        fraction = np.clip(capacities / max(1, stream.size), 0.0, 1.0)
-        return MissCurve(capacities, accesses * (1.0 - fraction))
+    def _fallback_rows(self, accesses: dict[int, int]) -> np.ndarray:
+        """Linear miss decay from footprint, one curve-grid row per
+        stream of ``accesses`` (sid -> accesses): a neutral prior for
+        streams the rotation has not sampled yet.  It is flat below the
+        first capacity case, so the capacity-1 anchor repeats it."""
+        capacities = np.maximum(
+            self.sampler_params.curve_capacities(), self.sampler_params.capacities()[0]
+        )
+        sizes = np.array([max(1, self._streams[sid].size) for sid in accesses])
+        fraction = np.clip(capacities / sizes[:, None], 0.0, 1.0)
+        return np.array(list(accesses.values()))[:, None] * (1.0 - fraction)
 
     def process(self, epoch: Trace) -> RequestOutcome:
         return self.mapper.process(epoch)
@@ -470,7 +461,7 @@ class NdpExtPolicy(DramCachePolicy):
         with self.recorder.span("profile.assign"):
             assignment = self.assigner.assign(bitvec)
         with self.recorder.span("profile.sample"):
-            sids, tags, granularities = [], [], []
+            sids, tags, granularities, resized = [], [], [], []
             for sid in assignment.assignment:
                 stream = self._streams.get(sid)
                 if stream is None:
@@ -480,26 +471,27 @@ class NdpExtPolicy(DramCachePolicy):
                 if self.adaptive_blocks and stream.is_affine:
                     block = self._pick_block_size(stream, elems, epoch.core[mask])
                     if self.mapper.set_block_override(sid, block):
-                        self._curves.pop(sid, None)  # granularity changed
+                        resized.append(sid)  # granularity changed
                 granularity = self.mapper.granularity_of(stream)
                 sids.append(sid)
                 tags.append(stream_tags(stream, elems, granularity))
                 granularities.append(granularity)
             groups = np.repeat(np.arange(len(tags)), [len(t) for t in tags])
-            curves = self.sampler.observe(
+            fresh = self.sampler.observe(
                 groups,
                 np.concatenate(tags) if tags else np.empty(0, dtype=np.int64),
                 granularities,
             )
-            for sid, curve in zip(sids, curves):
-                fresh = smoothed_curve(curve, self._curves.get(sid))
-                self._curves[sid] = fresh
-                if self.recorder.enabled:
+            # A resized stream's history is dropped; it re-enters last.
+            kept = [sid for sid in self._curves.ids if sid not in resized]
+            self._curves = self._curves.select(kept).smoothed(fresh, sids)
+            if self.recorder.enabled:
+                for sid in sids:
                     self.recorder.event(
                         "miss_curve",
                         epoch=epoch_idx,
                         sid=int(sid),
                         accesses=int(self._epoch_access_totals.get(sid, 0)),
-                        capacities=[float(c) for c in fresh.capacities],
-                        misses=[float(m) for m in fresh.misses],
+                        capacities=[float(c) for c in self._curves.capacities],
+                        misses=[float(m) for m in self._curves.row(sid)],
                     )

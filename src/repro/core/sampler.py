@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.core.stream import StreamConfig
 from repro.sim.kernels import stable_argsort
-from repro.util.curves import MissCurve, geometric_capacities
+from repro.util.curves import CurveTable, geometric_capacities
 from repro.util.hashing import mix64_array
 
 SAMPLER_SET_BYTES = 4  # stored address per sample set
@@ -57,19 +57,44 @@ class SamplerParams:
         """Per-sampler SRAM: k x c x 4 B (8 kB at paper scale)."""
         return self.sample_sets * self.capacity_points * SAMPLER_SET_BYTES
 
+    @classmethod
+    def for_system(cls, config, sample_sets: int | None = None) -> "SamplerParams":
+        """The samplers of ``config`` (``sample_sets`` overrides its sets
+        per sampler).  A stream, or one replication copy, can grow up to
+        the whole distributed cache, so the cases span that range."""
+        stream = config.stream
+        return cls(
+            sample_sets=stream.sampler_sets if sample_sets is None else sample_sets,
+            capacity_points=stream.sampler_points,
+            min_capacity=stream.sampler_min_bytes,
+            max_capacity=max(stream.sampler_min_bytes * 2, config.total_cache_bytes),
+        )
+
     def capacities(self) -> np.ndarray:
         """The sampled capacity cases.  Computed once per params value and
         shared, so the array is read-only."""
-        return _capacities(self)
+        return _capacities(self)[0]
+
+    def curve_capacities(self) -> np.ndarray:
+        """The grid every sampled curve reports: the capacity cases,
+        anchored at capacity 1 (read-only, shared)."""
+        return _capacities(self)[1]
 
 
 @functools.lru_cache(maxsize=64)
-def _capacities(params: SamplerParams) -> np.ndarray:
+def _capacities(params: SamplerParams) -> tuple[np.ndarray, np.ndarray]:
     caps = geometric_capacities(
         params.min_capacity, params.max_capacity, params.capacity_points
     )
+    # Anchor the curves at (no capacity -> every access misses).  Without
+    # this, interpolation below the first measured point would make an
+    # unallocated stream look as cheap as a small cache, and the
+    # lookahead would starve streams whose first measured point is
+    # already low (high block locality).
+    grid = np.concatenate([[1], caps]) if caps[0] > 1 else caps.copy()
     caps.flags.writeable = False
-    return caps
+    grid.flags.writeable = False
+    return caps, grid
 
 
 def stream_tags(
@@ -86,35 +111,26 @@ def stream_tags(
     return element_ids // (granularity // stream.elem_size)
 
 
-def sample_curve(
-    tags: np.ndarray, granularity: int, params: SamplerParams
-) -> MissCurve:
-    """Set-sampled direct-mapped miss curve over one tag trace: the
-    one-group call of :func:`sample_curves`."""
-    tags = np.asarray(tags, dtype=np.int64)
-    groups = np.zeros(len(tags), dtype=np.int64)
-    return sample_curves(groups, tags, [granularity], params)[0]
-
-
 def sample_curves(
     groups: np.ndarray,
     tags: np.ndarray,
     granularities,
     params: SamplerParams,
-) -> list[MissCurve]:
+) -> CurveTable:
     """Set-sampled direct-mapped miss curves of many groups in one pass.
 
     Access ``i`` belongs to group ``groups[i]`` and carries tag
     ``tags[i]``; group ``g`` caches ``granularities[g]``-byte tags.
-    Curve ``g`` is what a sampler watching only group ``g``'s accesses,
-    in trace order, measures.  In capacity case ``c`` with
-    ``N = max(1, capacity // granularity)`` sets, a tag maps to set
-    ``mix64(tag, salt=1) % N``, and only the sets ``s`` with
+    Row ``g`` of the returned table is what a sampler watching only
+    group ``g``'s accesses, in trace order, measures.  In capacity case
+    ``c`` with ``N = max(1, capacity // granularity)`` sets, a tag maps
+    to set ``mix64(tag, salt=1) % N``, and only the sets ``s`` with
     ``s % T == 0``, ``T = max(1, N // k)``, are simulated.  Each sampled
     set is a direct-mapped slot: an access misses unless the previous
     access to its slot carried the same tag.  Misses scale by ``N`` over
     the number of sampled sets.  The curve is anchored at capacity 1,
-    where every access misses, and made non-increasing.
+    where every access misses (:meth:`SamplerParams.curve_capacities`),
+    and made non-increasing.
 
     The set mapping depends only on the tag, so it runs once per distinct
     (group, tag) pair, not once per access.  The sampled accesses of
@@ -139,18 +155,12 @@ def sample_curves(
     n_sampled = (n_sets + steps - 1) // steps
     counts = _sampled_misses(groups, tags, granularities, n_sets, steps, n_sampled)
     misses = counts * (n_sets / n_sampled)
-    # Anchor the curve at (no capacity -> every access misses).  Without
-    # this, interpolation below the first measured point would make an
-    # unallocated stream look as cheap as a small cache, and the
-    # lookahead would starve streams whose first measured point is
-    # already low (high block locality).
-    if capacities[0] > 1:
-        capacities = np.concatenate([[1], capacities])
+    grid = params.curve_capacities()
+    if len(grid) > len(capacities):
         accesses = np.bincount(groups, minlength=n_groups).astype(np.float64)
         misses = np.concatenate([accesses[:, None], misses], axis=1)
-        capacities.flags.writeable = False
     misses = np.maximum.accumulate(misses[:, ::-1], axis=1)[:, ::-1]
-    return [MissCurve(capacities, row) for row in misses]
+    return CurveTable(grid, range(n_groups), misses)
 
 
 def _sampled_misses(
@@ -300,7 +310,7 @@ class MissCurveSampler:
 
     def observe(
         self, groups: np.ndarray, tags: np.ndarray, granularities
-    ) -> list[MissCurve]:
+    ) -> CurveTable:
         """Sample one epoch's accesses; returns each group's scaled miss
-        curve (see :func:`sample_curves`)."""
+        curve as row ``g`` of a table (see :func:`sample_curves`)."""
         return sample_curves(groups, tags, granularities, self.params)

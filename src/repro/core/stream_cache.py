@@ -482,11 +482,10 @@ class StreamCacheMapper:
         set_idx = unpack_set_idx(set_ids)
         sets_in_row = max(1, mapping.entries_per_row // max(1, mapping.ways))
         row_in_alloc = set_idx // sets_in_row
-        # Translate via the group's row base for each unit.
-        base = np.zeros(len(set_ids), dtype=np.int64)
-        for unit, row_base in zip(group.units, group.row_base):
-            base[units == unit] = row_base
-        return base + row_in_alloc
+        # Translate via the group's row base for each unit (0 outside it).
+        unit_base = np.zeros(self.config.n_units, dtype=np.int64)
+        unit_base[group.units] = group.row_base
+        return unit_base[units] + row_in_alloc
 
     # ------------------------------------------------------------------
     # Epoch processing

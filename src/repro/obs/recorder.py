@@ -27,7 +27,7 @@ import json
 import math
 from typing import Iterator
 
-from repro.obs.tracing import PerfTracer
+from repro.obs.tracing import _NULL_SPAN, PerfTracer, _NullSpan
 
 # Schema history:
 #   1 — initial trace layout (header / events / counters / profile / footer).
@@ -57,21 +57,6 @@ def sanitize_json(obj):
     if isinstance(obj, (list, tuple)):
         return [sanitize_json(value) for value in obj]
     return obj
-
-
-class _NullSpan:
-    """Reusable do-nothing context manager."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class NullRecorder:

@@ -1,9 +1,9 @@
 """Dependency-free utilities: hashing, max-flow, miss curves, tables."""
 
 from repro.util.curves import (
-    LookaheadState,
+    CurveTable,
+    Lookahead,
     MissCurve,
-    SlopeSegment,
     geometric_capacities,
 )
 from repro.util.hashing import (
@@ -18,9 +18,9 @@ from repro.util.maxflow import FlowNetwork, solve_bipartite_assignment
 from repro.util.tables import format_value, geomean, render_table
 
 __all__ = [
-    "LookaheadState",
+    "CurveTable",
+    "Lookahead",
     "MissCurve",
-    "SlopeSegment",
     "geometric_capacities",
     "bucket",
     "bucket_array",

@@ -1,16 +1,19 @@
-"""Miss-curve containers and the lookahead slope primitive.
+"""Miss-curve tables and the lookahead slope primitive.
 
 A *miss curve* maps cache capacity to the number of misses a stream would
-incur at that capacity.  The paper's samplers (Section V-A) measure the
-curve at 64 geometrically spaced capacities; the configuration algorithm
-(Section V-C) repeatedly asks for the *steepest slope segment* — the
-capacity increment that removes the most misses per byte — which is the
-core primitive of the lookahead allocation family [6], [63].
+incur at that capacity.  The paper's samplers (Section V-A) measure every
+stream's curve at the same 64 geometrically spaced capacities, so one
+epoch's curves are the rows of one :class:`CurveTable` over that grid.
+The configuration algorithm (Section V-C) repeatedly asks for the
+*steepest slope segment* — the capacity increment that removes the most
+misses per byte — which is the core primitive of the lookahead
+allocation family [6], [63] (:class:`Lookahead`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +34,9 @@ def geometric_capacities(lo: int, hi: int, points: int) -> np.ndarray:
 
 @dataclass
 class MissCurve:
-    """Misses as a function of capacity for one stream.
-
-    ``capacities`` must be strictly increasing; ``misses`` must be the
-    miss *count* observed at each capacity (non-increasing curves are the
-    common case, but set-sampled curves can be mildly non-monotonic and we
-    accept them as measured).
-    """
+    """Misses as a function of capacity for one stream: a table row as
+    tests and reports read it.  ``capacities`` must be strictly
+    increasing, ``misses`` the miss count at each."""
 
     capacities: np.ndarray
     misses: np.ndarray
@@ -47,12 +46,7 @@ class MissCurve:
         self.misses = np.asarray(self.misses, dtype=np.float64)
         if self.capacities.ndim != 1 or self.capacities.shape != self.misses.shape:
             raise ValueError("capacities and misses must be matching 1-D arrays")
-        if len(self.capacities) < 1:
-            raise ValueError("a miss curve needs at least one point")
-        if np.any(np.diff(self.capacities) <= 0):
-            raise ValueError("capacities must be strictly increasing")
-        if np.any(self.misses < 0):
-            raise ValueError("miss counts cannot be negative")
+        _check_curves(self.capacities, self.misses)
 
     def misses_at(self, capacity: float) -> float:
         """Linearly interpolated miss count at ``capacity``.
@@ -63,135 +57,175 @@ class MissCurve:
         """
         return float(np.interp(capacity, self.capacities, self.misses))
 
-    def monotone(self) -> "MissCurve":
-        """Return a copy with misses made non-increasing (running minimum).
 
-        Set sampling lacks the stack property, so measured curves can
-        wiggle upward; the configuration algorithm wants the convexified
-        utility, for which a monotone curve is the first step.
+def _check_curves(capacities: np.ndarray, misses: np.ndarray) -> None:
+    if len(capacities) < 1:
+        raise ValueError("a miss curve needs at least one point")
+    if np.any(np.diff(capacities) <= 0):
+        raise ValueError("capacities must be strictly increasing")
+    if np.any(misses < 0):
+        raise ValueError("miss counts cannot be negative")
+
+
+class CurveTable:
+    """The miss curves of many streams or partitions over one capacity grid.
+
+    Row ``i`` of the 2-D ``misses`` array is the curve of ``ids[i]`` at
+    each of the shared, read-only ``capacities``.  Rows are validated and
+    made non-increasing (a running minimum: set sampling lacks the stack
+    property) once, when they enter a table; rows derived from them stay
+    so.  Row order is part of the result: lookahead ties go to the
+    earliest row.  Iterating yields a :class:`MissCurve` per row, for
+    tests and reports.
+    """
+
+    def __init__(self, capacities, ids, misses) -> None:
+        capacities = np.asarray(capacities, dtype=np.int64)
+        ids = [int(i) for i in ids]
+        misses = np.asarray(misses, dtype=np.float64)
+        if capacities.ndim != 1 or misses.shape != (len(ids), len(capacities)):
+            raise ValueError("misses must hold one row per id over a 1-D grid")
+        if len(set(ids)) != len(ids):
+            raise ValueError("curve ids must be distinct")
+        _check_curves(capacities, misses)
+        if capacities.flags.writeable:
+            capacities = capacities.copy()
+            capacities.flags.writeable = False
+        self._fill(capacities, ids, np.minimum.accumulate(misses, axis=1))
+
+    def _fill(self, capacities, ids: list[int], misses: np.ndarray) -> "CurveTable":
+        misses.flags.writeable = False
+        self.capacities, self.ids, self.misses = capacities, ids, misses
+        self._row = {id_: i for i, id_ in enumerate(ids)}
+        return self
+
+    def _derived(self, ids: list[int], misses: np.ndarray) -> "CurveTable":
+        """A table over the same grid from rows already in one."""
+        return object.__new__(CurveTable)._fill(self.capacities, ids, misses)
+
+    @classmethod
+    def empty(cls, capacities) -> "CurveTable":
+        return cls(capacities, [], np.empty((0, len(capacities))))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __contains__(self, id_) -> bool:
+        return id_ in self._row
+
+    def __iter__(self):
+        for row in self.misses:
+            yield MissCurve(self.capacities, row)
+
+    def row(self, id_: int) -> np.ndarray:
+        return self.misses[self._row[id_]]
+
+    def misses_at(self, id_: int, capacity: float) -> float:
+        """Row ``id_`` linearly interpolated at ``capacity``, clamped to
+        its first and last points outside the grid."""
+        return float(np.interp(capacity, self.capacities, self.misses[self._row[id_]]))
+
+    def select(self, ids) -> "CurveTable":
+        """The rows of ``ids``, in that order."""
+        ids = list(ids)
+        return self._derived(ids, self.misses[[self._row[i] for i in ids]])
+
+    def extended(self, ids, misses) -> "CurveTable":
+        """This table with new rows ``misses`` for ``ids`` appended."""
+        rows = np.concatenate([self.misses, np.asarray(misses, dtype=np.float64)])
+        return CurveTable(self.capacities, self.ids + list(ids), rows)
+
+    def smoothed(self, fresh: "CurveTable", ids) -> "CurveTable":
+        """EWMA (weight 1/2) of freshly sampled rows against this table.
+
+        Row ``i`` of ``fresh`` is the new sample of ``ids[i]``.  Ids with
+        a row here get ``0.5 * previous + 0.5 * fresh`` in place; the
+        others are appended in ``ids`` order.  Smoothing damps
+        epoch-to-epoch sampling noise; without it the lookahead order
+        flips between epochs and the resulting allocation churn costs
+        more than the reconfiguration gains.
         """
-        return MissCurve(self.capacities, np.minimum.accumulate(self.misses))
-
-    def scaled(self, factor: float) -> "MissCurve":
-        """Scale miss counts by ``factor`` (the paper's K/k set scaling)."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        return MissCurve(self.capacities, self.misses * factor)
-
-
-def smoothed_curve(fresh: MissCurve, previous: MissCurve | None) -> MissCurve:
-    """EWMA (weight 1/2) of a freshly sampled curve against the previous
-    one when both cover the same capacities; ``fresh`` otherwise.
-
-    Smoothing damps epoch-to-epoch sampling noise; without it the
-    lookahead order flips between epochs and the resulting allocation
-    churn costs more than the reconfiguration gains.
-    """
-    if previous is None or not np.array_equal(
-        previous.capacities, fresh.capacities
-    ):
-        return fresh
-    return MissCurve(fresh.capacities, 0.5 * previous.misses + 0.5 * fresh.misses)
+        if not np.array_equal(fresh.capacities, self.capacities):
+            raise ValueError("fresh curves must share the table's capacities")
+        ids = list(ids)
+        rows = np.array([self._row.get(i, -1) for i in ids], dtype=np.int64)
+        known = rows >= 0
+        misses = self.misses.copy()
+        misses[rows[known]] = 0.5 * self.misses[rows[known]] + 0.5 * fresh.misses[known]
+        new = [i for i, k in zip(ids, known) if not k]
+        return self._derived(self.ids + new, np.concatenate([misses, fresh.misses[~known]]))
 
 
-@dataclass
-class SlopeSegment:
-    """One candidate allocation step: spend ``size`` bytes, save ``gain`` misses."""
+class Lookahead:
+    """The paper's ``NextSteepestSlopeSeg`` over miss-curve rows: a
+    table's, or one curve per id, each on its own grid (made
+    non-increasing here, as on table entry).
 
-    stream_id: int
-    start_capacity: int
-    end_capacity: int
-    gain: float
-
-    @property
-    def size(self) -> int:
-        return self.end_capacity - self.start_capacity
-
-    @property
-    def slope(self) -> float:
-        """Misses saved per byte — the lookahead utility density."""
-        return self.gain / self.size if self.size > 0 else 0.0
-
-
-@dataclass
-class LookaheadState:
-    """Tracks per-stream allocated capacity during lookahead allocation.
-
-    Each stream's best extension depends only on its curve and its own
-    allocation, so it is cached per stream and recomputed only when one
-    of the two changed since it was derived — normally just the stream
-    the previous step committed.  Every read revalidates against the
-    live ``curves`` / ``allocated`` values, so callers may replace a
-    curve or set an allocation directly between calls.
+    Each row's steepest extension from its own allocation — slope
+    (misses saved per byte), end capacity and gain — is kept in per-row
+    arrays, and a step re-derives only the row it changed.
     """
 
-    curves: dict[int, MissCurve]
-    allocated: dict[int, int] = field(default_factory=dict)
-    # sid -> (allocation, curve, candidate): the candidate derived for
-    # that exact allocation and curve object; see _candidate.
-    _cache: dict[int, tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, curves: CurveTable | Mapping[int, MissCurve]) -> None:
+        if isinstance(curves, CurveTable):
+            self.ids = curves.ids
+            self._grids = [curves.capacities] * len(curves)
+            self._rows = curves.misses
+        else:
+            self.ids = list(curves)
+            self._grids = [c.capacities for c in curves.values()]
+            self._rows = [np.minimum.accumulate(c.misses) for c in curves.values()]
+        self._row = {id_: i for i, id_ in enumerate(self.ids)}
+        n = len(self.ids)
+        self.allocated = [0] * n
+        self.slope = np.full(n, -np.inf)
+        self.end = [0] * n
+        self.gain = [0.0] * n
+        for id_ in self.ids:
+            self.allocate(id_, 0)
 
-    def __post_init__(self) -> None:
-        for sid in self.curves:
-            self.allocated.setdefault(sid, 0)
-
-    @staticmethod
-    def _candidate(
-        curve: MissCurve, current: int
-    ) -> tuple[float, int, float] | None:
-        """The steepest extension of one stream from ``current``:
-        ``(slope, end_capacity, gain)``, or None when no measured point
-        past the allocation saves misses."""
-        current_misses = curve.misses_at(current)
-        # Consider extending to each measured capacity beyond current.
-        # One vector pass per curve: candidate slopes for every measured
-        # point past the allocation, first-max selection (argmax)
-        # matching the strict > of the scalar loop it replaced, so ties
-        # keep resolving to the earliest capacity.
-        caps = curve.capacities
-        gains = current_misses - curve.misses
-        candidate = (caps > current) & (gains > 0)
+    def allocate(self, id_: int, capacity: int) -> None:
+        """Set ``id_``'s allocation and re-derive its steepest extension:
+        the first of the steepest measured points past the allocation
+        that save misses, or none."""
+        i = self._row[id_]
+        caps = self._grids[i]
+        misses = self._rows[i]
+        self.allocated[i] = capacity
+        gains = np.interp(capacity, caps, misses) - misses
+        candidate = (caps > capacity) & (gains > 0)
         if not candidate.any():
-            return None
+            self.slope[i] = -np.inf
+            return
         cand_caps = caps[candidate]
         cand_gains = gains[candidate]
-        slopes = cand_gains / (cand_caps - current).astype(np.float64)
+        slopes = cand_gains / (cand_caps - capacity).astype(np.float64)
         j = int(np.argmax(slopes))
-        return float(slopes[j]), int(cand_caps[j]), float(cand_gains[j])
+        self.slope[i] = slopes[j]
+        self.end[i] = int(cand_caps[j])
+        self.gain[i] = float(cand_gains[j])
 
-    def next_steepest_segment(
-        self, exclude: set[int] | None = None
-    ) -> SlopeSegment | None:
-        """The paper's ``NextSteepestSlopeSeg``: across all streams, find the
-        capacity extension with maximum misses-saved-per-byte from the
-        stream's current allocation.  Returns None when no stream can save
-        any further misses.  Streams in ``exclude`` are skipped (the
-        configurator uses this for streams that can no longer get space).
-        """
-        cache = self._cache
-        best_sid = -1
-        best: tuple[float, int, float] | None = None
-        best_slope = -np.inf
-        for sid, curve in self.curves.items():
-            if exclude and sid in exclude:
-                continue
-            current = self.allocated[sid]
-            entry = cache.get(sid)
-            if entry is None or entry[0] != current or entry[1] is not curve:
-                entry = (current, curve, self._candidate(curve, current))
-                cache[sid] = entry
-            candidate = entry[2]
-            # Strict >: across streams, ties resolve to the first stream
-            # in dict order.
-            if candidate is not None and candidate[0] > best_slope:
-                best_sid, best, best_slope = sid, candidate, candidate[0]
-        if best is None:
+    def next(self, exclude=None) -> tuple[int, int] | None:
+        """The steepest extension of any row not in ``exclude``, as
+        ``(id, bytes)``, or None when no row can save further misses.
+        Ties go to the earliest row."""
+        slope = self.slope
+        if exclude:
+            slope = slope.copy()
+            slope[[self._row[i] for i in exclude if i in self._row]] = -np.inf
+        if not len(slope):
             return None
-        return SlopeSegment(best_sid, self.allocated[best_sid], best[1], best[2])
+        i = int(np.argmax(slope))
+        if slope[i] == -np.inf:
+            return None
+        return self.ids[i], self.end[i] - self.allocated[i]
 
-    def commit(self, segment: SlopeSegment) -> None:
-        if segment.start_capacity != self.allocated[segment.stream_id]:
-            raise ValueError("segment does not extend the current allocation")
-        self.allocated[segment.stream_id] = segment.end_capacity
+    def commit(self, id_: int) -> None:
+        """Grant ``id_`` its steepest extension."""
+        i = self._row[id_]
+        if self.slope[i] == -np.inf:
+            raise ValueError(f"curve {id_} has no extension to commit")
+        self.allocate(id_, self.end[i])
+
+    def allocations(self) -> dict[int, int]:
+        return dict(zip(self.ids, self.allocated))

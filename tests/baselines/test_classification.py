@@ -98,8 +98,7 @@ class TestNexusDegreeModel:
     def test_no_read_only_partitions_means_degree_one(self):
         policy = setup_policy(NexusPolicy())
         policy._read_only = {}
-        policy._curves = {}
-        assert policy._pick_degree() == 1
+        assert policy._pick_degree({}) == 1
 
 
 class TestEndEpochPlumbing:

@@ -11,7 +11,7 @@ from repro.baselines.common import (
 )
 from repro.sim.params import tiny
 from repro.sim.topology import Topology
-from repro.util.curves import MissCurve
+from repro.util.curves import CurveTable
 from repro.workloads import TINY, build
 
 
@@ -91,10 +91,7 @@ class TestDefaultPolicy:
 
 class TestSizingHelpers:
     def test_lookahead_respects_budget(self, policy):
-        curves = {
-            0: MissCurve(np.array([1024, 4096]), np.array([1000.0, 10.0])),
-            1: MissCurve(np.array([1024, 4096]), np.array([500.0, 5.0])),
-        }
+        curves = CurveTable([1024, 4096], [0, 1], [[1000.0, 10.0], [500.0, 5.0]])
         sizes = policy.lookahead_sizes(curves, budget_bytes=4096)
         assert sum(sizes.values()) <= 4096
 
@@ -130,13 +127,15 @@ class TestSizingHelpers:
         assert combined == list(range(policy.config.n_units))
 
     def test_smooth_curve_damps(self, policy):
-        caps = np.array([100, 200])
-        first = policy.smooth_curve(0, MissCurve(caps, np.array([100.0, 0.0])))
-        second = policy.smooth_curve(0, MissCurve(caps, np.array([0.0, 0.0])))
-        assert second.misses[0] == pytest.approx(50.0)
+        caps = policy._history.capacities
+        ones = np.ones((1, len(caps)))
+        for misses in (100.0, 0.0):
+            fresh = CurveTable(caps, [0], misses * ones)
+            policy._history = policy._history.smoothed(fresh, [0])
+        assert policy._history.row(0)[0] == pytest.approx(50.0)
 
     def test_should_install_requires_gain(self, policy):
-        curves = {0: MissCurve(np.array([100, 1000]), np.array([1000.0, 10.0]))}
+        curves = CurveTable([100, 1000], [0], [[1000.0, 10.0]])
         assert policy.should_install(curves, {0: 100})  # nothing installed yet
         policy.record_install({0: 100})
         assert not policy.should_install(curves, {0: 101})  # no real gain

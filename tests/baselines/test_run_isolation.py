@@ -75,6 +75,6 @@ def test_empty_epoch_is_observed_without_profiles(policy_name):
     installed = policy._partitions
     epoch = empty_trace()
     policy.observe(1, epoch, policy.classify(epoch))
-    assert policy._curves == {}
+    assert len(policy._curves) == 0
     policy.reconfigure(2)
     assert policy._partitions is installed

@@ -8,10 +8,17 @@ identity groups, no memo — as the oracle that
 ``test_configure_oracle.py`` compares the optimised configurator
 against decision for decision.  Do not optimise this file.
 
-The one edit since: ``Group`` compares by identity (``eq=False``), as in
-``core/configure.py``.  With value equality, a merge that leaves a group
-holding the same rows as its sibling made ``list.remove`` drop the wrong
-group.
+The edits since:
+
+* ``Group`` compares by identity (``eq=False``), as in
+  ``core/configure.py``.  With value equality, a merge that leaves a
+  group holding the same rows as its sibling made ``list.remove`` drop
+  the wrong group.
+* ``MissCurve`` (with ``monotone``) and ``SlopeSegment`` are copied here
+  verbatim from ``util/curves.py``, which has since replaced them with a
+  curve table, and ``configure`` first turns its ``curves`` (a
+  ``CurveTable`` or one ``util.curves.MissCurve`` per stream) into these
+  copies.
 """
 
 from __future__ import annotations
@@ -24,7 +31,80 @@ import numpy as np
 from repro.core.remap import NO_GROUP, StreamAllocation
 from repro.core.stream import StreamConfig
 from repro.sim.topology import Topology
-from repro.util.curves import MissCurve, SlopeSegment
+from repro.util.curves import CurveTable
+
+
+@dataclass
+class MissCurve:
+    """Misses as a function of capacity for one stream.
+
+    ``capacities`` must be strictly increasing; ``misses`` must be the
+    miss *count* observed at each capacity (non-increasing curves are the
+    common case, but set-sampled curves can be mildly non-monotonic and we
+    accept them as measured).
+    """
+
+    capacities: np.ndarray
+    misses: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.capacities = np.asarray(self.capacities, dtype=np.int64)
+        self.misses = np.asarray(self.misses, dtype=np.float64)
+        if self.capacities.ndim != 1 or self.capacities.shape != self.misses.shape:
+            raise ValueError("capacities and misses must be matching 1-D arrays")
+        if len(self.capacities) < 1:
+            raise ValueError("a miss curve needs at least one point")
+        if np.any(np.diff(self.capacities) <= 0):
+            raise ValueError("capacities must be strictly increasing")
+        if np.any(self.misses < 0):
+            raise ValueError("miss counts cannot be negative")
+
+    def misses_at(self, capacity: float) -> float:
+        """Linearly interpolated miss count at ``capacity``.
+
+        Below the first measured point the curve is clamped to the first
+        value; beyond the last point it is clamped to the last value
+        (capacity beyond the measured range cannot add misses).
+        """
+        return float(np.interp(capacity, self.capacities, self.misses))
+
+    def monotone(self) -> "MissCurve":
+        """Return a copy with misses made non-increasing (running minimum).
+
+        Set sampling lacks the stack property, so measured curves can
+        wiggle upward; the configuration algorithm wants the convexified
+        utility, for which a monotone curve is the first step.
+        """
+        return MissCurve(self.capacities, np.minimum.accumulate(self.misses))
+
+
+@dataclass
+class SlopeSegment:
+    """One candidate allocation step: spend ``size`` bytes, save ``gain`` misses."""
+
+    stream_id: int
+    start_capacity: int
+    end_capacity: int
+    gain: float
+
+    @property
+    def size(self) -> int:
+        return self.end_capacity - self.start_capacity
+
+    @property
+    def slope(self) -> float:
+        """Misses saved per byte — the lookahead utility density."""
+        return self.gain / self.size if self.size > 0 else 0.0
+
+
+def reference_curves(curves) -> dict[int, MissCurve]:
+    """The reference's own curve per stream, from a table or a mapping."""
+    if isinstance(curves, CurveTable):
+        return {
+            sid: MissCurve(curves.capacities, row)
+            for sid, row in zip(curves.ids, curves.misses)
+        }
+    return {sid: MissCurve(c.capacities, c.misses) for sid, c in curves.items()}
 
 
 @dataclass
@@ -180,6 +260,7 @@ class CacheConfigurator:
         names streams annotated read-only that have been written (the
         mapper's write exception): they are placed as a single copy.
         """
+        curves = reference_curves(curves)
         self._streams = streams
         self._write_excepted = write_excepted or set()
         self._acc_units = {

@@ -88,9 +88,9 @@ class TestDynamicBehavior:
         policy = NdpExtPolicy()
         policy.setup(config, Topology(config), workload)
         sid = next(iter(policy._streams))
-        curve = policy._fallback_curve(sid, accesses=1000)
-        assert curve.misses[0] >= curve.misses[-1]
-        assert curve.misses.max() <= 1000
+        (misses,) = policy._fallback_rows({sid: 1000})
+        assert misses[0] >= misses[-1]
+        assert misses.max() <= 1000
 
     def test_hysteresis_blocks_noise_reconfigs(self, config, workload):
         """With an enormous gain threshold nothing ever reconfigures."""

@@ -1,14 +1,20 @@
 """Unit tests for the runtime's internal cost model and scheduling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.remap import StreamAllocation
 from repro.core.runtime import NdpExtPolicy
+from repro.core.sampler import SamplerParams
 from repro.sim.params import tiny
 from repro.sim.topology import Topology
-from repro.util.curves import MissCurve
+from repro.util.curves import CurveTable, Lookahead
 from repro.workloads import TINY, build
+from tests.core import configure_reference as ref
 
 
 @pytest.fixture()
@@ -19,13 +25,13 @@ def policy():
     return policy
 
 
-def flat_curve(misses, caps=(1024, 4096, 16384)):
-    return MissCurve(np.array(caps), np.array(misses, dtype=float))
+def curve_table(sid, misses, caps=(1024, 4096, 16384)):
+    return CurveTable(caps, [sid], [misses])
 
 
 class TestShouldReconfigure:
     def test_never_at_epoch_zero(self, policy):
-        policy._curves = {0: flat_curve([10, 5, 1])}
+        policy._curves = curve_table(0, [10, 5, 1])
         assert not policy._should_reconfigure(0)
 
     def test_never_without_curves(self, policy):
@@ -35,7 +41,7 @@ class TestShouldReconfigure:
         config = tiny()
         policy = NdpExtPolicy(reconfig_interval=2)
         policy.setup(config, Topology(config), build("pr", TINY))
-        policy._curves = {0: flat_curve([10, 5, 1])}
+        policy._curves = curve_table(0, [10, 5, 1])
         assert policy._should_reconfigure(2)
         assert not policy._should_reconfigure(3)
 
@@ -43,7 +49,7 @@ class TestShouldReconfigure:
         config = tiny()
         policy = NdpExtPolicy(mode="partial", partial_epochs=2)
         policy.setup(config, Topology(config), build("pr", TINY))
-        policy._curves = {0: flat_curve([10, 5, 1])}
+        policy._curves = curve_table(0, [10, 5, 1])
         assert policy._should_reconfigure(2)
         assert not policy._should_reconfigure(3)
 
@@ -52,7 +58,7 @@ class TestPredictedCost:
     def test_more_capacity_cheaper(self, policy):
         config = policy.config
         sid = next(iter(policy._streams))
-        curve = flat_curve([1000, 100, 0])
+        curves = curve_table(sid, [1000, 100, 0])
         policy._epoch_access_totals = {sid: 1000}
         policy._acc_counts = {sid: {0: 1000}}
         policy._acc_units = {sid: [0]}
@@ -62,14 +68,13 @@ class TestPredictedCost:
         big_alloc = StreamAllocation.single_group(
             sid, np.array([8, 0, 0, 0], dtype=np.int64)
         )
-        curves = {sid: curve}
         assert policy._predicted_cost(curves, [big_alloc]) < policy._predicted_cost(
             curves, [small_alloc]
         )
 
     def test_remote_allocation_costlier_than_local(self, policy):
         sid = next(iter(policy._streams))
-        curve = flat_curve([0, 0, 0])  # all hits: only distance matters
+        curves = curve_table(sid, [0, 0, 0])  # all hits: only distance matters
         policy._epoch_access_totals = {sid: 1000}
         policy._acc_counts = {sid: {0: 1000}}
         policy._acc_units = {sid: [0]}
@@ -79,7 +84,6 @@ class TestPredictedCost:
         remote = StreamAllocation.single_group(
             sid, np.array([0, 0, 0, 4], dtype=np.int64)
         )
-        curves = {sid: curve}
         assert policy._predicted_cost(curves, [local]) < policy._predicted_cost(
             curves, [remote]
         )
@@ -89,7 +93,8 @@ class TestPredictedCost:
         alloc = StreamAllocation.single_group(
             sid, np.array([1, 0, 0, 0], dtype=np.int64)
         )
-        assert policy._predicted_cost({}, [alloc]) == 0.0
+        empty = CurveTable.empty(policy._curves.capacities)
+        assert policy._predicted_cost(empty, [alloc]) == 0.0
 
 
 class TestMeanHitDistance:
@@ -119,11 +124,63 @@ class TestMeanHitDistance:
 class TestFallbackCurve:
     def test_bounded_by_accesses(self, policy):
         sid = next(iter(policy._streams))
-        curve = policy._fallback_curve(sid, accesses=500)
-        assert curve.misses.max() <= 500
-        assert curve.misses.min() >= 0
+        (misses,) = policy._fallback_rows({sid: 500})
+        assert misses.max() <= 500
+        assert misses.min() >= 0
 
     def test_decreasing(self, policy):
         sid = next(iter(policy._streams))
-        curve = policy._fallback_curve(sid, accesses=500)
-        assert (np.diff(curve.misses) <= 1e-9).all()
+        (misses,) = policy._fallback_rows({sid: 500})
+        assert (np.diff(misses) <= 1e-9).all()
+
+    @given(
+        elements=st.integers(1, 1 << 34),
+        accesses=st.integers(1, 10**9),
+        points=st.integers(2, 64),
+        lo=st.sampled_from([1, 1024]),
+        capacities=st.lists(st.floats(-10.0, 2.0**41), max_size=50),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_anchored_row_reads_as_the_unanchored_curve(
+        self, elements, accesses, points, lo, capacities
+    ):
+        """On the curve grid (anchored at capacity 1 unless the cases
+        start there), the prior reads exactly as the curve over the bare
+        capacity cases did: under ``np.interp`` everywhere, and step for
+        step under the lookahead."""
+        policy = NdpExtPolicy()
+        config = tiny()
+        policy.setup(config, Topology(config), build("pr", TINY))
+        policy.sampler_params = SamplerParams(
+            capacity_points=points, min_capacity=lo, max_capacity=1 << 30
+        )
+        sid = next(iter(policy._streams))
+        stream = policy._streams[sid]
+        size = elements * stream.elem_size
+        policy._streams[sid] = dataclasses.replace(stream, size=size)
+        grid = policy.sampler_params.curve_capacities()
+        (row,) = policy._fallback_rows({sid: accesses})
+
+        caps = policy.sampler_params.capacities()
+        fraction = np.clip(caps / max(1, size), 0.0, 1.0)
+        old = ref.MissCurve(caps, accesses * (1.0 - fraction))
+
+        probes = np.concatenate(
+            [capacities, grid, grid - 0.5, grid + 0.5, [0, 1, 1 << 31]]
+        )
+        assert np.array_equal(
+            np.interp(probes, grid, row), np.interp(probes, old.capacities, old.misses)
+        )
+
+        lookahead = Lookahead(CurveTable(grid, [sid], [row]))
+        state = ref.LookaheadState({sid: old.monotone()})
+        while True:
+            step = lookahead.next()
+            want = state.next_steepest_segment()
+            assert (step is None) == (want is None)
+            if step is None:
+                break
+            assert step == (sid, want.size)
+            assert (lookahead.end[0], lookahead.gain[0]) == (want.end_capacity, want.gain)
+            lookahead.commit(sid)
+            state.commit(want)

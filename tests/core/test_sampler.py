@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.sampler import SamplerParams, sample_curve, stream_tags
+from repro.core.sampler import SamplerParams, sample_curves, stream_tags
 from repro.core.stream import StreamConfig, StreamKind
 from repro.sim.cachesim import direct_mapped_hits
 from repro.util.curves import MissCurve
@@ -18,6 +18,15 @@ def make_stream(elem=64, n_elems=4096):
         size=elem * n_elems,
         elem_size=elem,
     )
+
+
+def sample_curve(tags, granularity, params):
+    """Set-sampled direct-mapped miss curve over one tag trace: the
+    one-group call of :func:`sample_curves`."""
+    tags = np.asarray(tags, dtype=np.int64)
+    groups = np.zeros(len(tags), dtype=np.int64)
+    (curve,) = sample_curves(groups, tags, [granularity], params)
+    return curve
 
 
 def exact_curve(tags, granularity, params):
@@ -78,7 +87,7 @@ class TestSampleCurve:
 
     def test_misses_decrease_with_capacity_for_reuse(self):
         tags = zipf_elems(4096, 30_000)
-        curve = sample_curve(tags, 64, self.params()).monotone()
+        curve = sample_curve(tags, 64, self.params())
         assert curve.misses[0] > curve.misses[-1]
 
     def test_streaming_trace_flat(self):
