@@ -28,7 +28,7 @@ MANIFEST`` journals completed cells so an interrupted sweep picks up
 exactly where it stopped.  Completed cells persist in a
 content-addressed disk cache (``REPRO_CACHE_DIR``, disable with
 ``REPRO_DISK_CACHE=0``), so repeated invocations skip simulation
-entirely.  ``bench`` measures the kernel backends, the paper-scale
+entirely.  ``bench`` measures the epoch kernels, the paper-scale
 cells, parallel fan-out, and cache behaviour, writing a
 ``BENCH_<date>.json``.
 
@@ -91,7 +91,6 @@ import sys
 from repro.experiments import faults, fig2, fig4b, fig5, fig6, fig7, fig8, fig9, sec5d
 from repro.experiments.runner import POLICIES, PRESETS, Cell, ExperimentContext
 from repro.obs import Recorder, diff_rows, read_trace, summarize, summary_rows
-from repro.sim.kernels import BACKENDS
 from repro.sim.metrics import SimulationReport
 from repro.util import render_table
 from repro.workloads import SUITE
@@ -173,13 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="retries per cell after the first attempt before it is "
         "quarantined into the poison list (default: 2)",
     )
-    parser.add_argument(
-        "--backend",
-        default="numpy",
-        choices=sorted(BACKENDS),
-        help="engine kernel backend (default: numpy). 'python' is the "
-        "pure-python reference; both backends produce bit-identical reports",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="simulate one workload under one policy")
@@ -229,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench_p = sub.add_parser(
-        "bench", help="benchmark kernel backends, paper-scale cells, parallel fan-out, caching"
+        "bench", help="benchmark the epoch kernels, paper-scale cells, parallel fan-out, caching"
     )
     bench_p.add_argument(
         "--quick",
@@ -627,7 +619,6 @@ def cmd_profile(args) -> None:
             jobs=args.jobs,
             timeout_s=args.timeout,
             max_retries=args.max_retries,
-            backend=args.backend,
         )
         with activate(tracer):
             if args.suite:
@@ -761,7 +752,6 @@ def cmd_serve(args) -> None:
         preset=args.preset,
         recorder=recorder,
         journal_path=args.journal,
-        backend=args.backend,
     )
     server = None
     if args.listen:
@@ -876,7 +866,6 @@ def main(argv: list[str] | None = None) -> int:
         manifest_path=args.resume,
         timeout_s=args.timeout,
         max_retries=args.max_retries,
-        backend=args.backend,
     )
     if args.command == "run":
         cmd_run(context, args)

@@ -27,7 +27,8 @@ from repro.core.consistent import VIRTUAL_NODES, ConsistentRing, spots_of_group
 from repro.core.remap import NO_GROUP, RemapTable, StreamAllocation
 from repro.core.slb import StreamLookaheadBuffer
 from repro.core.stream import StreamConfig, StreamTable
-from repro.sim.cachesim import _prev_in_group, set_assoc_hits
+from repro.sim import kernels
+from repro.sim.cachesim import set_assoc_hits
 from repro.sim.engine import ReconfigStats, RequestOutcome
 from repro.sim.kernels import stable_argsort
 from repro.sim.params import SystemConfig
@@ -190,7 +191,7 @@ def rescue_first_touches(
     if not resident:
         return 0
     pair = _pair_keys(set_ids, tags)
-    prev_idx, _ = _prev_in_group(pair, pair)
+    prev_idx, _ = kernels.prev_in_group(pair, pair)
     first_touch = cached & (prev_idx < 0) & ~hit
     if not first_touch.any():
         return 0

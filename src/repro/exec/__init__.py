@@ -10,7 +10,7 @@ Public surface:
   (retry/timeout/backoff, poison-list quarantine).
 * :mod:`repro.exec.checkpoint` — append-only sweep manifests (resume).
 * :mod:`repro.exec.bench` — the ``python -m repro bench`` harness: the
-  kernel-backend, paper-mesh, paper-preset set-up and pool cells that
+  kernel, paper-mesh, paper-preset set-up and pool cells that
   the end-to-end ``perfbench`` cannot see.
 """
 

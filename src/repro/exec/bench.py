@@ -4,9 +4,9 @@ Measures what the end-to-end benchmark (``perfbench/``) cannot see, and
 writes one ``BENCH_<date>.json`` so numbers can be committed alongside
 the code they describe:
 
-* **kernels** — throughput of every kernel backend on one kernel-bound
-  cell, the reports asserted bit-identical, and ``kernel_speedup``:
-  numpy kernels over the pure-python reference loops.
+* **kernels** — throughput of the epoch kernels on one kernel-bound
+  cell (``backends.numpy.accesses_per_second``, the key earlier bench
+  files carry).
 * **engine_paper** — throughput on the full 128-unit paper mesh with a
   shrunk unit cache, the guard against collapses that only show at
   paper-scale topology.
@@ -40,28 +40,12 @@ def _time(fn, *args, **kwargs):
     return time.perf_counter() - t0, result
 
 
-def _assert_reports_identical(a, b, context: str) -> None:
-    """Recursive dataclass-field equality — the timed backend runs must
-    produce the same report bit for bit, or the speedup is meaningless."""
-    from dataclasses import fields
-
-    for f in fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if hasattr(va, "__dataclass_fields__"):
-            _assert_reports_identical(va, vb, context)
-        elif va != vb:
-            raise AssertionError(
-                f"{context}: report field {f.name} diverged: {va!r} != {vb!r}"
-            )
-
-
 def _kernel_cell(quick: bool):
-    """The kernel-bound cell the backend speedup is measured on.
+    """The kernel-bound cell the kernels' throughput is measured on.
 
     A cell at the preset's own epoch size spends much of its wall clock
-    in shared float math (policy configure, miss-curve sampling) that is
-    identical across backends and dilutes the ratio; this cell enlarges
-    the epoch so the keyed scans the backends actually swap dominate.
+    in float math (policy configure, miss-curve sampling) outside the
+    kernels; this cell enlarges the epoch so the keyed scans dominate.
     """
     from dataclasses import replace
 
@@ -78,47 +62,33 @@ def _kernel_cell(quick: bool):
 
 
 def bench_kernels(quick: bool, repeats: int) -> dict:
-    """Per-backend throughput on the kernel-bound cell.
+    """Throughput on the kernel-bound cell.
 
-    Both backends run the same workload ``repeats`` times
-    (min-of-repeats wall clock on both sides — single runs on this class
-    of shared machine are ±20% noisy) and the reports are asserted
-    bit-identical before any ratio is published.  ``kernel_speedup`` is
-    the headline: numpy kernels over the pure-python reference loops.
+    The cell runs ``repeats`` times and the best wall clock counts
+    (single runs on this class of shared machine are ±20% noisy).
     """
     from repro.core import NdpExtPolicy
     from repro.sim import SimulationEngine
-    from repro.sim.engine import EngineOptions
 
     workload, config = _kernel_cell(quick)
     n_accesses = len(workload.trace)
-    backends: dict = {}
-    reports: dict = {}
-    for name in ("numpy", "python"):
-        times = []
-        for _ in range(repeats):
-            engine = SimulationEngine(config, EngineOptions(backend=name))
-            dt, report = _time(engine.run, workload, NdpExtPolicy())
-            times.append(dt)
-        best = min(times)
-        reports[name] = report
-        backends[name] = {
-            "seconds_best": best,
-            "seconds_all": times,
-            "accesses_per_second": n_accesses / best if best else 0.0,
-        }
-    _assert_reports_identical(
-        reports["numpy"], reports["python"], "backend numpy vs python"
-    )
-    aps_numpy = backends["numpy"]["accesses_per_second"]
-    aps_python = backends["python"]["accesses_per_second"]
+    times = []
+    for _ in range(repeats):
+        engine = SimulationEngine(config)
+        dt, _ = _time(engine.run, workload, NdpExtPolicy())
+        times.append(dt)
+    best = min(times)
     return {
         "workload": "pr",
         "accesses": n_accesses,
         "epoch_accesses": config.epoch_accesses,
-        "backends": backends,
-        "kernel_speedup": aps_numpy / aps_python if aps_python else 0.0,
-        "reports_identical": True,
+        "backends": {
+            "numpy": {
+                "seconds_best": best,
+                "seconds_all": times,
+                "accesses_per_second": n_accesses / best if best else 0.0,
+            }
+        },
     }
 
 
@@ -316,7 +286,6 @@ def _history_snapshot(payload: dict) -> dict:
         "quick": bool(payload.get("quick")),
     }
     for dotted in (
-        "kernels.kernel_speedup",
         "kernels.backends.numpy.accesses_per_second",
         "engine_paper.accesses_per_second",
         "paper_setup.setup_s",
@@ -379,18 +348,13 @@ def cmd_bench(args) -> None:
         if setup
         else []
     )
-    backend_row = " / ".join(
-        f"{name} {row['accesses_per_second']:,.0f}/s"
-        for name, row in kernels["backends"].items()
-    )
     print(
         render_table(
             ["metric", "value"],
             [
-                ["kernel backends", backend_row],
                 [
-                    "kernel speedup (numpy vs python)",
-                    f"{kernels['kernel_speedup']:.2f}x",
+                    "kernel cell accesses/s",
+                    f"{kernels['backends']['numpy']['accesses_per_second']:,.0f}",
                 ],
                 [
                     f"paper mesh ({paper['n_units']} units) accesses/s",

@@ -60,7 +60,6 @@ from typing import Callable, Sequence
 from repro.faults import FaultSchedule
 from repro.obs.tracing import PerfTracer, activate, current
 from repro.sim import (
-    EngineOptions,
     SimulationEngine,
     SimulationReport,
     SystemConfig,
@@ -89,7 +88,6 @@ class CellTask:
     workload_name: str | None = None
     scale: WorkloadScale | None = None
     label: str = ""
-    backend: str = "numpy"
 
     def materialize(self) -> Workload:
         if self.workload is None:
@@ -112,11 +110,7 @@ class CellTask:
         tracer = current()
         with tracer.span("task.materialize", cat="task"):
             workload = self.materialize()
-        engine = SimulationEngine(
-            self.config,
-            EngineOptions(backend=self.backend),
-            faults=self.faults,
-        )
+        engine = SimulationEngine(self.config, faults=self.faults)
         with tracer.span("task.simulate", cat="task"):
             return engine.run(workload, self.policy_factory())
 

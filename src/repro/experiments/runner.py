@@ -41,7 +41,6 @@ from repro.faults import FaultSchedule
 from repro.obs import NullRecorder
 from repro.obs.tracing import current
 from repro.sim import (
-    EngineOptions,
     SimulationEngine,
     SimulationReport,
     SystemConfig,
@@ -120,7 +119,6 @@ class ExperimentContext:
     max_retries: int = 2
     timeout_s: float | None = None
     manifest_path: str | None = None
-    backend: str = "numpy"
     cache_hits_mem: int = 0
     cache_hits_disk: int = 0
     cache_misses: int = 0
@@ -289,7 +287,6 @@ class ExperimentContext:
                 policy_factory=factory,
                 faults=cell.faults,
                 label=label,
-                backend=self.backend,
             )
         return CellTask(
             workload=None,
@@ -299,7 +296,6 @@ class ExperimentContext:
             workload_name=cell.workload,
             scale=scale,
             label=label,
-            backend=self.backend,
         )
 
     # ------------------------------------------------------------------
@@ -339,7 +335,6 @@ class ExperimentContext:
             factory = policy_factory or POLICIES[policy_name]
             engine = SimulationEngine(
                 cell.config if cell.config is not None else self.config,
-                EngineOptions(backend=self.backend),
                 faults=faults,
                 recorder=recorder,
             )

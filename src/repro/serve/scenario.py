@@ -35,7 +35,7 @@ from repro.serve.admission import SloAdmissionController
 from repro.serve.loop import ServeLoop, ServeOptions
 from repro.serve.report import ServeReport
 from repro.serve.tenants import Batch, TenantSpec
-from repro.sim.engine import EngineOptions, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.workloads import SMALL, build
 
 ADMISSION_MODES = ("quota", "slo")
@@ -164,7 +164,6 @@ class ServeHarness:
         preset: str = "tiny",
         recorder: NullRecorder | None = None,
         journal_path=None,
-        backend: str = "numpy",
     ) -> None:
         self.scenario = scenario
         self.preset = preset
@@ -192,7 +191,6 @@ class ServeHarness:
             )
         self.engine = SimulationEngine(
             self.config,
-            EngineOptions(backend=backend),
             faults=faults,
             recorder=recorder,
         )

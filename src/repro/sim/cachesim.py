@@ -19,28 +19,16 @@ approximation relative to the paper is only in the choice of policy
 (FIFO-in-set vs. true LRU, window vs. true stack distance), which is a
 standard low-cost substitution documented in DESIGN.md.
 
-The heavy lifting lives in :mod:`repro.sim.kernels`: this module keeps
-the validation and documentation and delegates each scan to the ambient
-kernel backend (:func:`repro.sim.kernels.active`), so the engine's
-``--backend`` selection covers every policy and cache model without
-threading a backend object through them.
+The exact scans live in :mod:`repro.sim.kernels`: this module validates
+its inputs and calls the kernels through that module.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import active, stable_argsort
-
-
-def _prev_in_group(group: np.ndarray, value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each access i, the previous access index (in trace order) that
-    belongs to the same ``group`` (slot/set), and that access's ``value``.
-
-    Returns (prev_index, prev_value) where ``prev_index`` is -1 when the
-    access is the first to touch its group.
-    """
-    return active().prev_in_group(np.asarray(group), np.asarray(value))
+from . import kernels
+from .kernels import stable_argsort
 
 
 def direct_mapped_hits(slots: np.ndarray, tags: np.ndarray) -> np.ndarray:
@@ -54,7 +42,7 @@ def direct_mapped_hits(slots: np.ndarray, tags: np.ndarray) -> np.ndarray:
     tags = np.asarray(tags)
     if slots.shape != tags.shape:
         raise ValueError("slots and tags must have the same shape")
-    return active().direct_mapped_hits(slots, tags)
+    return kernels.direct_mapped_hits(slots, tags)
 
 
 def set_assoc_hits(sets: np.ndarray, tags: np.ndarray, ways: int) -> np.ndarray:
@@ -142,7 +130,7 @@ def recency_hits(keys: np.ndarray, window: int) -> np.ndarray:
     if n == 0 or window == 0:
         return np.zeros(n, dtype=bool)
     # Window-LRU is grouped window-LRU with every access in one group.
-    return active().window_hits_grouped(
+    return kernels.window_hits_grouped(
         keys, np.zeros(n, dtype=np.int64), window
     )
 
@@ -174,7 +162,7 @@ def recency_hits_grouped(
     groups = np.asarray(groups)
     if keys.shape != groups.shape:
         raise ValueError("keys and groups must have the same shape")
-    return active().window_hits_grouped(keys, groups, window, order=order)
+    return kernels.window_hits_grouped(keys, groups, window, order=order)
 
 
 def cold_miss_count(keys: np.ndarray) -> int:

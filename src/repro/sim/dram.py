@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.kernels import active
+from repro.sim import kernels
 from repro.sim.params import CACHELINE_BYTES, DramTiming
 
 
@@ -64,8 +64,8 @@ class DramModel:
             banks = banks + np.asarray(channel, dtype=np.int64) * self.timing.banks
         # Row hit iff the previous access to the same bank opened the same
         # row — the (bank, row) pair is exactly a direct-mapped (slot, tag)
-        # check, fused in the kernel backend into one stable-sort pass.
-        row_hit = active().row_hit_mask(banks, rows)
+        # check, one stable-sort pass.
+        row_hit = kernels.direct_mapped_hits(banks, rows)
         latency = np.where(row_hit, self.timing.row_hit_ns, self.timing.row_miss_ns)
         return DramAccessResult(latency_ns=latency, row_hit=row_hit)
 

@@ -31,7 +31,7 @@ from repro.obs.recorder import NullRecorder
 from repro.obs.spatial import SpatialAccumulator
 from repro.obs.timeline import EpochRecord, Timeline
 from repro.obs.tracing import NULL_TRACER, current
-from repro.sim.kernels import BACKENDS, resolve_backend, stable_argsort, use_backend
+from repro.sim import kernels
 from repro.sim.cxl import ExtendedMemory
 from repro.sim.dram import DramModel
 from repro.sim.metrics import (
@@ -159,25 +159,11 @@ class DramCachePolicy(ABC):
 
 @dataclass
 class EngineOptions:
-    """Engine knobs that are not part of the system description.
-
-    ``backend`` picks the kernel implementation for the exact hot-loop
-    scans (see :mod:`repro.sim.kernels`): ``numpy`` (default) or ``python``
-    (the slow reference the benchmark's ``kernel_speedup`` is measured
-    against).  Reports are bit-identical across backends.
-    """
+    """Engine knobs that are not part of the system description."""
 
     exact_l1: bool = False
     max_epochs: int | None = None
     cxl_port_unit: int = 0
-    backend: str = "numpy"
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown engine backend {self.backend!r}; "
-                f"choose from {BACKENDS}"
-            )
 
 
 class SimulationEngine:
@@ -193,7 +179,6 @@ class SimulationEngine:
         self.config = config
         self.options = options or EngineOptions()
         self.recorder = recorder if recorder is not None else NullRecorder()
-        self.kernels = resolve_backend(self.options.backend)
         self.fault_schedule = faults
         self.fault_state: FaultState | None = None
         self.topology = Topology(config)
@@ -304,7 +289,7 @@ class SimulationEngine:
     ) -> float:
         compute_cycles = core_accesses * workload.compute_cycles_per_access
         thread_cycles = compute_cycles + core_stall_ns / self.config.core.cycle_ns
-        unit_cycles = self.kernels.segment_sum(
+        unit_cycles = kernels.segment_sum(
             self._thread_units, thread_cycles, self.config.n_units
         )
         core_bound = float(np.max(unit_cycles)) if len(unit_cycles) else 0.0
@@ -331,7 +316,7 @@ class SimulationEngine:
         epoch_ids = np.repeat(np.arange(len(epochs), dtype=np.int64), lengths)
         span = int(cores.max()) + 1 if len(cores) else 1
         if cores.min() >= 0 and len(epochs) * span < (1 << 62):
-            order = stable_argsort(epoch_ids * np.int64(span) + cores)
+            order = kernels.stable_argsort(epoch_ids * np.int64(span) + cores)
         else:
             pos = np.arange(total, dtype=np.int64)
             order = np.lexsort((pos, cores, epoch_ids))
@@ -379,12 +364,12 @@ class SimulationEngine:
         # Per-unit compute time is stall-independent; add it once.  The
         # per-access cost is constant, so the segment sum is a count
         # times that constant.
-        compute = self.kernels.segment_count(unit, self.config.n_units) * (
+        compute = kernels.segment_count(unit, self.config.n_units) * (
             workload.compute_cycles_per_access * self.config.core.cycle_ns
         )
         queue_ns = 0.0
         for _ in range(2):
-            unit_ns = self.kernels.segment_sum(
+            unit_ns = kernels.segment_sum(
                 unit, epoch_stall + queue_ns * ext_mask, self.config.n_units
             )
             duration = float(np.max(unit_ns + compute))
@@ -393,22 +378,6 @@ class SimulationEngine:
             rho = min(n_ext * service / duration, self.MAX_UTILIZATION)
             queue_ns = service * rho / (2.0 * max(1e-9, 1.0 - rho))
         return queue_ns
-
-    def _epoch_duration_ns(
-        self,
-        epoch: Trace,
-        epoch_stall: np.ndarray,
-        workload: Workload,
-        unit: np.ndarray | None = None,
-    ) -> float:
-        """Wall-clock estimate of one epoch: the busiest unit's time."""
-        if unit is None:
-            unit = epoch.core.astype(np.int64) % self.config.n_units
-        unit_ns = self.kernels.segment_sum(unit, epoch_stall, self.config.n_units)
-        compute = self.kernels.segment_count(unit, self.config.n_units) * (
-            workload.compute_cycles_per_access * self.config.core.cycle_ns
-        )
-        return float(np.max(unit_ns + compute))
 
     def _bandwidth_bound_ns(self) -> float:
         """Roofline bound from shared next-level-memory bandwidth.
@@ -540,7 +509,7 @@ class SimulationEngine:
                 banks = units * self.config.ndp_dram.banks + (
                     rows % self.config.ndp_dram.banks
                 )
-                row_hit = self.kernels.row_hit_mask(banks, rows)
+                row_hit = kernels.direct_mapped_hits(banks, rows)
                 timing = self.config.ndp_dram
                 dram_ns[touches] = np.where(
                     row_hit, timing.row_hit_ns, timing.row_miss_ns
@@ -697,10 +666,7 @@ class EngineSession:
         recorder = engine.recorder
         self.recorder = recorder
         policy.bind_recorder(recorder)
-        # Policy setup (miss-curve sampling, metadata sizing) runs on the
-        # engine's kernel backend too: cachesim primitives dispatch to
-        # the ambient backend, so one scope covers them all.
-        with use_backend(engine.kernels), self.tracer.span("policy.setup"):
+        with self.tracer.span("policy.setup"):
             policy.setup(engine.config, engine.topology, workload)
         # Per-sid affine flag for the prefetch-overlap (MLP) model.
         max_sid = max((s.sid for s in workload.streams), default=-1)
@@ -765,7 +731,7 @@ class EngineSession:
         if order is None:
             order = engine._epoch_core_orders([epoch])[0]
 
-        with use_backend(engine.kernels), tracer.span("engine.epoch", epoch=epoch_idx):
+        with tracer.span("engine.epoch", epoch=epoch_idx):
             events = None
             epoch_movements = 0
             epoch_invalidations = 0
@@ -817,7 +783,6 @@ class EngineSession:
                 breakdown.sram_ns += l1_ns
                 energy.sram_nj += l1_result["total"] * 0.01  # ~10 pJ / L1 access
                 n_threads = len(self.core_accesses)
-                kernels = engine.kernels
                 self.core_accesses += kernels.segment_count(
                     epoch.core, n_threads
                 )
@@ -874,7 +839,7 @@ class EngineSession:
                         )
                         epoch_stall[ext_mask] += observed[ext_mask]
                         breakdown.extended_ns += queue_ns * n_ext
-                    self.core_stall_ns += engine.kernels.segment_sum(
+                    self.core_stall_ns += kernels.segment_sum(
                         post_l1.core, epoch_stall, len(self.core_stall_ns)
                     )
             else:
@@ -942,7 +907,7 @@ class EngineSession:
         tracer = self.tracer
         recorder = self.recorder
         energy = self.energy
-        with use_backend(engine.kernels), tracer.span("engine.runtime_model"):
+        with tracer.span("engine.runtime_model"):
             runtime_cycles = engine._runtime_cycles(
                 self.core_stall_ns, self.core_accesses, self.workload
             )

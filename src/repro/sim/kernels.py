@@ -1,40 +1,26 @@
-"""Fused epoch kernels behind a swappable backend.
+"""Fused epoch kernels.
 
 Everything the engine's per-epoch hot loop does that is *exact* — keyed
 previous-occurrence scans (direct-mapped tags, DRAM row buffers, the
 grouped window-LRU of the L1 filter) and segment reductions (per-core /
-per-unit accumulation) — lives here as a small kernel inventory with
-two interchangeable implementations:
+per-unit accumulation) — lives here as a small set of numpy kernels.
+Keyed scans are one :func:`stable_argsort` plus adjacent-element
+compares; segment sums are one ``bincount`` per target array.
 
-* ``python`` — a straight-line pure-Python reference (dicts and loops).
-  Slow on purpose: it is the semantic ground truth the numpy backend is
-  pinned against, and the denominator of ``bench``'s ``kernel_speedup``.
-* ``numpy`` — the default.  Keyed scans are one :func:`stable_argsort`
-  plus adjacent-element compares; segment sums are one ``bincount`` per
-  target array.
-
-Backends are **bit-identical by construction**: every kernel either
-returns integers/booleans computed by an exact scan, or folds float64
-addends per segment in input order starting from zero — the same IEEE
-operation sequence whichever implementation runs.  All remaining float
-arithmetic (latency charging, energy, queueing) stays in shared numpy
-code in the engine, so a :class:`~repro.sim.metrics.SimulationReport` is
-the same bytes under either backend (pinned by
-``tests/sim/test_backend_identity.py``).
-
-The active backend is ambient state scoped with :func:`use_backend`;
-:mod:`repro.sim.cachesim` primitives delegate to :func:`active`, so
-policies and the DRAM model pick up the engine's backend without being
-threaded through.
+Every kernel either returns integers/booleans computed by an exact scan,
+or folds float64 addends per segment in input order starting from zero.
+A pure-Python reference of the same kernels (dicts and loops) lives with
+the tests, ``tests/sim/kernels_reference.py``; the tests compare each
+kernel with it and, by patching it into this module, pin that whole
+simulations produce the same :class:`~repro.sim.metrics.SimulationReport`
+bit for bit.  Callers reach the kernels through the module
+(``kernels.direct_mapped_hits(...)``), never a name bound at import time,
+so that one patch covers every call site.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
-
-BACKENDS = ("numpy", "python")
 
 # Below this many keys numpy's own stable sort beats the composite-key
 # path's fixed costs (measured on AVX-512 x86: ~8 µs vs ~10 µs at 512
@@ -139,236 +125,115 @@ def hash_argsort(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-class NumpyKernels:
-    """Default backend: :func:`stable_argsort` + adjacent compares."""
+def prev_in_group(
+    group: np.ndarray, value: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each access i, the index (in trace order) of the previous
+    access in the same ``group``, and that access's ``value``;
+    prev_index is -1 for the first access of a group."""
+    n = len(group)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    # A stable argsort of the group key equals lexsort((arange, group)):
+    # within a group, adjacent sorted elements are consecutive accesses.
+    order = stable_argsort(group)
+    sorted_group = group[order]
+    sorted_value = value[order]
 
-    name = "numpy"
+    same_group = np.empty(n, dtype=bool)
+    same_group[0] = False
+    same_group[1:] = sorted_group[1:] == sorted_group[:-1]
 
-    @staticmethod
-    def prev_in_group(
-        group: np.ndarray, value: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """For each access i, the index (in trace order) of the previous
-        access in the same ``group``, and that access's ``value``;
-        prev_index is -1 for the first access of a group."""
-        n = len(group)
-        if n == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # A stable argsort of the group key equals lexsort((arange, group)):
-        # within a group, adjacent sorted elements are consecutive accesses.
-        order = stable_argsort(group)
-        sorted_group = group[order]
-        sorted_value = value[order]
+    prev_idx_sorted = np.full(n, -1, dtype=np.int64)
+    prev_val_sorted = np.zeros(n, dtype=value.dtype)
+    prev_idx_sorted[1:][same_group[1:]] = order[:-1][same_group[1:]]
+    prev_val_sorted[1:][same_group[1:]] = sorted_value[:-1][same_group[1:]]
 
-        same_group = np.empty(n, dtype=bool)
-        same_group[0] = False
-        same_group[1:] = sorted_group[1:] == sorted_group[:-1]
-
-        prev_idx_sorted = np.full(n, -1, dtype=np.int64)
-        prev_val_sorted = np.zeros(n, dtype=value.dtype)
-        prev_idx_sorted[1:][same_group[1:]] = order[:-1][same_group[1:]]
-        prev_val_sorted[1:][same_group[1:]] = sorted_value[:-1][same_group[1:]]
-
-        prev_idx = np.empty(n, dtype=np.int64)
-        prev_val = np.empty(n, dtype=value.dtype)
-        prev_idx[order] = prev_idx_sorted
-        prev_val[order] = prev_val_sorted
-        return prev_idx, prev_val
-
-    @staticmethod
-    def direct_mapped_hits(slots: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        """Exact direct-mapped simulation: access i hits iff the most
-        recent access to the same slot carried the same tag (cold start).
-        Fused: in the stable slot sort, "most recent same-slot access" is
-        simply the adjacent element, so no prev-index arrays are built."""
-        n = len(slots)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        order = stable_argsort(slots)
-        s_slot = slots[order]
-        s_tag = tags[order]
-        hits_sorted = np.empty(n, dtype=bool)
-        hits_sorted[0] = False
-        hits_sorted[1:] = (s_slot[1:] == s_slot[:-1]) & (s_tag[1:] == s_tag[:-1])
-        hits = np.empty(n, dtype=bool)
-        hits[order] = hits_sorted
-        return hits
-
-    # DRAM row-buffer check: the previous access to the same bank left
-    # `prev_row` open; a hit is prev_row == row.  Identical scan shape to
-    # the direct-mapped tag check with (bank, row) as (slot, tag).
-    row_hit_mask = direct_mapped_hits
-
-    @staticmethod
-    def window_hits_grouped(
-        keys: np.ndarray,
-        groups: np.ndarray,
-        window: int,
-        order: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-group window-LRU: access i hits iff the same key occurred
-        within the last ``window`` accesses *of the same group*.
-
-        ``order`` optionally supplies the stable sort permutation of
-        ``groups`` so callers batching many epochs amortise that sort
-        (the engine precomputes it trace-wide).
-        """
-        n = len(keys)
-        if n == 0 or window == 0:
-            return np.zeros(n, dtype=bool)
-        if order is None:
-            order = stable_argsort(groups)
-        sorted_keys = np.asarray(keys[order], dtype=np.int64)
-        sorted_groups = groups[order].astype(np.int64)
-        # Positions in the group-sorted view are group-local indices, so
-        # positional distance there equals the group-local distance the
-        # window is defined over.  The (key, group) composite must be
-        # injective; the cheap path packs it into one int64 (group ids in
-        # the low bits) so the inner scan is one stable_argsort of a single
-        # key.  Only when packing would overflow do we pay a dense re-id
-        # via np.unique.
-        kmin = np.int64(sorted_keys.min())
-        gmax = int(sorted_groups.max())
-        shift = max(1, gmax.bit_length())
-        kspan = int(sorted_keys.max()) - int(kmin)
-        if kmin >= 0 and sorted_groups.min() >= 0 and kspan < (1 << (62 - shift)):
-            composite = ((sorted_keys - kmin) << np.int64(shift)) | sorted_groups
-        else:
-            uniques, dense = np.unique(sorted_keys, return_inverse=True)
-            composite = sorted_groups * np.int64(len(uniques)) + dense
-        corder = stable_argsort(composite)
-        c = composite[corder]
-        same = c[1:] == c[:-1]
-        prev_pos = np.full(n, -1, dtype=np.int64)
-        prev_pos[corder[1:][same]] = corder[:-1][same]
-        idx = np.arange(n, dtype=np.int64)
-        hits_sorted = (prev_pos >= 0) & (idx - prev_pos <= window)
-        hits = np.empty(n, dtype=bool)
-        hits[order] = hits_sorted
-        return hits
-
-    @staticmethod
-    def segment_sum(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-        """Sum float64 ``weights`` into ``n`` buckets by ``index``.
-
-        bincount folds addends per bucket in input order starting from
-        0.0 — the same operation sequence as the reference Python loop,
-        so the result is bitwise identical across backends.
-        """
-        return np.bincount(index, weights=weights, minlength=n)
-
-    @staticmethod
-    def segment_count(index: np.ndarray, n: int) -> np.ndarray:
-        """Occurrences of each bucket id in ``index`` (int64, length n)."""
-        return np.bincount(index, minlength=n)
+    prev_idx = np.empty(n, dtype=np.int64)
+    prev_val = np.empty(n, dtype=value.dtype)
+    prev_idx[order] = prev_idx_sorted
+    prev_val[order] = prev_val_sorted
+    return prev_idx, prev_val
 
 
-class PythonKernels:
-    """Pure-Python reference: the semantics, with none of the speed."""
-
-    name = "python"
-
-    @staticmethod
-    def prev_in_group(
-        group: np.ndarray, value: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        n = len(group)
-        prev_idx = np.full(n, -1, dtype=np.int64)
-        prev_val = np.zeros(n, dtype=value.dtype)
-        last: dict[int, tuple[int, object]] = {}
-        for i in range(n):
-            g = int(group[i])
-            hit = last.get(g)
-            if hit is not None:
-                prev_idx[i], prev_val[i] = hit
-            last[g] = (i, value[i])
-        return prev_idx, prev_val
-
-    @staticmethod
-    def direct_mapped_hits(slots: np.ndarray, tags: np.ndarray) -> np.ndarray:
-        n = len(slots)
-        hits = np.zeros(n, dtype=bool)
-        resident: dict[int, int] = {}
-        for i in range(n):
-            slot = int(slots[i])
-            tag = int(tags[i])
-            hits[i] = resident.get(slot) == tag
-            resident[slot] = tag
-        return hits
-
-    row_hit_mask = direct_mapped_hits
-
-    @staticmethod
-    def window_hits_grouped(
-        keys: np.ndarray,
-        groups: np.ndarray,
-        window: int,
-        order: np.ndarray | None = None,
-    ) -> np.ndarray:
-        n = len(keys)
-        hits = np.zeros(n, dtype=bool)
-        if n == 0 or window == 0:
-            return hits
-        position: dict[int, int] = {}
-        last_seen: dict[tuple[int, int], int] = {}
-        for i in range(n):
-            g = int(groups[i])
-            k = int(keys[i])
-            pos = position.get(g, 0)
-            prev = last_seen.get((g, k))
-            hits[i] = prev is not None and pos - prev <= window
-            last_seen[(g, k)] = pos
-            position[g] = pos + 1
-        return hits
-
-    @staticmethod
-    def segment_sum(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-        out = [0.0] * n
-        for i in range(len(index)):
-            out[int(index[i])] += float(weights[i])
-        return np.array(out, dtype=np.float64)
-
-    @staticmethod
-    def segment_count(index: np.ndarray, n: int) -> np.ndarray:
-        out = [0] * n
-        for i in range(len(index)):
-            out[int(index[i])] += 1
-        return np.array(out, dtype=np.int64)
+def direct_mapped_hits(slots: np.ndarray, tags: np.ndarray) -> np.ndarray:
+    """Exact direct-mapped simulation: access i hits iff the most
+    recent access to the same slot carried the same tag (cold start).
+    Fused: in the stable slot sort, "most recent same-slot access" is
+    simply the adjacent element, so no prev-index arrays are built."""
+    n = len(slots)
+    if n == 0:
+        return np.zeros(0, dtype=bool)
+    order = stable_argsort(slots)
+    s_slot = slots[order]
+    s_tag = tags[order]
+    hits_sorted = np.empty(n, dtype=bool)
+    hits_sorted[0] = False
+    hits_sorted[1:] = (s_slot[1:] == s_slot[:-1]) & (s_tag[1:] == s_tag[:-1])
+    hits = np.empty(n, dtype=bool)
+    hits[order] = hits_sorted
+    return hits
 
 
-NUMPY_KERNELS = NumpyKernels()
-PYTHON_KERNELS = PythonKernels()
+def window_hits_grouped(
+    keys: np.ndarray,
+    groups: np.ndarray,
+    window: int,
+    order: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-group window-LRU: access i hits iff the same key occurred
+    within the last ``window`` accesses *of the same group*.
+
+    ``order`` optionally supplies the stable sort permutation of
+    ``groups`` so callers batching many epochs amortise that sort
+    (the engine precomputes it trace-wide).
+    """
+    n = len(keys)
+    if n == 0 or window == 0:
+        return np.zeros(n, dtype=bool)
+    if order is None:
+        order = stable_argsort(groups)
+    sorted_keys = np.asarray(keys[order], dtype=np.int64)
+    sorted_groups = groups[order].astype(np.int64)
+    # Positions in the group-sorted view are group-local indices, so
+    # positional distance there equals the group-local distance the
+    # window is defined over.  The (key, group) composite must be
+    # injective; the cheap path packs it into one int64 (group ids in
+    # the low bits) so the inner scan is one stable_argsort of a single
+    # key.  Only when packing would overflow do we pay a dense re-id
+    # via np.unique.
+    kmin = np.int64(sorted_keys.min())
+    gmax = int(sorted_groups.max())
+    shift = max(1, gmax.bit_length())
+    kspan = int(sorted_keys.max()) - int(kmin)
+    if kmin >= 0 and sorted_groups.min() >= 0 and kspan < (1 << (62 - shift)):
+        composite = ((sorted_keys - kmin) << np.int64(shift)) | sorted_groups
+    else:
+        uniques, dense = np.unique(sorted_keys, return_inverse=True)
+        composite = sorted_groups * np.int64(len(uniques)) + dense
+    corder = stable_argsort(composite)
+    c = composite[corder]
+    same = c[1:] == c[:-1]
+    prev_pos = np.full(n, -1, dtype=np.int64)
+    prev_pos[corder[1:][same]] = corder[:-1][same]
+    idx = np.arange(n, dtype=np.int64)
+    hits_sorted = (prev_pos >= 0) & (idx - prev_pos <= window)
+    hits = np.empty(n, dtype=bool)
+    hits[order] = hits_sorted
+    return hits
 
 
-def resolve_backend(name: str = "numpy"):
-    """Resolve a backend name to its kernels."""
-    if name == "numpy":
-        return NUMPY_KERNELS
-    if name == "python":
-        return PYTHON_KERNELS
-    raise ValueError(
-        f"unknown kernel backend {name!r}; choose from {BACKENDS}"
-    )
+def segment_sum(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Sum float64 ``weights`` into ``n`` buckets by ``index``.
+
+    bincount folds addends per bucket in input order starting from
+    0.0 — the same operation sequence as an in-order Python loop, so
+    the result is bitwise identical to the reference's.
+    """
+    return np.bincount(index, weights=weights, minlength=n)
 
 
-_active = NUMPY_KERNELS
-
-
-def active():
-    """The ambient kernel backend (default: numpy)."""
-    return _active
-
-
-@contextmanager
-def use_backend(kernels):
-    """Scope the ambient backend: every :mod:`repro.sim.cachesim`
-    primitive called inside the block — by the engine, a policy, or the
-    DRAM model — runs on ``kernels``."""
-    global _active
-    previous = _active
-    _active = kernels
-    try:
-        yield kernels
-    finally:
-        _active = previous
+def segment_count(index: np.ndarray, n: int) -> np.ndarray:
+    """Occurrences of each bucket id in ``index`` (int64, length n)."""
+    return np.bincount(index, minlength=n)

@@ -1,7 +1,6 @@
 """Persistent report cache: keys, round trips, invalidation, tolerance."""
 
 import json
-from dataclasses import fields
 
 import pytest
 
@@ -17,17 +16,7 @@ from repro.faults import FaultSchedule, UnitFailure
 from repro.sim import SimulationEngine, tiny
 from repro.sim.metrics import SimulationReport
 from repro.workloads import TINY, build
-
-
-def assert_reports_identical(a, b, skip=("timeline",)):
-    for f in fields(a):
-        if f.name in skip:
-            continue
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if hasattr(va, "__dataclass_fields__"):
-            assert_reports_identical(va, vb, skip=skip)
-        else:
-            assert va == vb, f"field {f.name}: {va!r} != {vb!r}"
+from tests.reports import assert_reports_identical
 
 
 @pytest.fixture(scope="module")
@@ -85,7 +74,7 @@ class TestReportJson:
         rebuilt = SimulationReport.from_json(
             json.loads(json.dumps(report.to_json()))
         )
-        assert_reports_identical(report, rebuilt)
+        assert_reports_identical(report, rebuilt, skip=("timeline",))
 
     def test_float_repr_survives_json(self, report):
         # JSON floats round-trip by repr; cycles and ns must come back
@@ -102,7 +91,7 @@ class TestReportCache:
         cache.put(key, report)
         loaded = cache.get(key)
         assert loaded is not None
-        assert_reports_identical(report, loaded)
+        assert_reports_identical(report, loaded, skip=("timeline",))
         assert cache.hits == 1
 
     def test_missing_entry_is_miss(self, tmp_path):

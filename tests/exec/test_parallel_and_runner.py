@@ -7,7 +7,7 @@ from repro.exec.parallel import CellTask, fork_available, run_cells
 from repro.experiments.runner import Cell, ExperimentContext
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
-from tests.exec.test_cache import assert_reports_identical
+from tests.reports import assert_reports_identical
 
 
 @pytest.fixture()
@@ -36,7 +36,7 @@ class TestRunCells:
         parallel = run_cells(tasks, jobs=2)
         assert len(serial) == len(parallel) == 2
         for a, b in zip(serial, parallel):
-            assert_reports_identical(a, b)
+            assert_reports_identical(a, b, skip=("timeline",))
 
     def test_jobs_one_never_forks(self, monkeypatch):
         import multiprocessing
@@ -58,7 +58,9 @@ class TestRunMany:
         # Duplicate cells resolve to the same object, simulated once.
         assert reports[0] is reports[3]
         # And agree with the serial scalar API.
-        assert_reports_identical(reports[1], context.run("pr", "nexus"))
+        assert_reports_identical(
+            reports[1], context.run("pr", "nexus"), skip=("timeline",)
+        )
 
     @pytest.mark.skipif(not fork_available(), reason="needs fork")
     def test_parallel_matches_serial(self, context, monkeypatch, tmp_path):
@@ -67,7 +69,7 @@ class TestRunMany:
         fresh = ExperimentContext(preset="tiny")
         parallel = fresh.run_many(GRID, jobs=2)
         for a, b in zip(serial, parallel):
-            assert_reports_identical(a, b)
+            assert_reports_identical(a, b, skip=("timeline",))
 
 
 class TestDiskLayer:
@@ -86,7 +88,7 @@ class TestDiskLayer:
         assert warm.cache_misses == 0
         assert warm.cache_hits_disk == 3
         for a, b in zip(context.run_many(GRID), reports):
-            assert_reports_identical(a, b)
+            assert_reports_identical(a, b, skip=("timeline",))
 
     def test_disk_cache_disabled_by_env(self, context, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")

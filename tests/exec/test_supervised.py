@@ -24,7 +24,7 @@ from repro.exec.parallel import (
 from repro.experiments.runner import Cell, ExperimentContext
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
-from tests.exec.test_cache import assert_reports_identical
+from tests.reports import assert_reports_identical
 
 needs_fork = pytest.mark.skipif(not fork_available(), reason="needs fork")
 
@@ -134,7 +134,7 @@ class TestChaosKills:
         assert outcome.worker_deaths == 2
         assert outcome.retries == 2
         for a, b in zip(serial, outcome.reports):
-            assert_reports_identical(a, b)
+            assert_reports_identical(a, b, skip=("timeline",))
 
     @needs_fork
     def test_run_many_under_chaos_matches_serial(
@@ -151,7 +151,7 @@ class TestChaosKills:
         chaos = chaos_ctx.run_many(GRID, jobs=2)
         assert chaos_ctx.worker_deaths >= 1
         for a, b in zip(serial, chaos):
-            assert_reports_identical(a, b)
+            assert_reports_identical(a, b, skip=("timeline",))
         # Every completed cell was journaled despite the kills.
         assert SweepManifest(manifest_path).done_count == len(GRID)
 
@@ -275,7 +275,7 @@ class TestResume:
         assert resumed.cache_misses == 0
         assert resumed.resumed_cells == len(GRID)
         for a, b in zip(reports, again):
-            assert_reports_identical(a, b)
+            assert_reports_identical(a, b, skip=("timeline",))
 
     def test_interrupted_sweep_resumes_only_missing(self, cache_dir, tmp_path):
         manifest = str(tmp_path / "sweep.jsonl")

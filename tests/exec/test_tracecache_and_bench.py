@@ -170,10 +170,9 @@ class TestBenchSmoke:
         suite = result["suite"]
         kernels = result["kernels"]
         paper = result["engine_paper"]
-        # The backend comparison timed bit-identical reports.
-        assert kernels["reports_identical"]
-        assert set(kernels["backends"]) >= {"numpy", "python"}
-        assert kernels["kernel_speedup"] > 1.0
+        # One kernel set, timed under the key earlier bench files carry.
+        assert set(kernels["backends"]) == {"numpy"}
+        assert kernels["backends"]["numpy"]["accesses_per_second"] > 0
         assert paper["n_units"] == 128
         assert paper["accesses_per_second"] > 0
         floors = {c.metric for c in check_floors(result)}

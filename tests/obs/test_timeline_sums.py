@@ -21,19 +21,11 @@ from repro.obs import Recorder
 from repro.sim import SimulationEngine, tiny
 from repro.sim.metrics import EnergyBreakdown
 from repro.workloads import TINY, build
+from tests.reports import assert_reports_identical
 
 
-def assert_reports_identical(
-    a, b, skip=("faults", "timeline", "tier_histograms", "spatial")
-):
-    for f in fields(a):
-        if f.name in skip:
-            continue
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if hasattr(va, "__dataclass_fields__"):
-            assert_reports_identical(va, vb, skip=skip)
-        else:
-            assert va == vb, f"field {f.name}: {va!r} != {vb!r}"
+# Fields a recorded run may fill in that a plain run leaves empty.
+RECORDING_FIELDS = ("faults", "timeline", "tier_histograms", "spatial")
 
 
 def run_recorded(policy_name="ndpext", faults=None):
@@ -48,7 +40,7 @@ def test_null_recorder_bit_identical(policy_name):
     """Recording must never perturb the simulation (DESIGN.md contract)."""
     plain = SimulationEngine(tiny()).run(build("pr", TINY), POLICIES[policy_name]())
     recorded, _ = run_recorded(policy_name)
-    assert_reports_identical(plain, recorded)
+    assert_reports_identical(plain, recorded, skip=RECORDING_FIELDS)
     assert plain.timeline is None
     assert recorded.timeline is not None
     # The distributional/spatial accumulators are recording-only too: a
@@ -168,7 +160,7 @@ def test_perf_tracer_bit_identical():
         traced = SimulationEngine(tiny()).run(
             build("pr", TINY), POLICIES["ndpext"]()
         )
-    assert_reports_identical(plain, traced)
+    assert_reports_identical(plain, traced, skip=RECORDING_FIELDS)
     from repro.obs.perfreport import missing_engine_phases
 
     assert missing_engine_phases(tracer) == []

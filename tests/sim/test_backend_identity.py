@@ -1,25 +1,43 @@
-"""End-to-end bit identity of SimulationReports across kernel backends.
+"""End-to-end bit identity of SimulationReports against the reference kernels.
 
-The whole point of the backend seam (``EngineOptions.backend``) is that
-it changes *speed only*: the numpy kernels and the pure-python
-reference loops must produce literally the same report — every float,
-every counter — for every policy, with and without faults, through the
-serving loop, and with a live recorder attached.  Anything less and
-cached reports, the regression gate, and the paper figures would all
-depend on which backend happened to run.
+The epoch kernels (:mod:`repro.sim.kernels`) must be fast *only*: with
+the pure-python reference loops (``kernels_reference.py``) patched in
+their place, every policy must produce literally the same report — every
+float, every counter — with and without faults, through the serving
+loop, and with a live recorder attached.  Anything less and cached
+reports, the regression gate, and the paper figures would all depend on
+which implementation a reader trusts.
 """
 
-from dataclasses import fields
+from collections import Counter
 
 import pytest
 
 from repro.experiments.runner import POLICIES
 from repro.faults import FaultSchedule
 from repro.faults.schedule import random_schedule
-from repro.sim import SimulationEngine, tiny
-from repro.sim.engine import EngineOptions
-from repro.sim.kernels import BACKENDS
+from repro.sim import SimulationEngine, kernels, tiny
 from repro.workloads import TINY, build
+from tests.reports import assert_reports_identical
+from tests.sim.kernels_reference import PythonKernels
+
+# Every kernel the simulator reaches through ``repro.sim.kernels``.
+KERNELS = (
+    "prev_in_group",
+    "direct_mapped_hits",
+    "window_hits_grouped",
+    "segment_sum",
+    "segment_count",
+)
+# Kernels every engine run calls, so a run that never reached the
+# reference (a call site bound at import time) fails loudly.
+ENGINE_KERNELS = {
+    "direct_mapped_hits",
+    "window_hits_grouped",
+    "segment_sum",
+    "segment_count",
+}
+REFERENCES = {"python": PythonKernels}
 
 FAULT_PROFILES = {
     "fault-free": lambda config: None,
@@ -34,79 +52,82 @@ FAULT_PROFILES = {
 }
 
 
-def assert_reports_identical(a, b):
-    for f in fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if va is None and vb is None:
-            continue
-        if hasattr(va, "__dataclass_fields__"):
-            assert_reports_identical(va, vb)
-        else:
-            assert va == vb, f"field {f.name}: {va!r} != {vb!r}"
+def use_reference_kernels(monkeypatch, reference=PythonKernels) -> Counter:
+    """Patch ``reference`` into :mod:`repro.sim.kernels` for the rest of
+    the test; returns the count of reference calls by kernel name."""
+    calls = Counter()
+    for name in KERNELS:
+
+        def counted(*args, _name=name, _impl=getattr(reference, name), **kwargs):
+            calls[_name] += 1
+            return _impl(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
 
 
-def _run(policy_name, backend, faults):
+def _run(policy_name, faults, **engine_kwargs):
     config = tiny()
     workload = build("pr", TINY)
-    engine = SimulationEngine(
-        config, EngineOptions(backend=backend), faults=faults
-    )
+    engine = SimulationEngine(config, faults=faults, **engine_kwargs)
     return engine.run(workload, POLICIES[policy_name]())
 
 
 @pytest.mark.parametrize("profile", sorted(FAULT_PROFILES))
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
-def test_python_backend_matches_numpy(policy_name, profile):
+def test_python_backend_matches_numpy(policy_name, profile, monkeypatch):
     make_faults = FAULT_PROFILES[profile]
-    reference = _run(policy_name, "numpy", make_faults(tiny()))
-    candidate = _run(policy_name, "python", make_faults(tiny()))
-    assert_reports_identical(reference, candidate)
+    expected = _run(policy_name, make_faults(tiny()))
+    calls = use_reference_kernels(monkeypatch)
+    candidate = _run(policy_name, make_faults(tiny()))
+    assert set(calls) >= ENGINE_KERNELS
+    assert_reports_identical(expected, candidate)
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "numpy"])
-def test_recorded_run_matches_numpy(backend):
-    """A live recorder must not perturb backend identity (and the
-    recorded runs themselves must agree across backends)."""
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+def test_recorded_run_matches_numpy(reference, monkeypatch):
+    """A live recorder must not perturb kernel identity (and the
+    recorded runs themselves must agree)."""
     from repro.obs.recorder import Recorder
 
-    config = tiny()
-    workload = build("pr", TINY)
-    reports = {}
-    for name in ("numpy", backend):
+    def run():
         recorder = Recorder(workload="pr", policy="ndpext", preset="tiny")
-        engine = SimulationEngine(
-            config, EngineOptions(backend=name), recorder=recorder
-        )
-        reports[name] = engine.run(workload, POLICIES["ndpext"]())
-    assert_reports_identical(reports["numpy"], reports[backend])
+        return _run("ndpext", None, recorder=recorder)
+
+    expected = run()
+    calls = use_reference_kernels(monkeypatch, REFERENCES[reference])
+    candidate = run()
+    assert set(calls) >= ENGINE_KERNELS
+    assert_reports_identical(expected, candidate)
 
 
-@pytest.mark.parametrize("backend", [b for b in BACKENDS if b != "numpy"])
-def test_serve_scenario_matches_numpy(backend):
+@pytest.mark.parametrize("reference", sorted(REFERENCES))
+def test_serve_scenario_matches_numpy(reference, monkeypatch):
     """The resident serving loop — admission, backpressure, health
-    gates, the works — replays identically on every backend."""
+    gates, the works — replays identically on the reference kernels."""
     from repro.serve.scenario import ServeHarness, two_tenant_scenario
 
-    def run(name):
+    def run():
         scenario = two_tenant_scenario(max_batches=6)
-        harness = ServeHarness(scenario, preset="tiny", backend=name)
-        return harness.run().to_json()
+        return ServeHarness(scenario, preset="tiny").run().to_json()
 
-    assert run("numpy") == run(backend)
+    expected = run()
+    calls = use_reference_kernels(monkeypatch, REFERENCES[reference])
+    assert run() == expected
+    assert set(calls) >= ENGINE_KERNELS
 
 
-def test_engine_session_step_matches_batch_run_across_backends():
+def test_engine_session_step_matches_batch_run_across_backends(monkeypatch):
     """The incremental EngineSession.step() path and the batch run()
-    path share the fused kernels; stepping under the python backend
+    path share the fused kernels; stepping on the reference kernels
     still reproduces the numpy batch report."""
     config = tiny()
     workload = build("pr", TINY)
-    batch = SimulationEngine(config, EngineOptions(backend="numpy")).run(
-        workload, POLICIES["ndpext"]()
-    )
-    engine = SimulationEngine(config, EngineOptions(backend="python"))
-    session = engine.begin_session(workload, POLICIES["ndpext"]())
+    batch = SimulationEngine(config).run(workload, POLICIES["ndpext"]())
+    calls = use_reference_kernels(monkeypatch)
+    session = SimulationEngine(config).begin_session(workload, POLICIES["ndpext"]())
     for epoch in workload.trace.epochs(config.epoch_accesses):
         session.step(epoch)
     stepped = session.finish()
+    assert set(calls) >= ENGINE_KERNELS
     assert_reports_identical(batch, stepped)

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cachesim import (
-    _prev_in_group,
     cold_miss_count,
     direct_mapped_hits,
     recency_hits,
     set_assoc_hits,
 )
+from repro.sim.kernels import prev_in_group
 
 
 def reference_direct_mapped(slots, tags):
@@ -27,13 +27,13 @@ class TestPrevInGroup:
     def test_basic(self):
         group = np.array([0, 1, 0, 1, 0])
         value = np.array([10, 20, 30, 40, 50])
-        prev_idx, prev_val = _prev_in_group(group, value)
+        prev_idx, prev_val = prev_in_group(group, value)
         assert list(prev_idx) == [-1, -1, 0, 1, 2]
         assert prev_val[2] == 10
         assert prev_val[4] == 30
 
     def test_empty(self):
-        prev_idx, _ = _prev_in_group(np.empty(0, np.int64), np.empty(0, np.int64))
+        prev_idx, _ = prev_in_group(np.empty(0, np.int64), np.empty(0, np.int64))
         assert len(prev_idx) == 0
 
 

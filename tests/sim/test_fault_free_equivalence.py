@@ -8,25 +8,13 @@ arithmetic is gated on fault activity, never restructuring the healthy
 path.
 """
 
-from dataclasses import fields
-
 import pytest
 
 from repro.experiments.runner import POLICIES
 from repro.faults import FaultSchedule
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
-
-
-def assert_reports_identical(a, b):
-    for f in fields(a):
-        if f.name == "faults":
-            continue  # presence of the (all-zero) report is the one diff
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if hasattr(va, "__dataclass_fields__"):
-            assert_reports_identical(va, vb)
-        else:
-            assert va == vb, f"field {f.name}: {va!r} != {vb!r}"
+from tests.reports import assert_reports_identical
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
@@ -37,7 +25,8 @@ def test_empty_schedule_is_bit_identical(policy_name):
     faulted = SimulationEngine(config, faults=FaultSchedule()).run(
         build("pr", TINY), POLICIES[policy_name]()
     )
-    assert_reports_identical(plain, faulted)
+    # The presence of the (all-zero) fault report is the one difference.
+    assert_reports_identical(plain, faulted, skip=("faults",))
     assert faulted.faults is not None
     assert faulted.faults.demoted_requests == 0
     assert faulted.faults.penalty_ns == 0.0
@@ -52,4 +41,4 @@ def test_rerun_on_same_workload_object_is_deterministic():
     workload = build("pr", TINY)
     first = SimulationEngine(config).run(workload, POLICIES["ndpext"]())
     second = SimulationEngine(config).run(workload, POLICIES["ndpext"]())
-    assert_reports_identical(first, second)
+    assert_reports_identical(first, second, skip=("faults",))

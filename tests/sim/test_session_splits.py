@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.experiments.runner import POLICIES
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
-from tests.sim.test_backend_identity import assert_reports_identical
+from tests.reports import assert_reports_identical
 
 # Smaller epochs than the preset's so pr has a dozen to split, not three.
 CONFIG = replace(tiny(), epoch_accesses=1_000)
