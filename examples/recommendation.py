@@ -16,6 +16,7 @@ from repro import sim, workloads
 from repro.baselines import NexusPolicy
 from repro.core import NdpExtPolicy
 from repro.sim.engine import SimulationEngine
+from repro.sim.sram_cache import filter_cores_through_l1
 from repro.util import render_table
 
 
@@ -24,7 +25,8 @@ def per_stream_hit_rates(config, workload, policy):
     engine = SimulationEngine(config)
     engine.run(workload, policy)  # train the policy end to end
     epoch = workload.trace.epochs(config.epoch_accesses)[-1]
-    post, _ = engine._l1_filter(epoch)
+    l1_hit = filter_cores_through_l1(epoch.addr, epoch.core, config.core.l1d)
+    post = epoch.select(~l1_hit)
     outcome = policy.process(post)
     rates = {}
     for stream in workload.streams:

@@ -1,7 +1,8 @@
 """The serving loop's health model: fault signals -> reconfiguration gates.
 
 Consumes the per-step fault signals the engine already produces
-(:class:`~repro.faults.state.EpochFaults` deltas and
+(whether a capacity fault struck, from the step's
+:class:`~repro.obs.timeline.EpochRecord`, and
 :meth:`~repro.faults.state.FaultState.health_summary`) and drives the
 policy's online-reconfiguration hooks.  Three states::
 
@@ -32,8 +33,6 @@ non-healthy intervals are reported as *degradation windows* —
 from __future__ import annotations
 
 from collections import deque
-
-from repro.faults import EpochFaults
 
 HEALTHY = "healthy"
 DEGRADED = "degraded"
@@ -76,14 +75,13 @@ class HealthMonitor:
             setter(enabled)
 
     def observe(
-        self,
-        epoch: int,
-        fault_events: EpochFaults | None,
-        summary: dict | None,
+        self, epoch: int, capacity_fault: bool, summary: dict | None
     ) -> str:
-        """Fold one engine step's fault signals in; returns the state."""
+        """Fold one engine step's fault signals in; returns the state.
+
+        ``capacity_fault`` is whether a unit failure or row quarantine
+        struck at this step."""
         self._last_epoch = epoch
-        capacity_fault = fault_events is not None and not fault_events.empty
         if capacity_fault:
             self._fault_epochs.append(epoch)
         while self._fault_epochs and self._fault_epochs[0] <= epoch - self.flap_window:

@@ -21,8 +21,9 @@ many named tenants:
   stop serving at any point and a restarted loop resumes exactly the
   batches that never reached an outcome.
 
-A fault schedule on the engine flows through unchanged: the per-step
-fault events and :meth:`FaultState.health_summary` feed the
+A fault schedule on the engine flows through unchanged: each step's
+:class:`~repro.obs.timeline.EpochRecord` fault counts and the session's
+:meth:`FaultState.health_summary` feed the
 :class:`~repro.serve.health.HealthMonitor`, which forces capacity-aware
 re-placement on unit loss and pauses reconfiguration while hardware is
 flapping.
@@ -191,6 +192,10 @@ class ServeLoop:
 
     # -- serving --------------------------------------------------------
 
+    def _health_summary(self) -> dict | None:
+        fault_state = self.session.fault_state
+        return fault_state.health_summary() if fault_state is not None else None
+
     def _expire_deadlines(self) -> int:
         """Drop queued batches whose simulated deadline already passed."""
         now = self.now_ns
@@ -249,7 +254,7 @@ class ServeLoop:
         batch = self._next_batch()
         if batch is None:
             return None
-        step = self.session.step(batch.trace)
+        record = self.session.step(batch.trace)
         self.epochs += 1
         latency = self.now_ns - batch.enqueued_ns
         stats = self.stats[batch.tenant]
@@ -258,15 +263,14 @@ class ServeLoop:
         self.latency.observe([latency])
         if self.journal is not None:
             self.journal.journal_done(batch.key, OUTCOME_COMPLETED)
-        summary = (
-            self.engine.fault_state.health_summary()
-            if self.engine.fault_state is not None
-            else None
+        self.health.observe(
+            record.epoch,
+            bool(record.fault_units or record.fault_rows),
+            self._health_summary(),
         )
-        self.health.observe(step.epoch, step.fault_events, summary)
         if self.slo is not None:
             self.slo.on_complete(batch.tenant, latency)
-            self.slo.end_epoch(step.epoch)
+            self.slo.end_epoch(record.epoch)
         return batch
 
     def run_until_idle(self, max_steps: int | None = None) -> int:
@@ -303,11 +307,6 @@ class ServeLoop:
         loop continues serving afterwards.  ``sim`` is ``None`` — the
         engine-level report only exists once the session finishes.
         """
-        summary = (
-            self.engine.fault_state.health_summary()
-            if self.engine.fault_state is not None
-            else None
-        )
         return ServeReport(
             scenario=scenario,
             tenants=self.stats,
@@ -316,7 +315,7 @@ class ServeLoop:
             reconfigs=getattr(self.policy, "applied_reconfigs", 0),
             health_reconfig_requests=self.health.reconfig_requests,
             degraded_windows=self.health.windows_view(),
-            final_health=summary,
+            final_health=self._health_summary(),
             drained_queued=self.queued,
             resumed_skips=self.resumed_skips,
             sim=None,
@@ -334,11 +333,6 @@ class ServeLoop:
         sim = self.session.finish()
         if self.journal is not None:
             self.journal.close()
-        final_health = (
-            self.engine.fault_state.health_summary()
-            if self.engine.fault_state is not None
-            else None
-        )
         return ServeReport(
             scenario=scenario,
             tenants=self.stats,
@@ -347,7 +341,7 @@ class ServeLoop:
             reconfigs=getattr(self.policy, "applied_reconfigs", 0),
             health_reconfig_requests=self.health.reconfig_requests,
             degraded_windows=self.health.finish(),
-            final_health=final_health,
+            final_health=self._health_summary(),
             drained_queued=drained,
             resumed_skips=self.resumed_skips,
             sim=sim,

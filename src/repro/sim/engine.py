@@ -30,7 +30,7 @@ from repro.obs.histogram import TIERS, TierHistogramSet
 from repro.obs.recorder import NullRecorder
 from repro.obs.spatial import SpatialAccumulator
 from repro.obs.timeline import EpochRecord, Timeline
-from repro.obs.tracing import NULL_TRACER, current
+from repro.obs.tracing import current
 from repro.sim import kernels
 from repro.sim.cxl import ExtendedMemory
 from repro.sim.dram import DramModel
@@ -41,13 +41,16 @@ from repro.sim.metrics import (
     SimulationReport,
 )
 from repro.sim.params import CACHELINE_BYTES, SystemConfig
-from repro.sim.sram_cache import filter_cores_through_l1, filter_through_l1
+from repro.sim.sram_cache import filter_cores_through_l1
 from repro.sim.topology import Topology
 from repro.workloads.trace import Trace, Workload
 
 # Interconnect message sizes: a request carries a header, a response
 # carries the data plus a header.
 HEADER_BYTES = 16
+
+# The unit whose logic die hosts the CXL port to the extended memory.
+CXL_PORT_UNIT = 0
 
 # Static power per NDP unit (core + logic-die periphery).  The paper's
 # Fig. 6 shows static energy tracking execution time; the absolute value
@@ -161,13 +164,17 @@ class DramCachePolicy(ABC):
 class EngineOptions:
     """Engine knobs that are not part of the system description."""
 
-    exact_l1: bool = False
     max_epochs: int | None = None
-    cxl_port_unit: int = 0
 
 
 class SimulationEngine:
-    """Runs one workload under one policy on one system configuration."""
+    """Runs one workload under one policy on one system configuration.
+
+    The engine holds only what no run changes: the system description,
+    options, fault schedule, recorder, topology and NDP DRAM model.
+    Every run's state lives on its :class:`EngineSession`, so sessions
+    opened on one engine never see each other.
+    """
 
     def __init__(
         self,
@@ -180,19 +187,8 @@ class SimulationEngine:
         self.options = options or EngineOptions()
         self.recorder = recorder if recorder is not None else NullRecorder()
         self.fault_schedule = faults
-        self.fault_state: FaultState | None = None
         self.topology = Topology(config)
         self.ndp_dram = DramModel(config.ndp_dram)
-        self.extended = ExtendedMemory(config.cxl, config.ext_dram)
-        self._ext_accesses = 0
-        self._ext_lane_accesses: dict[int, int] = {}
-        self._inter_stack_bytes = 0
-        self._tracer = NULL_TRACER
-        # Distributional/spatial observers; only constructed (in run) when
-        # a live recorder is attached, so the null-recorder path performs
-        # no tier classification or scatter-adds at all.
-        self._obs_hist: TierHistogramSet | None = None
-        self._obs_spatial: SpatialAccumulator | None = None
 
     def _resolve_tracer(self):
         """Phase attribution target: the ambient perf tracer when one is
@@ -236,66 +232,6 @@ class SimulationEngine:
         """
         return EngineSession(self, workload, policy, self._resolve_tracer())
 
-    def _append_epoch_record(
-        self,
-        timeline,
-        recorder,
-        *,
-        epoch_idx,
-        epoch,
-        post_l1,
-        hits,
-        breakdown,
-        energy,
-        ext_delta,
-        inter_delta,
-        prev_demoted,
-        epoch_movements,
-        epoch_invalidations,
-        events,
-        cycles_total,
-    ) -> None:
-        """Build and record one epoch's timeline row (recorded runs only)."""
-        record = EpochRecord(
-            epoch=epoch_idx,
-            requests=len(epoch),
-            post_l1_requests=len(post_l1),
-            hits=hits,
-            breakdown=breakdown,
-            energy=energy,
-            ext_accesses=ext_delta,
-            ext_bytes=ext_delta * CACHELINE_BYTES,
-            inter_stack_bytes=inter_delta,
-            effective_lanes=self.extended.effective_lanes,
-            reconfig_movements=epoch_movements,
-            reconfig_invalidations=epoch_invalidations,
-            fault_units=len(events.unit_failures) if events else 0,
-            fault_rows=len(events.row_faults) if events else 0,
-            demoted_requests=(
-                self.fault_state.report.demoted_requests - prev_demoted
-                if self.fault_state is not None
-                else 0
-            ),
-            cycles_total=cycles_total,
-        )
-        timeline.append(record)
-        recorder.event("epoch", **record.to_json())
-
-    def _runtime_cycles(
-        self,
-        core_stall_ns: np.ndarray,
-        core_accesses: np.ndarray,
-        workload: Workload,
-    ) -> float:
-        compute_cycles = core_accesses * workload.compute_cycles_per_access
-        thread_cycles = compute_cycles + core_stall_ns / self.config.core.cycle_ns
-        unit_cycles = kernels.segment_sum(
-            self._thread_units, thread_cycles, self.config.n_units
-        )
-        core_bound = float(np.max(unit_cycles)) if len(unit_cycles) else 0.0
-        bw_bound = self._bandwidth_bound_ns() / self.config.core.cycle_ns
-        return max(core_bound, bw_bound)
-
     @staticmethod
     def _epoch_core_orders(epochs: list[Trace]) -> list[np.ndarray]:
         """Stable-by-core sort permutation for every epoch, in one pass.
@@ -324,148 +260,315 @@ class SimulationEngine:
         parts = np.split(order, np.cumsum(lengths)[:-1])
         return [part - start for part, start in zip(parts, starts)]
 
+
+class EngineSession:
+    """One simulation run, advanced one epoch at a time.
+
+    The session owns all of its run's state: the accumulators, the
+    traffic counters behind the bandwidth roofline, the fault state, the
+    extended memory (whose trained lane width faults narrow) and the
+    observers.  The batch path (``SimulationEngine.run``) and a serving
+    loop (``SimulationEngine.begin_session``) share this one code path,
+    so feeding the same epoch traces in the same order is bit-identical
+    by construction.  ``step`` processes one epoch trace and returns its
+    :class:`EpochRecord`; ``finish`` closes the run and builds the
+    :class:`SimulationReport`.
+    """
+
     # Queueing delay is capped at this utilization: beyond it the open
     # M/D/1-style estimate diverges and real systems throttle instead.
     MAX_UTILIZATION = 0.95
 
-    def _ext_service_ns(self) -> float:
-        """Time one access occupies an extended-memory channel."""
-        ext = self.config.ext_dram
-        channel_bytes_per_ns = ext.freq_mhz * 16.0 / 1000.0
-        return CACHELINE_BYTES / channel_bytes_per_ns + ext.row_miss_ns / ext.banks
-
-    def _queueing_delay(
+    def __init__(
         self,
-        epoch: Trace,
-        epoch_stall: np.ndarray,
-        ext_mask: np.ndarray,
+        engine: SimulationEngine,
         workload: Workload,
-        unit: np.ndarray | None = None,
-        n_ext: int | None = None,
-    ) -> float:
-        """Per-miss queueing delay at the shared extended memory.
+        policy: DramCachePolicy,
+        tracer=None,
+    ) -> None:
+        self.engine = engine
+        self.config = config = engine.config
+        self.topology = engine.topology
+        self.workload = workload
+        self.policy = policy
+        self.tracer = tracer if tracer is not None else engine._resolve_tracer()
+        recorder = engine.recorder
+        self.recorder = recorder
+        policy.bind_recorder(recorder)
+        with self.tracer.span("policy.setup"):
+            policy.setup(config, engine.topology, workload)
+        # Per-sid affine flag for the prefetch-overlap (MLP) model.
+        max_sid = max((s.sid for s in workload.streams), default=-1)
+        self._sid_affine = np.zeros(max_sid + 2, dtype=bool)
+        for stream in workload.streams:
+            self._sid_affine[stream.sid] = stream.is_affine
 
-        The channels behind the CXL device (or the host's DDR bus) are a
-        shared server: with many in-order cores missing concurrently,
-        waiting time grows as utilization approaches 1 (M/D/1-style
-        rho/(2(1-rho)) scaling).  The epoch duration is estimated from
-        the already-charged latencies, iterated once so the added delay
-        feeds back into the utilization estimate.  ``unit`` and
-        ``n_ext`` accept precomputed per-epoch values so the hot loop
-        does not repeat the modulo and mask reductions.
-        """
-        if n_ext is None:
-            n_ext = int(ext_mask.sum())
-        if n_ext == 0:
-            return 0.0
-        if unit is None:
-            unit = epoch.core.astype(np.int64) % self.config.n_units
-        service = self._ext_service_ns() / self.config.cxl.channels
-        # Per-unit compute time is stall-independent; add it once.  The
-        # per-access cost is constant, so the segment sum is a count
-        # times that constant.
-        compute = kernels.segment_count(unit, self.config.n_units) * (
-            workload.compute_cycles_per_access * self.config.core.cycle_ns
+        # The trace may carry more logical cores (threads) than the system
+        # has physical units; threads are assigned round-robin and a
+        # unit's time is the sum of its threads' times (in-order cores).
+        n_threads = max(workload.trace.n_cores, 1)
+        self.core_stall_ns = np.zeros(n_threads)
+        self.core_accesses = np.zeros(n_threads, dtype=np.int64)
+        self._thread_units = np.arange(n_threads, dtype=np.int64) % config.n_units
+        self._ext_accesses = 0
+        self._ext_lane_accesses: dict[int, int] = {}
+        self._inter_stack_bytes = 0
+        self.fault_state = (
+            FaultState(engine.fault_schedule, config, recorder=recorder)
+            if engine.fault_schedule is not None
+            else None
         )
-        queue_ns = 0.0
-        for _ in range(2):
-            unit_ns = kernels.segment_sum(
-                unit, epoch_stall + queue_ns * ext_mask, self.config.n_units
+        self.extended = ExtendedMemory(config.cxl, config.ext_dram)
+        self.breakdown = LatencyBreakdown()
+        self.energy = EnergyBreakdown()
+        self.hits = HitStats()
+        self.movements = 0
+        self.invalidations = 0
+        self.per_epoch_cycles: list[float] = []
+        # Distributional/spatial observers exist only under a live
+        # recorder, so the null-recorder path performs no tier
+        # classification or scatter-adds at all.
+        self.timeline: Timeline | None = None
+        self._obs_hist: TierHistogramSet | None = None
+        self._obs_spatial: SpatialAccumulator | None = None
+        if recorder.enabled:
+            self.timeline = Timeline()
+            self._obs_hist = TierHistogramSet()
+            self._obs_spatial = SpatialAccumulator(
+                config.n_units, engine.topology.unit_stack
             )
-            duration = float(np.max(unit_ns + compute))
-            if duration <= 0:
-                return 0.0
-            rho = min(n_ext * service / duration, self.MAX_UTILIZATION)
-            queue_ns = service * rho / (2.0 * max(1e-9, 1.0 - rho))
-        return queue_ns
+        self.epoch_idx = 0
+        self._finished = False
 
-    def _bandwidth_bound_ns(self) -> float:
-        """Roofline bound from shared next-level-memory bandwidth.
+    def step(self, epoch: Trace, order: np.ndarray | None = None) -> EpochRecord:
+        """Run one epoch trace through the full engine pipeline.
 
-        Every cache miss occupies an extended-memory DDR channel (burst
-        transfer plus its share of bank-level row cycling) and the CXL
-        link.  Many cores hammering few channels makes this the binding
-        constraint — the regime that motivates NDP in the first place.
+        Returns the epoch's :class:`EpochRecord` (this step's deltas),
+        which a serving loop reads for per-batch accounting and health
+        and which a live recorder appends to the run's timeline.
+        ``order`` accepts the precomputed stable-by-core permutation when
+        the caller sorted the whole trace at once (the batch path);
+        serving callers leave it ``None`` and the per-epoch sort —
+        keyed identically — produces the same permutation.
         """
-        bounds = [0.0]
-        n_ext = self._ext_accesses
-        if n_ext:
-            ext = self.config.ext_dram
-            # Per-channel DDR bandwidth: freq x 2 (DDR) x 8 bytes per beat.
-            channel_bytes_per_ns = ext.freq_mhz * 16.0 / 1000.0
-            ddr_service_ns = (
-                CACHELINE_BYTES / channel_bytes_per_ns + ext.row_miss_ns / ext.banks
-            )
-            bounds.append(n_ext * ddr_service_ns / self.config.cxl.channels)
-            # CXL link: ~4 GB/s usable per lane per direction.  Accesses
-            # made while the link was down-trained occupy it longer, so
-            # the bound sums per trained width.
-            link_ns = 0.0
-            for lanes, count in self._ext_lane_accesses.items():
-                link_bytes_per_ns = 4.0 * lanes
-                link_ns += count * CACHELINE_BYTES / link_bytes_per_ns
-            bounds.append(link_ns)
-        if self._inter_stack_bytes:
-            # Inter-stack links: Table II's 32 GB/s per direction, one
-            # bidirectional link per stack-mesh edge.
-            cfg = self.config
-            links = max(
-                1,
-                (cfg.stacks_x - 1) * cfg.stacks_y
-                + (cfg.stacks_y - 1) * cfg.stacks_x,
-            )
-            noc_bytes_per_ns = cfg.noc.inter_bw_gbps * links  # GB/s == B/ns
-            bounds.append(self._inter_stack_bytes / noc_bytes_per_ns)
-        return max(bounds)
+        if self._finished:
+            raise RuntimeError("EngineSession already finished")
+        config = self.config
+        tracer = self.tracer
+        recorder = self.recorder
+        fault_state = self.fault_state
+        breakdown = self.breakdown
+        energy = self.energy
+        hits = self.hits
+        epoch_idx = self.epoch_idx
+        self.epoch_idx += 1
+        if order is None:
+            order = SimulationEngine._epoch_core_orders([epoch])[0]
 
-    def _l1_filter(self, epoch: Trace, order: np.ndarray | None = None) -> tuple[Trace, dict]:
-        """Filter the epoch through each core's L1D; return the miss trace.
-
-        The fast path runs all cores in one grouped window-LRU pass
-        (``order`` carries the precomputed stable-by-core permutation);
-        the exact reference model keeps the per-core loop, tests only.
-        """
-        if self.options.exact_l1:
-            mask = np.zeros(len(epoch), dtype=bool)
-            for core in np.unique(epoch.core):
-                sel = epoch.core == core
-                result = filter_through_l1(
-                    epoch.addr[sel], self.config.core.l1d, exact=True
-                )
-                mask[sel] = result.hit_mask
-        else:
-            mask = filter_cores_through_l1(
-                epoch.addr, epoch.core, self.config.core.l1d, order=order
+        with tracer.span("engine.epoch", epoch=epoch_idx):
+            events = None
+            epoch_movements = 0
+            epoch_invalidations = 0
+            # Snapshot the accumulators so this step's deltas can be
+            # attributed to its record.  Pure dataclass copies: they
+            # never perturb simulation state.
+            prev_hits = replace(hits)
+            prev_breakdown = replace(breakdown)
+            prev_energy = replace(energy)
+            prev_ext = self._ext_accesses
+            prev_inter = self._inter_stack_bytes
+            prev_demoted = (
+                fault_state.report.demoted_requests if fault_state is not None else 0
             )
-        post = epoch.select(~mask)
-        return post, {"mask": mask, "hits": int(mask.sum()), "total": len(epoch)}
+            if fault_state is not None:
+                with tracer.span("engine.fault_hooks"):
+                    events = fault_state.advance(epoch_idx)
+                    self.extended.effective_lanes = fault_state.effective_lanes
+                    if not events.empty:
+                        with tracer.span("policy.on_faults"):
+                            fstats = self.policy.on_faults(
+                                epoch_idx, events, fault_state
+                            )
+                        epoch_movements += fstats.movements
+                        epoch_invalidations += fstats.invalidations
+                        fault_state.report.fault_movements += fstats.movements
+                        fault_state.report.fault_invalidations += (
+                            fstats.invalidations
+                        )
+            with tracer.span("policy.begin_epoch"):
+                stats = self.policy.begin_epoch(epoch_idx)
+            epoch_movements += stats.movements
+            epoch_invalidations += stats.invalidations
+            self.movements += epoch_movements
+            self.invalidations += epoch_invalidations
+
+            with tracer.span("engine.l1_filter"):
+                post_l1, l1_mask = self._l1_filter(epoch, order)
+                l1_hits = int(l1_mask.sum())
+                hits.l1_hits += l1_hits
+                breakdown.sram_ns += l1_hits * config.core.l1d.hit_ns
+                energy.sram_nj += len(epoch) * 0.01  # ~10 pJ / L1 access
+                n_threads = len(self.core_accesses)
+                self.core_accesses += kernels.segment_count(epoch.core, n_threads)
+                # All L1 hits cost the same, so the per-thread stall is a
+                # hit count times the constant hit latency.
+                self.core_stall_ns += kernels.segment_count(
+                    epoch.core[l1_mask], n_threads
+                ) * config.core.l1d.hit_ns
+
+            if len(post_l1):
+                with tracer.span("policy.process"):
+                    outcome = self.policy.process(post_l1)
+                if fault_state is not None and fault_state.degraded:
+                    fault_state.demote(outcome)
+                with tracer.span("engine.charge"):
+                    # Per-epoch invariants every charge/queue step needs,
+                    # computed once instead of once per consumer.
+                    core_unit = post_l1.core.astype(np.int64) % config.n_units
+                    in_stream = post_l1.sid >= 0
+                    affine = (
+                        self._sid_affine[
+                            np.clip(post_l1.sid, -1, len(self._sid_affine) - 2)
+                        ]
+                        & in_stream
+                    )
+                    epoch_stall, ext_mask, n_ext = self._charge(
+                        post_l1, outcome, core_unit, in_stream, affine
+                    )
+                with tracer.span("engine.queueing"):
+                    queue_ns = self._queueing_delay(
+                        post_l1, epoch_stall, ext_mask, core_unit, n_ext
+                    )
+                    if queue_ns > 0:
+                        observed = np.full(len(post_l1), queue_ns)
+                        observed[affine] /= AFFINE_MLP
+                        observed[in_stream & ~affine] /= config.indirect_mlp
+                        epoch_stall[ext_mask] += observed[ext_mask]
+                        breakdown.extended_ns += queue_ns * n_ext
+                    self.core_stall_ns += kernels.segment_sum(
+                        post_l1.core, epoch_stall, len(self.core_stall_ns)
+                    )
+                with tracer.span("policy.end_epoch"):
+                    self.policy.end_epoch(epoch_idx, post_l1, outcome)
+            with tracer.span("engine.runtime_model"):
+                self.per_epoch_cycles.append(self._runtime_cycles())
+
+            ext_delta = self._ext_accesses - prev_ext
+            record = EpochRecord(
+                epoch=epoch_idx,
+                requests=len(epoch),
+                post_l1_requests=len(post_l1),
+                hits=hits - prev_hits,
+                breakdown=breakdown - prev_breakdown,
+                energy=energy - prev_energy,
+                ext_accesses=ext_delta,
+                ext_bytes=ext_delta * CACHELINE_BYTES,
+                inter_stack_bytes=self._inter_stack_bytes - prev_inter,
+                effective_lanes=self.extended.effective_lanes,
+                reconfig_movements=epoch_movements,
+                reconfig_invalidations=epoch_invalidations,
+                fault_units=len(events.unit_failures) if events else 0,
+                fault_rows=len(events.row_faults) if events else 0,
+                demoted_requests=(
+                    fault_state.report.demoted_requests - prev_demoted
+                    if fault_state is not None
+                    else 0
+                ),
+                cycles_total=self.per_epoch_cycles[-1],
+            )
+            if recorder.enabled:
+                with tracer.span("engine.observability"):
+                    self.timeline.append(record)
+                    recorder.event("epoch", **record.to_json())
+        return record
+
+    @property
+    def cycles_total(self) -> float:
+        """Simulated cycles elapsed so far (the serving loop's clock)."""
+        if self.per_epoch_cycles:
+            return self.per_epoch_cycles[-1]
+        return 0.0
+
+    def finish(self) -> SimulationReport:
+        """Close the run: final runtime model, static energy, report."""
+        if self._finished:
+            raise RuntimeError("EngineSession already finished")
+        self._finished = True
+        config = self.config
+        tracer = self.tracer
+        recorder = self.recorder
+        energy = self.energy
+        with tracer.span("engine.runtime_model"):
+            runtime_cycles = self._runtime_cycles()
+        runtime_ns = runtime_cycles * config.core.cycle_ns
+        energy.static_nj += STATIC_W_PER_UNIT * config.n_units * runtime_ns
+        tier_histograms = None
+        spatial = None
+        if recorder.enabled:
+            with tracer.span("engine.observability"):
+                recorder.gauge("engine.runtime_cycles", runtime_cycles)
+                recorder.gauge("engine.static_nj", energy.static_nj)
+                recorder.counter("engine.epochs", len(self.per_epoch_cycles))
+                tier_histograms = self._obs_hist.histograms()
+                spatial = self._obs_spatial.to_report()
+                for tier_name, hist in tier_histograms.items():
+                    recorder.event("histogram", tier=tier_name, **hist.to_json())
+                recorder.event("spatial", **spatial.to_json())
+                recorder.gauge("engine.load_imbalance", spatial.load_imbalance)
+
+        return SimulationReport(
+            policy=self.policy.name,
+            workload=self.workload.name,
+            runtime_cycles=runtime_cycles,
+            breakdown=self.breakdown,
+            energy=energy,
+            hits=self.hits,
+            reconfig_movements=self.movements,
+            reconfig_invalidations=self.invalidations,
+            per_epoch_cycles=self.per_epoch_cycles,
+            faults=self.fault_state.report if self.fault_state else None,
+            timeline=self.timeline,
+            tier_histograms=tier_histograms,
+            spatial=spatial,
+        )
+
+    # ------------------------------------------------------------------
+    # Per-epoch model steps
+
+    def _l1_filter(self, epoch: Trace, order: np.ndarray) -> tuple[Trace, np.ndarray]:
+        """Filter the epoch through each core's L1D in one grouped
+        window-LRU pass; returns the miss trace and the hit mask.
+        ``order`` is the epoch's stable-by-core permutation."""
+        mask = filter_cores_through_l1(
+            epoch.addr, epoch.core, self.config.core.l1d, order=order
+        )
+        return epoch.select(~mask), mask
 
     def _charge(
         self,
         trace: Trace,
         outcome: RequestOutcome,
-        breakdown: LatencyBreakdown,
-        energy: EnergyBreakdown,
-        hits: HitStats,
-        core_unit: np.ndarray | None = None,
-        in_stream: np.ndarray | None = None,
-        affine: np.ndarray | None = None,
+        core_unit: np.ndarray,
+        in_stream: np.ndarray,
+        affine: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Charge latency/energy for one epoch.
+        """Charge one epoch's latency and energy to the run's accumulators.
 
         Returns ``(stall, goes_ext, n_ext)``: the per-request stall ns
         observed by the issuing cores, the mask of requests served by
         the extended memory (misses plus bypasses), and that mask's
-        population count (so callers do not re-reduce it).  The optional
-        ``core_unit`` / ``in_stream`` / ``affine`` arrays accept the
-        per-epoch invariants the run loop already computed.
+        population count (so callers do not re-reduce it).
+        ``core_unit`` / ``in_stream`` / ``affine`` are the per-epoch
+        invariants the step already computed.
         """
+        config = self.config
+        topology = self.topology
+        breakdown = self.breakdown
+        energy = self.energy
         n = len(trace)
         stall = np.array(outcome.metadata_ns, dtype=np.float64, copy=True)
         breakdown.metadata_ns += float(stall.sum())
 
-        if core_unit is None:
-            core_unit = trace.core.astype(np.int64) % self.config.n_units
         serving = outcome.serving_unit
         hit = outcome.hit
         cached = serving >= 0
@@ -473,17 +576,17 @@ class SimulationEngine:
 
         # One flat gather index serves every topology table (latency,
         # hop counts, energy) instead of four 2-D fancy-index passes.
-        flat = core_unit * self.topology.n_units + serving_clip
-        one_way = self.topology.latency_ns.ravel()[flat]
-        intra_hops = self.topology.intra_hops.ravel()[flat]
-        inter_hops = self.topology.inter_hops.ravel()[flat]
-        noc_pj = self.topology.energy_pj_per_bit.ravel()[flat]
+        flat = core_unit * topology.n_units + serving_clip
+        one_way = topology.latency_ns.ravel()[flat]
+        intra_hops = topology.intra_hops.ravel()[flat]
+        inter_hops = topology.inter_hops.ravel()[flat]
+        noc_pj = topology.energy_pj_per_bit.ravel()[flat]
 
         # --- Interconnect: request to home unit and response back. ---
         noc_ns = np.zeros(n)
         noc_ns[cached] = 2.0 * one_way[cached]
-        intra_part = intra_hops * self.config.noc.intra_hop_ns
-        inter_part = inter_hops * self.config.noc.inter_hop_ns
+        intra_part = intra_hops * config.noc.intra_hop_ns
+        inter_part = inter_hops * config.noc.inter_hop_ns
         breakdown.intra_noc_ns += float(2.0 * intra_part[cached].sum())
         breakdown.inter_noc_ns += float(2.0 * inter_part[cached].sum())
 
@@ -496,7 +599,7 @@ class SimulationEngine:
         self._inter_stack_bytes += int(crosses.sum()) * (msg_bits // 8) * 2
 
         # --- NDP DRAM: hits and in-DRAM miss probes, row-buffer aware. ---
-        tracer = self._tracer
+        tracer = self.tracer
         with tracer.span("engine.dram_charge"):
             touches = cached & (hit | outcome.miss_probe_dram)
             dram_ns = np.zeros(n)
@@ -506,15 +609,15 @@ class SimulationEngine:
                 # all units.
                 rows = outcome.local_row[touches]
                 units = serving[touches]
-                banks = units * self.config.ndp_dram.banks + (
-                    rows % self.config.ndp_dram.banks
+                banks = units * config.ndp_dram.banks + (
+                    rows % config.ndp_dram.banks
                 )
                 row_hit = kernels.direct_mapped_hits(banks, rows)
-                timing = self.config.ndp_dram
+                timing = config.ndp_dram
                 dram_ns[touches] = np.where(
                     row_hit, timing.row_hit_ns, timing.row_miss_ns
                 )
-                energy.ndp_dram_nj += self.ndp_dram.energy_nj(row_hit)
+                energy.ndp_dram_nj += self.engine.ndp_dram.energy_nj(row_hit)
             breakdown.dram_ns += float(dram_ns.sum())
 
         # --- Misses: CXL + DDR5, plus NoC from home unit to the CXL port. ---
@@ -527,7 +630,6 @@ class SimulationEngine:
             ext_latency_total = 0.0
             origin = None
             if n_ext:
-                port = self.options.cxl_port_unit
                 ext_result = self.extended.access(trace.addr[goes_ext])
                 ext_ns[goes_ext] = ext_result.latency_ns
                 ext_latency_total = float(ext_result.latency_ns.sum())
@@ -535,16 +637,14 @@ class SimulationEngine:
                 # response returns to the requesting core.  Bypass
                 # requests go directly from the core to the port.
                 origin = np.where(miss, serving_clip, core_unit)[goes_ext]
-                to_port = self.topology.latency_ns[origin, port]
-                from_port = self.topology.latency_ns[port, core_unit[goes_ext]]
+                to_port = topology.latency_ns[origin, CXL_PORT_UNIT]
+                from_port = topology.latency_ns[CXL_PORT_UNIT, core_unit[goes_ext]]
                 ext_ns[goes_ext] += to_port + from_port
                 breakdown.inter_noc_ns += float((to_port + from_port).sum())
                 energy.cxl_nj += ext_result.link_energy_nj
                 energy.ext_dram_nj += ext_result.dram_energy_nj
                 if self.fault_state is not None:
-                    fault_ns = self.fault_state.cxl_penalty_ns(
-                        n_ext, self.extended
-                    )
+                    fault_ns = self.fault_state.cxl_penalty_ns(n_ext, self.extended)
                     if fault_ns is not None:
                         ext_ns[goes_ext] += fault_ns
                         ext_latency_total += float(fault_ns.sum())
@@ -557,16 +657,14 @@ class SimulationEngine:
                 # unit.
                 fills = int(miss.sum())
                 energy.ndp_dram_nj += fills * (
-                    self.config.ndp_dram.access_energy_nj(
-                        CACHELINE_BYTES, row_miss=True
-                    )
+                    config.ndp_dram.access_energy_nj(CACHELINE_BYTES, row_miss=True)
                 )
             breakdown.extended_ns += ext_latency_total
 
         # Metadata DRAM accesses consume DRAM energy too.
         energy.ndp_dram_nj += (
             outcome.metadata_dram_accesses
-            * self.config.ndp_dram.access_energy_nj(8, row_miss=False)
+            * config.ndp_dram.access_energy_nj(8, row_miss=False)
         )
 
         stall += noc_ns + dram_ns + ext_ns
@@ -593,7 +691,7 @@ class SimulationEngine:
                     dram_ns=dram_ns,
                     goes_ext=goes_ext,
                     origin=origin,
-                    port_unit=self.options.cxl_port_unit,
+                    port_unit=CXL_PORT_UNIT,
                     round_trip_bytes=2 * (CACHELINE_BYTES + 2 * HEADER_BYTES),
                 )
 
@@ -603,344 +701,107 @@ class SimulationEngine:
         # indirect_mlp (1 on the host, which lacks stream engines).
         # Bandwidth/queueing effects still see the full demand (they are
         # computed from access counts, not stall).
-        if in_stream is None:
-            in_stream = trace.sid >= 0
-        if affine is None:
-            affine = (
-                self._sid_affine[np.clip(trace.sid, -1, len(self._sid_affine) - 2)]
-                & in_stream
-            )
         stall[affine] /= AFFINE_MLP
         indirect = in_stream & ~affine
-        stall[indirect] /= self.config.indirect_mlp
+        stall[indirect] /= config.indirect_mlp
 
+        hits = self.hits
         hits.cache_hits_local += int((hit & (serving == core_unit)).sum())
         hits.cache_hits_remote += int((hit & cached & (serving != core_unit)).sum())
         hits.cache_misses += n_ext
         return stall, goes_ext, n_ext
 
+    def _ext_service_ns(self) -> float:
+        """Time one access occupies an extended-memory channel: the
+        burst transfer (freq x 2 (DDR) x 8 bytes per beat) plus its
+        share of bank-level row cycling."""
+        ext = self.config.ext_dram
+        channel_bytes_per_ns = ext.freq_mhz * 16.0 / 1000.0
+        return CACHELINE_BYTES / channel_bytes_per_ns + ext.row_miss_ns / ext.banks
 
-@dataclass
-class StepStats:
-    """What one incremental epoch step did (deltas, not totals).
-
-    Returned by :meth:`EngineSession.step` so a serving loop can account
-    per-batch latency and health without waiting for the final report.
-    All latency/hit fields are this step's contribution alone.
-    """
-
-    epoch: int
-    requests: int
-    post_l1_requests: int
-    hits: HitStats
-    movements: int
-    invalidations: int
-    fault_events: EpochFaults | None
-    demoted_requests: int
-    cycles_total: float
-
-
-class EngineSession:
-    """One simulation run, advanced one epoch at a time.
-
-    Owns every accumulator the old monolithic run loop kept on its
-    stack, so the batch path (``SimulationEngine.run``) and a serving
-    loop (``SimulationEngine.begin_session``) share a single code path:
-    feeding the same epoch traces in the same order is bit-identical by
-    construction.  ``step`` processes one epoch trace; ``finish`` closes
-    the run and builds the :class:`SimulationReport`.
-    """
-
-    def __init__(
+    def _queueing_delay(
         self,
-        engine: SimulationEngine,
-        workload: Workload,
-        policy: DramCachePolicy,
-        tracer=None,
-    ) -> None:
-        self.engine = engine
-        self.workload = workload
-        self.policy = policy
-        self.tracer = tracer if tracer is not None else engine._resolve_tracer()
-        engine._tracer = self.tracer
-        recorder = engine.recorder
-        self.recorder = recorder
-        policy.bind_recorder(recorder)
-        with self.tracer.span("policy.setup"):
-            policy.setup(engine.config, engine.topology, workload)
-        # Per-sid affine flag for the prefetch-overlap (MLP) model.
-        max_sid = max((s.sid for s in workload.streams), default=-1)
-        engine._sid_affine = np.zeros(max_sid + 2, dtype=bool)
-        for stream in workload.streams:
-            engine._sid_affine[stream.sid] = stream.is_affine
+        epoch: Trace,
+        epoch_stall: np.ndarray,
+        ext_mask: np.ndarray,
+        unit: np.ndarray,
+        n_ext: int,
+    ) -> float:
+        """Per-miss queueing delay at the shared extended memory.
 
-        # The trace may carry more logical cores (threads) than the system
-        # has physical units; threads are assigned round-robin and a
-        # unit's time is the sum of its threads' times (in-order cores).
-        n_threads = max(workload.trace.n_cores, 1)
-        self.core_stall_ns = np.zeros(n_threads)
-        self.core_accesses = np.zeros(n_threads, dtype=np.int64)
-        engine._thread_units = (
-            np.arange(n_threads, dtype=np.int64) % engine.config.n_units
-        )
-        engine._ext_accesses = 0
-        engine._ext_lane_accesses = {}
-        engine._inter_stack_bytes = 0
-        engine.fault_state = (
-            FaultState(engine.fault_schedule, engine.config, recorder=recorder)
-            if engine.fault_schedule is not None
-            else None
-        )
-        engine.extended.effective_lanes = engine.config.cxl.lanes
-        self.breakdown = LatencyBreakdown()
-        self.energy = EnergyBreakdown()
-        self.hits = HitStats()
-        self.movements = 0
-        self.invalidations = 0
-        self.per_epoch_cycles: list[float] = []
-        self.timeline = Timeline() if recorder.enabled else None
-        if recorder.enabled:
-            engine._obs_hist = TierHistogramSet()
-            engine._obs_spatial = SpatialAccumulator(
-                engine.config.n_units, engine.topology.unit_stack
-            )
-        else:
-            engine._obs_hist = None
-            engine._obs_spatial = None
-        self.epoch_idx = 0
-        self._finished = False
-
-    def step(self, epoch: Trace, order: np.ndarray | None = None) -> StepStats:
-        """Run one epoch trace through the full engine pipeline.
-
-        ``order`` accepts the precomputed stable-by-core permutation when
-        the caller sorted the whole trace at once (the batch path);
-        serving callers leave it ``None`` and the per-epoch sort —
-        keyed identically — produces the same permutation.
+        The channels behind the CXL device (or the host's DDR bus) are a
+        shared server: with many in-order cores missing concurrently,
+        waiting time grows as utilization approaches 1 (M/D/1-style
+        rho/(2(1-rho)) scaling).  The epoch duration is estimated from
+        the already-charged latencies, iterated once so the added delay
+        feeds back into the utilization estimate.  ``unit`` is each
+        request's issuing unit and ``n_ext`` the population of
+        ``ext_mask``.
         """
-        if self._finished:
-            raise RuntimeError("EngineSession already finished")
-        engine = self.engine
-        tracer = self.tracer
-        recorder = self.recorder
-        breakdown = self.breakdown
-        energy = self.energy
-        hits = self.hits
-        epoch_idx = self.epoch_idx
-        self.epoch_idx += 1
-        if order is None:
-            order = engine._epoch_core_orders([epoch])[0]
-
-        with tracer.span("engine.epoch", epoch=epoch_idx):
-            events = None
-            epoch_movements = 0
-            epoch_invalidations = 0
-            # Snapshot the accumulators so this step's deltas can be
-            # attributed to one timeline record / StepStats.  Pure
-            # dataclass copies: they never perturb simulation state.
-            prev_hits = replace(hits)
-            prev_demoted = (
-                engine.fault_state.report.demoted_requests
-                if engine.fault_state is not None
-                else 0
+        if n_ext == 0:
+            return 0.0
+        config = self.config
+        service = self._ext_service_ns() / config.cxl.channels
+        # Per-unit compute time is stall-independent; add it once.  The
+        # per-access cost is constant, so the segment sum is a count
+        # times that constant.
+        compute = kernels.segment_count(unit, config.n_units) * (
+            self.workload.compute_cycles_per_access * config.core.cycle_ns
+        )
+        queue_ns = 0.0
+        for _ in range(2):
+            unit_ns = kernels.segment_sum(
+                unit, epoch_stall + queue_ns * ext_mask, config.n_units
             )
-            if recorder.enabled:
-                with tracer.span("engine.observability"):
-                    prev_breakdown = replace(breakdown)
-                    prev_energy = replace(energy)
-                    prev_ext = engine._ext_accesses
-                    prev_inter = engine._inter_stack_bytes
-            if engine.fault_state is not None:
-                with tracer.span("engine.fault_hooks"):
-                    events = engine.fault_state.advance(epoch_idx)
-                    engine.extended.effective_lanes = (
-                        engine.fault_state.effective_lanes
-                    )
-                    if not events.empty:
-                        with tracer.span("policy.on_faults"):
-                            fstats = self.policy.on_faults(
-                                epoch_idx, events, engine.fault_state
-                            )
-                        epoch_movements += fstats.movements
-                        epoch_invalidations += fstats.invalidations
-                        engine.fault_state.report.fault_movements += (
-                            fstats.movements
-                        )
-                        engine.fault_state.report.fault_invalidations += (
-                            fstats.invalidations
-                        )
-            with tracer.span("policy.begin_epoch"):
-                stats = self.policy.begin_epoch(epoch_idx)
-            epoch_movements += stats.movements
-            epoch_invalidations += stats.invalidations
-            self.movements += epoch_movements
-            self.invalidations += epoch_invalidations
+            duration = float(np.max(unit_ns + compute))
+            if duration <= 0:
+                return 0.0
+            rho = min(n_ext * service / duration, self.MAX_UTILIZATION)
+            queue_ns = service * rho / (2.0 * max(1e-9, 1.0 - rho))
+        return queue_ns
 
-            with tracer.span("engine.l1_filter"):
-                post_l1, l1_result = engine._l1_filter(epoch, order=order)
-                hits.l1_hits += l1_result["hits"]
-                l1_ns = l1_result["hits"] * engine.config.core.l1d.hit_ns
-                breakdown.sram_ns += l1_ns
-                energy.sram_nj += l1_result["total"] * 0.01  # ~10 pJ / L1 access
-                n_threads = len(self.core_accesses)
-                self.core_accesses += kernels.segment_count(
-                    epoch.core, n_threads
-                )
-                # All L1 hits cost the same, so the per-thread stall is a
-                # hit count times the constant hit latency.
-                self.core_stall_ns += kernels.segment_count(
-                    epoch.core[l1_result["mask"]], n_threads
-                ) * engine.config.core.l1d.hit_ns
+    def _bandwidth_bound_ns(self) -> float:
+        """Roofline bound from shared next-level-memory bandwidth.
 
-            if len(post_l1):
-                with tracer.span("policy.process"):
-                    outcome = self.policy.process(post_l1)
-                if engine.fault_state is not None and engine.fault_state.degraded:
-                    engine.fault_state.demote(outcome)
-                with tracer.span("engine.charge"):
-                    # Per-epoch invariants every charge/queue step needs,
-                    # computed once instead of once per consumer.
-                    core_unit = (
-                        post_l1.core.astype(np.int64) % engine.config.n_units
-                    )
-                    in_stream = post_l1.sid >= 0
-                    affine = (
-                        engine._sid_affine[
-                            np.clip(
-                                post_l1.sid, -1, len(engine._sid_affine) - 2
-                            )
-                        ]
-                        & in_stream
-                    )
-                    epoch_stall, ext_mask, n_ext = engine._charge(
-                        post_l1,
-                        outcome,
-                        breakdown,
-                        energy,
-                        hits,
-                        core_unit=core_unit,
-                        in_stream=in_stream,
-                        affine=affine,
-                    )
-                with tracer.span("engine.queueing"):
-                    queue_ns = engine._queueing_delay(
-                        post_l1,
-                        epoch_stall,
-                        ext_mask,
-                        self.workload,
-                        unit=core_unit,
-                        n_ext=n_ext,
-                    )
-                    if queue_ns > 0:
-                        observed = np.full(len(post_l1), queue_ns)
-                        observed[affine] /= AFFINE_MLP
-                        observed[in_stream & ~affine] /= (
-                            engine.config.indirect_mlp
-                        )
-                        epoch_stall[ext_mask] += observed[ext_mask]
-                        breakdown.extended_ns += queue_ns * n_ext
-                    self.core_stall_ns += kernels.segment_sum(
-                        post_l1.core, epoch_stall, len(self.core_stall_ns)
-                    )
-            else:
-                outcome = None
-
-            if outcome is not None:
-                with tracer.span("policy.end_epoch"):
-                    self.policy.end_epoch(epoch_idx, post_l1, outcome)
-            with tracer.span("engine.runtime_model"):
-                self.per_epoch_cycles.append(
-                    engine._runtime_cycles(
-                        self.core_stall_ns, self.core_accesses, self.workload
-                    )
-                )
-
-            if recorder.enabled:
-                with tracer.span("engine.observability"):
-                    engine._append_epoch_record(
-                        self.timeline,
-                        recorder,
-                        epoch_idx=epoch_idx,
-                        epoch=epoch,
-                        post_l1=post_l1,
-                        hits=hits - prev_hits,
-                        breakdown=breakdown - prev_breakdown,
-                        energy=energy - prev_energy,
-                        ext_delta=engine._ext_accesses - prev_ext,
-                        inter_delta=engine._inter_stack_bytes - prev_inter,
-                        prev_demoted=prev_demoted,
-                        epoch_movements=epoch_movements,
-                        epoch_invalidations=epoch_invalidations,
-                        events=events,
-                        cycles_total=self.per_epoch_cycles[-1],
-                    )
-
-        return StepStats(
-            epoch=epoch_idx,
-            requests=len(epoch),
-            post_l1_requests=len(post_l1),
-            hits=hits - prev_hits,
-            movements=epoch_movements,
-            invalidations=epoch_invalidations,
-            fault_events=events,
-            demoted_requests=(
-                engine.fault_state.report.demoted_requests - prev_demoted
-                if engine.fault_state is not None
-                else 0
-            ),
-            cycles_total=self.per_epoch_cycles[-1],
-        )
-
-    @property
-    def cycles_total(self) -> float:
-        """Simulated cycles elapsed so far (the serving loop's clock)."""
-        if self.per_epoch_cycles:
-            return self.per_epoch_cycles[-1]
-        return 0.0
-
-    def finish(self) -> SimulationReport:
-        """Close the run: final runtime model, static energy, report."""
-        if self._finished:
-            raise RuntimeError("EngineSession already finished")
-        self._finished = True
-        engine = self.engine
-        tracer = self.tracer
-        recorder = self.recorder
-        energy = self.energy
-        with tracer.span("engine.runtime_model"):
-            runtime_cycles = engine._runtime_cycles(
-                self.core_stall_ns, self.core_accesses, self.workload
+        Every cache miss occupies an extended-memory DDR channel (burst
+        transfer plus its share of bank-level row cycling) and the CXL
+        link.  Many cores hammering few channels makes this the binding
+        constraint — the regime that motivates NDP in the first place.
+        """
+        config = self.config
+        bounds = [0.0]
+        n_ext = self._ext_accesses
+        if n_ext:
+            bounds.append(n_ext * self._ext_service_ns() / config.cxl.channels)
+            # CXL link: ~4 GB/s usable per lane per direction.  Accesses
+            # made while the link was down-trained occupy it longer, so
+            # the bound sums per trained width.
+            link_ns = 0.0
+            for lanes, count in self._ext_lane_accesses.items():
+                link_bytes_per_ns = 4.0 * lanes
+                link_ns += count * CACHELINE_BYTES / link_bytes_per_ns
+            bounds.append(link_ns)
+        if self._inter_stack_bytes:
+            # Inter-stack links: Table II's 32 GB/s per direction, one
+            # bidirectional link per stack-mesh edge.
+            links = max(
+                1,
+                (config.stacks_x - 1) * config.stacks_y
+                + (config.stacks_y - 1) * config.stacks_x,
             )
-        runtime_ns = runtime_cycles * engine.config.core.cycle_ns
-        energy.static_nj += (
-            STATIC_W_PER_UNIT * engine.config.n_units * runtime_ns
-        )
-        tier_histograms = None
-        spatial = None
-        if recorder.enabled:
-            with tracer.span("engine.observability"):
-                recorder.gauge("engine.runtime_cycles", runtime_cycles)
-                recorder.gauge("engine.static_nj", energy.static_nj)
-                recorder.counter("engine.epochs", len(self.per_epoch_cycles))
-                tier_histograms = engine._obs_hist.histograms()
-                spatial = engine._obs_spatial.to_report()
-                for tier_name, hist in tier_histograms.items():
-                    recorder.event("histogram", tier=tier_name, **hist.to_json())
-                recorder.event("spatial", **spatial.to_json())
-                recorder.gauge("engine.load_imbalance", spatial.load_imbalance)
+            noc_bytes_per_ns = config.noc.inter_bw_gbps * links  # GB/s == B/ns
+            bounds.append(self._inter_stack_bytes / noc_bytes_per_ns)
+        return max(bounds)
 
-        return SimulationReport(
-            policy=self.policy.name,
-            workload=self.workload.name,
-            runtime_cycles=runtime_cycles,
-            breakdown=self.breakdown,
-            energy=energy,
-            hits=self.hits,
-            reconfig_movements=self.movements,
-            reconfig_invalidations=self.invalidations,
-            per_epoch_cycles=self.per_epoch_cycles,
-            faults=engine.fault_state.report if engine.fault_state else None,
-            timeline=self.timeline,
-            tier_histograms=tier_histograms,
-            spatial=spatial,
+    def _runtime_cycles(self) -> float:
+        """The in-order runtime so far: the slowest unit's compute plus
+        stall cycles, or the bandwidth roofline when that binds."""
+        cycle_ns = self.config.core.cycle_ns
+        compute_cycles = self.core_accesses * self.workload.compute_cycles_per_access
+        thread_cycles = compute_cycles + self.core_stall_ns / cycle_ns
+        unit_cycles = kernels.segment_sum(
+            self._thread_units, thread_cycles, self.config.n_units
         )
+        core_bound = float(np.max(unit_cycles)) if len(unit_cycles) else 0.0
+        bw_bound = self._bandwidth_bound_ns() / cycle_ns
+        return max(core_bound, bw_bound)

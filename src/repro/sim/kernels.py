@@ -229,9 +229,12 @@ def segment_sum(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
     bincount folds addends per bucket in input order starting from
     0.0 — the same operation sequence as an in-order Python loop, so
-    the result is bitwise identical to the reference's.
+    the result is bitwise identical to the reference's.  Empty weights
+    make bincount return int64 zeros, hence the cast.
     """
-    return np.bincount(index, weights=weights, minlength=n)
+    return np.bincount(index, weights=weights, minlength=n).astype(
+        np.float64, copy=False
+    )
 
 
 def segment_count(index: np.ndarray, n: int) -> np.ndarray:

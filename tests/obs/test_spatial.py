@@ -14,11 +14,16 @@ from repro.workloads import SMALL, TINY, build
 
 
 def run_recorded(workload="pr", config=None, scale=TINY, faults=None):
+    """A recorded run stepped through its session, which is returned
+    so tests can read the run's own counters."""
     config = config if config is not None else tiny()
     recorder = Recorder(workload=workload, policy="ndpext")
     engine = SimulationEngine(config, faults=faults, recorder=recorder)
-    report = engine.run(build(workload, scale), NdpExtPolicy())
-    return report, engine, recorder
+    wl = build(workload, scale)
+    session = engine.begin_session(wl, NdpExtPolicy())
+    for epoch in wl.trace.epochs(config.epoch_accesses):
+        session.step(epoch)
+    return session.finish(), session, recorder
 
 
 class TestReconciliation:
@@ -43,16 +48,16 @@ class TestReconciliation:
     def test_off_diagonal_link_bytes_match_engine_roofline_counter(self):
         """The link matrix's off-diagonal sum is exactly the byte count
         the engine feeds its inter-stack bandwidth roofline."""
-        report, engine, _ = run_recorded(config=small(), scale=SMALL)
+        report, session, _ = run_recorded(config=small(), scale=SMALL)
         assert report.spatial.n_stacks == 4
-        assert report.spatial.inter_stack_bytes == engine._inter_stack_bytes
+        assert report.spatial.inter_stack_bytes == session._inter_stack_bytes
         assert report.spatial.inter_stack_bytes > 0
 
     def test_single_stack_has_no_inter_stack_traffic(self):
-        report, engine, _ = run_recorded()  # tiny: one stack
+        report, session, _ = run_recorded()  # tiny: one stack
         assert report.spatial.n_stacks == 1
         assert report.spatial.inter_stack_bytes == 0
-        assert engine._inter_stack_bytes == 0
+        assert session._inter_stack_bytes == 0
 
     def test_ext_requests_by_stack_counts_four_legs_per_miss(self):
         """Each extended access shows up four times across the per-stack

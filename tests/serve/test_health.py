@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.faults import EpochFaults
 from repro.obs import Recorder
 from repro.serve import DEGRADED, FLAPPING, HEALTHY, HealthMonitor
 
@@ -19,10 +18,6 @@ class FakePolicy:
         self.enabled_calls.append(enabled)
 
 
-def _fault(epoch, units=(0,)):
-    return EpochFaults(epoch=epoch, unit_failures=list(units))
-
-
 def _monitor(**kwargs):
     policy = FakePolicy()
     recorder = Recorder(workload="pr", policy="ndpext")
@@ -32,14 +27,14 @@ def _monitor(**kwargs):
 class TestTransitions:
     def test_starts_healthy_and_stays_without_signals(self):
         policy, _, monitor = _monitor()
-        assert monitor.observe(0, EpochFaults(epoch=0), None) == HEALTHY
-        assert monitor.observe(1, None, {"degraded": False}) == HEALTHY
+        assert monitor.observe(0, False, None) == HEALTHY
+        assert monitor.observe(1, False, {"degraded": False}) == HEALTHY
         assert policy.forced == 0
         assert monitor.finish() == []
 
     def test_capacity_fault_degrades_and_forces_reconfig(self):
         policy, recorder, monitor = _monitor()
-        assert monitor.observe(2, _fault(2), {"degraded": True}) == DEGRADED
+        assert monitor.observe(2, True, {"degraded": True}) == DEGRADED
         assert policy.forced == 1
         events = recorder.events_of("serve_degraded")
         assert len(events) == 1
@@ -49,16 +44,16 @@ class TestTransitions:
     def test_link_degradation_marks_window_without_forcing(self):
         policy, _, monitor = _monitor()
         # CRC burst / lane downtrain: degraded summary, no capacity event.
-        assert monitor.observe(1, None, {"degraded": True}) == DEGRADED
+        assert monitor.observe(1, False, {"degraded": True}) == DEGRADED
         assert policy.forced == 0
         assert monitor.finish() == [[1, 2]]
 
     def test_flapping_pauses_reconfiguration(self):
         policy, _, monitor = _monitor(flap_window=8, flap_threshold=3)
-        monitor.observe(1, _fault(1), {"degraded": True})
-        monitor.observe(2, _fault(2), {"degraded": True})
+        monitor.observe(1, True, {"degraded": True})
+        monitor.observe(2, True, {"degraded": True})
         assert policy.forced == 2
-        assert monitor.observe(3, _fault(3), {"degraded": True}) == FLAPPING
+        assert monitor.observe(3, True, {"degraded": True}) == FLAPPING
         # Entering FLAPPING disables reconfig; the strike that tipped it
         # over must NOT force another re-placement.
         assert policy.enabled_calls == [False]
@@ -67,20 +62,20 @@ class TestTransitions:
     def test_storm_aging_out_reenables_and_catches_up(self):
         policy, _, monitor = _monitor(flap_window=4, flap_threshold=3)
         for epoch in (1, 2, 3):
-            monitor.observe(epoch, _fault(epoch), {"degraded": True})
+            monitor.observe(epoch, True, {"degraded": True})
         assert monitor.state == FLAPPING
         # Quiet epochs age the strikes out of the window (still degraded
         # capacity: dead units don't come back).
-        state = monitor.observe(6, None, {"degraded": True})
+        state = monitor.observe(6, False, {"degraded": True})
         assert state == DEGRADED
         assert policy.enabled_calls == [False, True]
         assert policy.forced == 3  # 2 pre-flap + 1 catch-up
 
     def test_windows_close_on_recovery_and_at_finish(self):
         _, _, monitor = _monitor()
-        monitor.observe(1, _fault(1), {"degraded": True})
-        monitor.observe(2, None, {"degraded": False})  # recovered
-        monitor.observe(5, _fault(5), {"degraded": True})
+        monitor.observe(1, True, {"degraded": True})
+        monitor.observe(2, False, {"degraded": False})  # recovered
+        monitor.observe(5, True, {"degraded": True})
         assert monitor.finish() == [[1, 2], [5, 6]]
 
 

@@ -44,6 +44,15 @@ def gather_workload(n=4000, n_cores=4, seed=1):
     return Workload(name="gather", streams=table, trace=trace)
 
 
+def _units(epoch, config):
+    """Each request's issuing unit, as the engine derives it."""
+    return epoch.core.astype(np.int64) % config.n_units
+
+
+def _session(config):
+    return SimulationEngine(config).begin_session(gather_workload(), AlwaysMiss())
+
+
 class TestQueueing:
     def test_fewer_channels_is_slower(self):
         config = tiny()
@@ -56,45 +65,46 @@ class TestQueueing:
 
     def test_queue_delay_positive_under_load(self):
         config = tiny().scaled(cxl=replace(tiny().cxl, channels=1))
-        engine = SimulationEngine(config)
-        wl = gather_workload()
-        epoch = wl.trace.epochs(config.epoch_accesses)[0]
+        session = _session(config)
+        epoch = session.workload.trace.epochs(config.epoch_accesses)[0]
         # Assemble the inputs _queueing_delay needs.
-        engine.run(wl, AlwaysMiss())  # sets _sid_affine
         stall = np.full(len(epoch), 100.0)
         ext_mask = np.ones(len(epoch), dtype=bool)
-        delay = engine._queueing_delay(epoch, stall, ext_mask, wl)
+        delay = session._queueing_delay(
+            epoch, stall, ext_mask, _units(epoch, config), len(epoch)
+        )
         assert delay > 0
 
     def test_no_misses_no_delay(self):
         config = tiny()
-        engine = SimulationEngine(config)
-        wl = gather_workload()
-        epoch = wl.trace.epochs(config.epoch_accesses)[0]
-        delay = engine._queueing_delay(
-            epoch, np.zeros(len(epoch)), np.zeros(len(epoch), bool), wl
+        session = _session(config)
+        epoch = session.workload.trace.epochs(config.epoch_accesses)[0]
+        delay = session._queueing_delay(
+            epoch,
+            np.zeros(len(epoch)),
+            np.zeros(len(epoch), bool),
+            _units(epoch, config),
+            0,
         )
         assert delay == 0.0
 
 
 class TestRoofline:
     def test_bound_scales_with_misses(self):
-        config = tiny()
-        engine = SimulationEngine(config)
-        engine._ext_accesses = 1000
-        low = engine._bandwidth_bound_ns()
-        engine._ext_accesses = 2000
-        assert engine._bandwidth_bound_ns() == pytest.approx(2 * low)
+        session = _session(tiny())
+        session._ext_accesses = 1000
+        low = session._bandwidth_bound_ns()
+        session._ext_accesses = 2000
+        assert session._bandwidth_bound_ns() == pytest.approx(2 * low)
 
     def test_zero_without_traffic(self):
-        engine = SimulationEngine(tiny())
-        engine._ext_accesses = 0
-        assert engine._bandwidth_bound_ns() == 0.0
+        session = _session(tiny())
+        session._ext_accesses = 0
+        assert session._bandwidth_bound_ns() == 0.0
 
     def test_service_time_components(self):
         config = tiny()
-        engine = SimulationEngine(config)
-        service = engine._ext_service_ns()
+        service = _session(config)._ext_service_ns()
         ext = config.ext_dram
         assert service > ext.row_miss_ns / ext.banks  # plus transfer time
 
@@ -134,7 +144,10 @@ class TestRoofline:
     def test_runtime_respects_roofline(self):
         """A miss-heavy run's runtime is at least the bandwidth bound."""
         config = tiny().scaled(cxl=replace(tiny().cxl, channels=1))
-        engine = SimulationEngine(config)
-        report = engine.run(gather_workload(n=8000), AlwaysMiss())
-        bound_cycles = engine._bandwidth_bound_ns() / config.core.cycle_ns
+        wl = gather_workload(n=8000)
+        session = SimulationEngine(config).begin_session(wl, AlwaysMiss())
+        for epoch in wl.trace.epochs(config.epoch_accesses):
+            session.step(epoch)
+        report = session.finish()
+        bound_cycles = session._bandwidth_bound_ns() / config.core.cycle_ns
         assert report.runtime_cycles >= bound_cycles * 0.999

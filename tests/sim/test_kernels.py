@@ -184,6 +184,7 @@ _BIG_WEIGHTS = _rng.normal(scale=1e9, size=10_000) + _rng.normal(size=10_000)
 @settings(max_examples=200, deadline=None)
 @given(case=weighted_index())
 @example(case=(_BIG_INDEX, _BIG_WEIGHTS, 37))
+@example(case=(np.empty(0, np.int64), np.empty(0, np.float64), 5))
 def test_segment_sum_bitwise_matches_inorder_python_fold(case):
     """The float contract: segment_sum folds addends per bucket in input
     order, bitwise equal to a python running sum.  np.bincount guarantees
@@ -192,7 +193,9 @@ def test_segment_sum_bitwise_matches_inorder_python_fold(case):
     index, weights, buckets = case
     got = kernels.segment_sum(index, weights, buckets)
     ref = reference.segment_sum(index, weights, buckets)
-    # Exact to the bit (so 0.0 and -0.0 differ), not allclose.
+    # Exact to the bit (so 0.0 and -0.0 differ), not allclose.  The bits
+    # of int64 zeros equal those of float64 zeros, so pin the dtype too.
+    assert got.dtype == ref.dtype == np.float64
     np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
