@@ -9,7 +9,6 @@ Usage::
     python -m repro figure fig5 [--preset small] [--jobs 4]
     python -m repro suite [--preset small] [--jobs 4]
     python -m repro report [--output results.md]
-    python -m repro trace --workload pr --policy ndpext --out trace.jsonl
     python -m repro stats trace.jsonl [other.jsonl]
     python -m repro dash trace.jsonl --out dash.html [--prom m.prom]
     python -m repro bench [--quick] [--out BENCH.json] [--check PREV.json]
@@ -35,14 +34,14 @@ cells, parallel fan-out, and cache behaviour, writing a
 ``figure`` accepts: fig2, fig4b, fig5, fig6, fig7, fig8a, fig8b,
 fig9a..fig9f, sec5d, faults.
 
-``trace`` runs one simulation with a live recorder and writes a
-schema-versioned JSONL event trace (epoch timeline, reconfiguration
-decisions with predicted-vs-realized per-stream hit rates, sampled miss
-curves, fault events, and a wall-clock self-profile of the simulator).
-``stats`` summarizes one such trace, or diffs two.  ``--trace-out`` on
-``run`` writes the same trace alongside the result table; on
-``compare`` it is a prefix and one ``<prefix>.<policy>.jsonl`` file is
-written per policy.
+``--trace-out`` on ``run`` runs the simulation with a live recorder and
+writes a schema-versioned JSONL event trace (reconfiguration decisions
+with predicted-vs-realized per-stream hit rates, sampled miss curves,
+fault events, the finished report with its epoch timeline, and a
+wall-clock self-profile of the simulator) alongside the result table;
+on ``compare`` it is a prefix and one ``<prefix>.<policy>.jsonl`` file
+is written per policy.  ``stats`` summarizes one such trace (``--csv``
+exports its timeline), or diffs two.
 
 ``dash`` renders a trace (or a ``--report-out`` JSON) into one
 self-contained HTML page: per-tier latency CDFs with exact percentiles,
@@ -60,7 +59,7 @@ warm, then writes a Chrome/Perfetto trace-event JSON (``--perf-out``,
 load it at https://ui.perfetto.dev) and prints a bottleneck report —
 engine phases ranked by exclusive time, cache I/O spans, the pool
 critical path, and per-worker utilization.  Do not confuse the two
-trace flags: ``--trace-out`` (on ``run``/``compare``/``trace``) is the
+trace flags: ``--trace-out`` (on ``run``/``compare``/``serve``) is the
 *semantic* JSONL event trace of the simulated system, consumed by
 ``stats`` and ``dash``; ``--perf-out`` is a *performance* trace of the
 simulator process itself, consumed by Perfetto.
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--report-out",
         default=None,
-        help="also write the full report (histograms, spatial map) as JSON",
+        help="also write the full report (timeline, histograms, spatial map) as JSON",
     )
 
     cmp_p = sub.add_parser("compare", help="all policies on one workload")
@@ -206,18 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep_p.add_argument(
         "--output", default="results.md", help="report path (default: results.md)"
-    )
-
-    trace_p = sub.add_parser(
-        "trace", help="run with full observability and write a JSONL trace"
-    )
-    trace_p.add_argument("--workload", required=True, choices=sorted(SUITE))
-    trace_p.add_argument("--policy", required=True, choices=sorted(POLICIES))
-    trace_p.add_argument(
-        "--out", default="trace.jsonl", help="trace path (default: trace.jsonl)"
-    )
-    trace_p.add_argument(
-        "--csv", default=None, help="also export the epoch timeline as CSV"
     )
 
     bench_p = sub.add_parser(
@@ -274,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         "dash", help="render a trace or report JSON as a standalone HTML page"
     )
     dash_p.add_argument(
-        "input", help="JSONL trace (run/trace --trace-out) or report JSON"
+        "input", help="JSONL trace (run/serve --trace-out) or report JSON"
     )
     dash_p.add_argument(
         "--out", default="dash.html", help="HTML path (default: dash.html)"
@@ -456,9 +443,9 @@ def _print_run_table(
 
 
 def cmd_run(context: ExperimentContext, args) -> None:
-    # --report-out needs a live recorder too: histograms and the spatial
-    # map only exist on recorded runs (NullRecorder keeps the hot path
-    # bit-identical to an uninstrumented build).
+    # --report-out needs a live recorder too: the timeline, histograms
+    # and the spatial map only exist on recorded runs (NullRecorder keeps
+    # the hot path bit-identical to an uninstrumented build).
     recorder = (
         _new_recorder(context, args.workload, args.policy)
         if (args.trace_out or args.report_out)
@@ -472,7 +459,7 @@ def cmd_run(context: ExperimentContext, args) -> None:
     if args.report_out:
         from repro.obs.export import write_json
 
-        write_json(args.report_out, report.to_json(include_obs=True))
+        write_json(args.report_out, report.to_json())
         print(f"[report] wrote {args.report_out}")
 
 
@@ -547,48 +534,6 @@ def cmd_report(context: ExperimentContext, args) -> None:
     with open(args.output, "w") as f:
         f.write(body)
     print(f"[report] wrote {args.output}")
-
-
-def cmd_trace(context: ExperimentContext, args) -> None:
-    recorder = _new_recorder(context, args.workload, args.policy)
-    report = context.run(args.workload, args.policy, recorder=recorder)
-    lines = recorder.write_jsonl(args.out)
-    if args.csv and report.timeline is not None:
-        report.timeline.to_csv(args.csv)
-        print(f"[trace] wrote {args.csv}")
-    timeline = report.timeline
-    rows = [
-        ["epochs", str(len(timeline) if timeline else 0)],
-        ["events", str(len(recorder.events))],
-        ["trace lines", str(lines)],
-        ["runtime cycles", f"{report.runtime_cycles:.0f}"],
-        ["cache hit rate", f"{report.hits.cache_hit_rate:.3f}"],
-        ["reconfig events", str(len(recorder.events_of('reconfig')))],
-    ]
-    print(
-        render_table(
-            ["metric", "value"],
-            rows,
-            title=f"trace of {args.workload} under {args.policy} -> {args.out}",
-        )
-    )
-    profile = recorder.profile()[:8]
-    if profile:
-        print(
-            render_table(
-                ["span", "calls", "total s", "mean us"],
-                [
-                    [
-                        row["label"],
-                        str(row["calls"]),
-                        f"{row['total_s']:.3f}",
-                        f"{row['mean_us']:.1f}",
-                    ]
-                    for row in profile
-                ],
-                title="simulator self-profile (slowest spans)",
-            )
-        )
 
 
 def cmd_profile(args) -> None:
@@ -831,7 +776,7 @@ def cmd_stats(args) -> None:
     else:
         raise SystemExit("stats takes one trace (summary) or two (diff)")
     if args.csv:
-        traces[0].timeline.to_csv(args.csv)
+        traces[0].report.timeline.to_csv(args.csv)
         print(f"[stats] wrote {args.csv}")
 
 
@@ -877,8 +822,6 @@ def main(argv: list[str] | None = None) -> int:
         fig5.run(context)
     elif args.command == "report":
         cmd_report(context, args)
-    elif args.command == "trace":
-        cmd_trace(context, args)
     return 0
 
 

@@ -3,7 +3,7 @@
 Layers (DESIGN.md "Observability" and "Distributional observability"):
 
 * :class:`Recorder` / :class:`NullRecorder` — structured counters,
-  gauges, events, and wall-clock spans; the null default costs nothing.
+  events, and wall-clock spans; the null default costs nothing.
 * :class:`Timeline` / :class:`EpochRecord` — per-epoch breakdowns of
   every aggregate in :class:`~repro.sim.metrics.SimulationReport`.
 * :class:`LatencyHistogram` / :class:`TierHistogramSet` — fixed
@@ -23,8 +23,9 @@ Layers (DESIGN.md "Observability" and "Distributional observability"):
   ratchet, and absolute floors.
 
 ``read_trace`` / ``summarize`` / ``diff_rows`` are the read side used
-by ``python -m repro stats``; ``report_from_trace`` rebuilds a full
-:class:`~repro.sim.metrics.SimulationReport` from a JSONL trace.
+by ``python -m repro stats``; ``read_trace(path).report`` is the run's
+:class:`~repro.sim.metrics.SimulationReport`, read from the trace's
+``report`` line.
 """
 
 from repro.obs.histogram import (
@@ -64,7 +65,6 @@ from repro.obs.traceio import (
     TraceFile,
     diff_rows,
     read_trace,
-    report_from_trace,
     summarize,
     summary_rows,
 )
@@ -99,7 +99,6 @@ __all__ = [
     "TraceFile",
     "diff_rows",
     "read_trace",
-    "report_from_trace",
     "sanitize_json",
     "summarize",
     "summary_rows",

@@ -1,7 +1,8 @@
 """``python -m repro dash``: a self-contained HTML report for one run.
 
-Input is either a JSONL observability trace (``repro run --trace-out`` /
-``repro trace``) or a report JSON (``repro run --report-out``).  Output
+Input is either a JSONL observability trace (``repro run --trace-out``),
+read through its ``report`` line, or a report JSON (``repro run
+--report-out``); both hold :meth:`SimulationReport.to_json` output.  Output
 is a single HTML file with no external assets or scripts: stat tiles,
 per-tier latency CDFs, the per-unit served-request heatmap, the
 stack-to-stack link-traffic matrix, and the epoch timeline — the
@@ -577,18 +578,24 @@ def render_dash(
     )
 
 
-def load_input(path: str) -> SimulationReport:
-    """Read a trace JSONL or a report JSON into a SimulationReport."""
-    from repro.obs.traceio import read_trace, report_from_trace
-
+def _is_trace(path: str) -> bool:
+    """Whether ``path`` starts with a JSONL trace's header line."""
     with open(path) as f:
         first = f.readline().strip()
     try:
         head = json.loads(first) if first else {}
     except json.JSONDecodeError:
-        head = {}
-    if isinstance(head, dict) and head.get("kind") == "header":
-        return report_from_trace(read_trace(path))
+        return False
+    return isinstance(head, dict) and head.get("kind") == "header"
+
+
+def load_input(path: str) -> SimulationReport:
+    """Read a trace's ``report`` line or a report JSON; both are
+    :meth:`SimulationReport.to_json` dicts."""
+    from repro.obs.traceio import read_trace
+
+    if _is_trace(path):
+        return read_trace(path).report
     try:
         with open(path) as f:
             payload = json.load(f)
@@ -606,13 +613,7 @@ def load_slo_events(path: str) -> list[dict]:
     a report JSON (no event stream) or records no SLO activity."""
     from repro.obs.traceio import read_trace
 
-    with open(path) as f:
-        first = f.readline().strip()
-    try:
-        head = json.loads(first) if first else {}
-    except json.JSONDecodeError:
-        return []
-    if not (isinstance(head, dict) and head.get("kind") == "header"):
+    if not _is_trace(path):
         return []
     trace = read_trace(path)
     return [

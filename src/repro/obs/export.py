@@ -1,7 +1,8 @@
 """Metrics export: Prometheus text format and a JSON payload.
 
-One :class:`~repro.sim.metrics.SimulationReport` (typically rebuilt from
-a trace via :func:`repro.obs.traceio.report_from_trace`) becomes either
+One :class:`~repro.sim.metrics.SimulationReport` (typically a trace's
+``report`` line, read by :attr:`repro.obs.traceio.TraceFile.report`)
+becomes either
 
 * a **Prometheus text-format** document — latency histograms as native
   Prometheus histograms (cumulative ``_bucket{le=...}`` series plus
@@ -391,10 +392,10 @@ def json_payload(
 ) -> dict:
     """The same content as :func:`prometheus_text` as one JSON object.
 
-    ``counters`` accepts a trace's counters line (cache hit/miss rates
-    and engine counters) so exports from traces carry them too.
+    ``counters`` accepts a trace's counters line (the runner's cache
+    hit/miss and retry counts) so exports from traces carry them too.
     """
-    payload = report.to_json(include_obs=True)
+    payload = report.to_json()
     if report.tier_histograms:
         payload["percentiles_ns"] = {
             tier: hist.percentiles()

@@ -2,11 +2,12 @@
 
 A :class:`Recorder` collects three kinds of observations:
 
-* **events** — schema-versioned dicts (one JSONL line each): per-epoch
-  timeline rows, reconfiguration decisions, sampled miss curves, fault
-  injections, demotions.
-* **counters / gauges** — cheap named scalars folded into the trace
-  footer (counters accumulate, gauges keep the last value).
+* **events** — schema-versioned dicts (one JSONL line each):
+  reconfiguration decisions, sampled miss curves, fault injections,
+  demotions, and the run's finished report (one ``report`` event per
+  engine session).
+* **counters** — cheap named scalars that accumulate into one
+  ``counters`` line.
 * **spans** — wall-clock self-profiling: exact per-label aggregates in
   a :class:`~repro.obs.tracing.PerfTracer`.
 
@@ -38,7 +39,10 @@ from repro.obs.tracing import _NULL_SPAN, PerfTracer, _NullSpan
 #       Readers from here on are forward-compatible: a trace with a
 #       *newer* integer schema is read with a warning, and unknown
 #       serve_*/slo_* kinds are counted but not validated.
-SCHEMA_VERSION = 3
+#   4 — each engine session writes its finished SimulationReport as one
+#       ``report`` event; the epoch / histogram / spatial events and the
+#       gauges line are gone.
+SCHEMA_VERSION = 4
 
 
 def sanitize_json(obj):
@@ -46,7 +50,7 @@ def sanitize_json(obj):
 
     ``json.dumps`` would otherwise emit the bare tokens ``NaN`` /
     ``Infinity``, which strict JSON parsers (and the JSON spec) reject —
-    a single undefined gauge would make a whole trace unreadable to
+    a single undefined value would make a whole trace unreadable to
     anything but Python.  Applied at serialization time only; in-memory
     values are left untouched.
     """
@@ -76,15 +80,12 @@ class NullRecorder:
     def counter(self, name: str, value: float = 1) -> None:
         pass
 
-    def gauge(self, name: str, value: float) -> None:
-        pass
-
     def span(self, label: str) -> _NullSpan:
         return _NULL_SPAN
 
 
 class Recorder(NullRecorder):
-    """Collects events, counters, gauges, and profiling spans."""
+    """Collects events, counters, and profiling spans."""
 
     enabled = True
 
@@ -92,7 +93,6 @@ class Recorder(NullRecorder):
         self.meta = dict(meta)
         self.events: list[dict] = []
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, float] = {}
         # Span timing is delegated to a PerfTracer (aggregates only by
         # default); passing a shared one merges recorder spans into an
         # ambient perf trace (profile verb).
@@ -109,9 +109,6 @@ class Recorder(NullRecorder):
 
     def counter(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
 
     def span(self, label: str):
         return self.tracer.span(label)
@@ -144,8 +141,6 @@ class Recorder(NullRecorder):
         yield from self.events
         if self.counters:
             yield {"kind": "counters", "values": dict(self.counters)}
-        if self.gauges:
-            yield {"kind": "gauges", "values": dict(self.gauges)}
         for row in self.profile():
             yield {"kind": "profile", **row}
         yield {"kind": "footer", "events": len(self.events)}

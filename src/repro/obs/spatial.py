@@ -55,10 +55,6 @@ class SpatialReport:
         return float(served.max() / mean) if mean > 0 else 0.0
 
     @property
-    def total_link_bytes(self) -> int:
-        return int(np.asarray(self.link_bytes).sum())
-
-    @property
     def inter_stack_bytes(self) -> int:
         """Off-diagonal link traffic (what the roofline bound sees)."""
         matrix = np.asarray(self.link_bytes, dtype=np.int64)

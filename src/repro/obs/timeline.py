@@ -7,9 +7,9 @@ saturated the CXL link?" or "what did the reconfiguration in epoch 7
 buy?".  :class:`EpochRecord` captures one epoch's deltas of every
 accumulator the engine maintains, plus the traffic and
 fault/reconfiguration activity of that epoch; :class:`Timeline` is the
-ordered list with exporters (JSONL events, CSV) and aggregation
-helpers used by the validation tests — the per-epoch series must sum
-back to the run's aggregate report.
+ordered list with a CSV exporter.  The per-epoch series sum back to the
+run's aggregate report (``tests/obs/test_timeline_sums.py``), and the
+report's ``to_json`` carries the timeline into traces and report JSON.
 """
 
 from __future__ import annotations
@@ -70,49 +70,6 @@ class Timeline:
 
     def append(self, record: EpochRecord) -> None:
         self.records.append(record)
-
-    # ------------------------------------------------------------------
-    # Aggregation (validation: series must sum to the run's report)
-    # ------------------------------------------------------------------
-
-    def aggregate_hits(self) -> HitStats:
-        total = HitStats()
-        for rec in self.records:
-            total = total + rec.hits
-        return total
-
-    def aggregate_breakdown(self) -> LatencyBreakdown:
-        total = LatencyBreakdown()
-        for rec in self.records:
-            total = total + rec.breakdown
-        return total
-
-    def aggregate_energy(self) -> EnergyBreakdown:
-        """Sum of per-epoch energy; excludes the run-level static energy
-        charged once from the final runtime."""
-        total = EnergyBreakdown()
-        for rec in self.records:
-            total = total + rec.energy
-        return total
-
-    # ------------------------------------------------------------------
-    # Export / import
-    # ------------------------------------------------------------------
-
-    def to_events(self) -> list[dict]:
-        return [{"kind": "epoch", **rec.to_json()} for rec in self.records]
-
-    @classmethod
-    def from_events(cls, events: list[dict]) -> "Timeline":
-        records = [
-            EpochRecord.from_json(
-                {k: v for k, v in event.items() if k not in ("kind", "seq")}
-            )
-            for event in events
-            if event.get("kind") == "epoch"
-        ]
-        records.sort(key=lambda r: r.epoch)
-        return cls(records)
 
     def csv_rows(self) -> tuple[list[str], list[list]]:
         """Flat header + rows (nested breakdowns become dotted columns)."""

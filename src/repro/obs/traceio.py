@@ -1,10 +1,12 @@
 """Reading and summarizing JSONL event traces.
 
 A trace file is what :meth:`repro.obs.recorder.Recorder.write_jsonl`
-produced: a ``header`` line, events in emission order, then
-``counters``/``profile`` lines and a ``footer``.  This module is the
-read side used by ``python -m repro stats``: parse, validate the
-schema, rebuild the epoch timeline, and render summary/diff tables.
+produced: a ``header`` line, events in emission order (among them one
+``report`` event per engine session, the finished
+:class:`~repro.sim.metrics.SimulationReport`), then ``counters``/
+``profile`` lines and a ``footer``.  This module is the read side used
+by ``python -m repro stats`` and ``dash``: parse, validate the schema,
+read the report back, and render summary/diff tables.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import json
 import warnings
 from dataclasses import dataclass, field
 
-from repro.obs.histogram import LatencyHistogram
 from repro.obs.recorder import SCHEMA_VERSION
-from repro.obs.spatial import SpatialReport
-from repro.obs.timeline import Timeline
+from repro.sim.metrics import SimulationReport
 
 
 @dataclass
@@ -27,28 +27,24 @@ class TraceFile:
     header: dict = field(default_factory=dict)
     events: list[dict] = field(default_factory=list)
     counters: dict = field(default_factory=dict)
-    gauges: dict = field(default_factory=dict)
     profile: list[dict] = field(default_factory=list)
     footer: dict = field(default_factory=dict)
 
     @property
-    def timeline(self) -> Timeline:
-        return Timeline.from_events(self.events)
-
-    @property
-    def histograms(self) -> dict[str, LatencyHistogram]:
-        """Per-tier latency histograms rebuilt from ``histogram`` events
-        (empty dict for traces recorded before repro.obs v2)."""
-        return {
-            event["tier"]: LatencyHistogram.from_json(event)
-            for event in self.events_of("histogram")
-        }
-
-    @property
-    def spatial(self) -> SpatialReport | None:
-        """The spatial summary from the ``spatial`` event, if recorded."""
-        events = self.events_of("spatial")
-        return SpatialReport.from_json(events[-1]) if events else None
+    def report(self) -> SimulationReport:
+        """The run's finished report, read from the trace's one
+        ``report`` line; ``ValueError`` when there is none (schema 3
+        and older traces) or more than one."""
+        lines = self.events_of("report")
+        if len(lines) != 1:
+            raise ValueError(
+                f"{self.path}: expected one report line, found {len(lines)} "
+                f"(trace schema {self.header.get('schema')!r}; traces of "
+                f"schema 3 or older carry none and must be re-recorded)"
+            )
+        return SimulationReport.from_json(
+            {k: v for k, v in lines[0].items() if k not in ("kind", "seq")}
+        )
 
     def events_of(self, kind: str) -> list[dict]:
         return [e for e in self.events if e.get("kind") == kind]
@@ -71,8 +67,6 @@ def read_trace(path: str) -> TraceFile:
                 trace.header = record
             elif kind == "counters":
                 trace.counters = record.get("values", {})
-            elif kind == "gauges":
-                trace.gauges = record.get("values", {})
             elif kind == "profile":
                 trace.profile.append(record)
             elif kind == "footer":
@@ -103,34 +97,6 @@ def read_trace(path: str) -> TraceFile:
             f"found {len(trace.events)} (truncated trace?)"
         )
     return trace
-
-
-def report_from_trace(trace: TraceFile):
-    """Reconstruct a :class:`~repro.sim.metrics.SimulationReport` from a
-    trace's events: timeline aggregates for hits/latency/energy, the
-    final cumulative runtime, plus the tier histograms and the spatial
-    summary.  Static energy cannot be recovered (it is charged once,
-    after the epoch loop) and stays at the per-epoch sum.
-    """
-    from repro.sim.metrics import SimulationReport
-
-    timeline = trace.timeline
-    last = timeline.records[-1] if len(timeline) else None
-    histograms = trace.histograms
-    return SimulationReport(
-        policy=trace.header.get("policy", "?"),
-        workload=trace.header.get("workload", "?"),
-        runtime_cycles=last.cycles_total if last else 0.0,
-        breakdown=timeline.aggregate_breakdown(),
-        energy=timeline.aggregate_energy(),
-        hits=timeline.aggregate_hits(),
-        reconfig_movements=sum(r.reconfig_movements for r in timeline),
-        reconfig_invalidations=sum(r.reconfig_invalidations for r in timeline),
-        per_epoch_cycles=[r.cycles_total for r in timeline],
-        timeline=timeline,
-        tier_histograms=histograms if histograms else None,
-        spatial=trace.spatial,
-    )
 
 
 # Serving-mode (schema 2) and SLO (schema 3) events with the fields
@@ -215,10 +181,7 @@ def slo_summary(trace: TraceFile) -> dict:
 
 def summarize(trace: TraceFile) -> dict:
     """Aggregate view of one trace for the ``stats`` verb."""
-    timeline = trace.timeline
-    hits = timeline.aggregate_hits()
-    breakdown = timeline.aggregate_breakdown()
-    energy = timeline.aggregate_energy()
+    report = trace.report
     reconfigs = trace.events_of("reconfig")
     applied = [e for e in reconfigs if e.get("applied")]
     faults = (
@@ -233,22 +196,20 @@ def summarize(trace: TraceFile) -> dict:
         for s in e.get("streams", [])
         if s.get("predicted") is not None
     ]
-    last = timeline.records[-1] if len(timeline) else None
-    histograms = trace.histograms
-    spatial = trace.spatial
+    histograms = report.tier_histograms or {}
     serve_counts = serve_event_counts(trace)
     slo = slo_summary(trace)
     return {
         "workload": trace.header.get("workload", "?"),
         "policy": trace.header.get("policy", "?"),
         "preset": trace.header.get("preset", "?"),
-        "epochs": len(timeline),
-        "runtime_cycles": last.cycles_total if last else 0.0,
-        "requests": hits.total_requests,
-        "cache_hit_rate": hits.cache_hit_rate,
-        "latency_ns": breakdown.total_ns,
-        "extended_ns": breakdown.extended_ns,
-        "energy_nj": energy.total_nj,
+        "epochs": len(report.per_epoch_cycles),
+        "runtime_cycles": report.runtime_cycles,
+        "requests": report.hits.total_requests,
+        "cache_hit_rate": report.hits.cache_hit_rate,
+        "latency_ns": report.breakdown.total_ns,
+        "extended_ns": report.breakdown.extended_ns,
+        "energy_nj": report.energy.total_nj,
         "reconfig_events": len(reconfigs),
         "reconfig_applied": len(applied),
         "fault_events": len(faults),
@@ -263,7 +224,7 @@ def summarize(trace: TraceFile) -> dict:
             if "extended" in histograms
             else 0.0
         ),
-        "load_imbalance": spatial.load_imbalance if spatial else 0.0,
+        "load_imbalance": report.load_imbalance or 0.0,
         "serve_shed": serve_counts["serve_shed"],
         "serve_timeouts": serve_counts["serve_timeout"],
         "serve_degraded_transitions": serve_counts["serve_degraded"],

@@ -6,8 +6,7 @@ the passive exporters into a queryable, drivable ops surface:
 
 * ``GET /metrics`` — the serving Prometheus document for the loop's
   *current* state (:func:`~repro.obs.export.serve_prometheus` over a
-  non-destructive snapshot), engine counters when a live recorder is
-  attached, and the SLO burn/budget gauges.
+  non-destructive snapshot), with the SLO burn/budget gauges.
 * ``GET /healthz`` — mirrors the :class:`HealthMonitor`: 200 while
   HEALTHY or DEGRADED (the loop is still serving), 503 while FLAPPING
   (reconfiguration is paused and a load balancer should back off).
@@ -159,22 +158,7 @@ class LiveServeServer:
 
     def metrics_text(self) -> str:
         with self.lock:
-            report = self._snapshot()
-            text = serve_prometheus(report, self.extra_labels)
-            recorder = self.loop.recorder
-            if recorder.enabled and recorder.counters:
-                lines = [
-                    "# HELP repro_engine_counter_total engine-layer counters "
-                    "from the live recorder",
-                    "# TYPE repro_engine_counter_total counter",
-                ]
-                for name, value in sorted(recorder.counters.items()):
-                    label = name.replace("\\", "\\\\").replace('"', '\\"')
-                    lines.append(
-                        f'repro_engine_counter_total{{name="{label}"}} {value:g}'
-                    )
-                text += "\n".join(lines) + "\n"
-        return text
+            return serve_prometheus(self._snapshot(), self.extra_labels)
 
     # -- request handling ----------------------------------------------
 

@@ -477,9 +477,7 @@ class EngineSession:
                 cycles_total=self.per_epoch_cycles[-1],
             )
             if recorder.enabled:
-                with tracer.span("engine.observability"):
-                    self.timeline.append(record)
-                    recorder.event("epoch", **record.to_json())
+                self.timeline.append(record)
         return record
 
     @property
@@ -502,21 +500,7 @@ class EngineSession:
             runtime_cycles = self._runtime_cycles()
         runtime_ns = runtime_cycles * config.core.cycle_ns
         energy.static_nj += STATIC_W_PER_UNIT * config.n_units * runtime_ns
-        tier_histograms = None
-        spatial = None
-        if recorder.enabled:
-            with tracer.span("engine.observability"):
-                recorder.gauge("engine.runtime_cycles", runtime_cycles)
-                recorder.gauge("engine.static_nj", energy.static_nj)
-                recorder.counter("engine.epochs", len(self.per_epoch_cycles))
-                tier_histograms = self._obs_hist.histograms()
-                spatial = self._obs_spatial.to_report()
-                for tier_name, hist in tier_histograms.items():
-                    recorder.event("histogram", tier=tier_name, **hist.to_json())
-                recorder.event("spatial", **spatial.to_json())
-                recorder.gauge("engine.load_imbalance", spatial.load_imbalance)
-
-        return SimulationReport(
+        report = SimulationReport(
             policy=self.policy.name,
             workload=self.workload.name,
             runtime_cycles=runtime_cycles,
@@ -527,10 +511,14 @@ class EngineSession:
             reconfig_invalidations=self.invalidations,
             per_epoch_cycles=self.per_epoch_cycles,
             faults=self.fault_state.report if self.fault_state else None,
-            timeline=self.timeline,
-            tier_histograms=tier_histograms,
-            spatial=spatial,
         )
+        if recorder.enabled:
+            with tracer.span("engine.observability"):
+                report.timeline = self.timeline
+                report.tier_histograms = self._obs_hist.histograms()
+                report.spatial = self._obs_spatial.to_report()
+                recorder.event("report", **report.to_json())
+        return report
 
     # ------------------------------------------------------------------
     # Per-epoch model steps

@@ -224,17 +224,16 @@ class SimulationReport:
             raise ValueError("runtime must be positive to compute speedup")
         return other.runtime_cycles / self.runtime_cycles
 
-    def to_json(self, include_obs: bool = False) -> dict:
+    def to_json(self) -> dict:
         """A JSON-able dict that round-trips through :meth:`from_json`.
 
         Python floats serialize via ``repr`` so every finite value
         round-trips exactly — a disk-cached report is bit-identical to
-        the freshly simulated one.  The ``timeline`` is deliberately
-        dropped: live-recorder runs bypass the result caches (the only
-        producers of persisted reports), so a cached report never
-        carries one.  ``include_obs=True`` (used by ``run
-        --report-out``, never by the caches) additionally serializes
-        ``tier_histograms`` and ``spatial`` when present.
+        the freshly simulated one.  The recording-only fields
+        (``timeline``, ``tier_histograms``, ``spatial``) are serialized
+        when present; they are ``None`` on every unrecorded run, and
+        live-recorder runs bypass the result caches, so a cached report
+        never carries them.
         """
         payload = {
             "policy": self.policy,
@@ -248,29 +247,34 @@ class SimulationReport:
             "per_epoch_cycles": list(self.per_epoch_cycles),
             "faults": asdict(self.faults) if self.faults is not None else None,
         }
-        if include_obs:
-            if self.tier_histograms is not None:
-                payload["tier_histograms"] = {
-                    tier: hist.to_json()
-                    for tier, hist in self.tier_histograms.items()
-                }
-            if self.spatial is not None:
-                payload["spatial"] = self.spatial.to_json()
+        if self.timeline is not None:
+            payload["timeline"] = [record.to_json() for record in self.timeline]
+        if self.tier_histograms is not None:
+            payload["tier_histograms"] = {
+                tier: hist.to_json() for tier, hist in self.tier_histograms.items()
+            }
+        if self.spatial is not None:
+            payload["spatial"] = self.spatial.to_json()
         return payload
 
     @classmethod
     def from_json(cls, data: dict) -> "SimulationReport":
         """Rebuild a report previously produced by :meth:`to_json`."""
+        timeline = None
         tier_histograms = None
         spatial = None
-        if data.get("tier_histograms"):
+        if data.get("timeline") is not None:
+            from repro.obs.timeline import EpochRecord, Timeline
+
+            timeline = Timeline([EpochRecord.from_json(r) for r in data["timeline"]])
+        if data.get("tier_histograms") is not None:
             from repro.obs.histogram import LatencyHistogram
 
             tier_histograms = {
                 tier: LatencyHistogram.from_json(payload)
                 for tier, payload in data["tier_histograms"].items()
             }
-        if data.get("spatial"):
+        if data.get("spatial") is not None:
             from repro.obs.spatial import SpatialReport
 
             spatial = SpatialReport.from_json(data["spatial"])
@@ -285,6 +289,7 @@ class SimulationReport:
             reconfig_invalidations=data["reconfig_invalidations"],
             per_epoch_cycles=list(data["per_epoch_cycles"]),
             faults=FaultReport(**data["faults"]) if data["faults"] else None,
+            timeline=timeline,
             tier_histograms=tier_histograms,
             spatial=spatial,
         )

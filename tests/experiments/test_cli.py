@@ -75,13 +75,11 @@ class TestTraceCommands:
         trace_path = tmp_path / "trace.jsonl"
         csv_path = tmp_path / "timeline.csv"
         assert main([
-            "--preset", "tiny", "trace",
+            "--preset", "tiny", "run",
             "--workload", "pr", "--policy", "ndpext",
-            "--out", str(trace_path), "--csv", str(csv_path),
+            "--trace-out", str(trace_path),
         ]) == 0
-        out = capsys.readouterr().out
-        assert "self-profile" in out
-        assert csv_path.exists()
+        capsys.readouterr()
 
         # Every line is valid JSON with the documented framing.
         lines = [json.loads(line) for line in trace_path.read_text().splitlines()]
@@ -91,7 +89,7 @@ class TestTraceCommands:
         trace = read_trace(str(trace_path))
         assert trace.header["workload"] == "pr"
         assert trace.header["policy"] == "ndpext"
-        assert len(trace.timeline) > 0
+        assert len(trace.report.timeline) > 0
 
         # Acceptance: the trace carries at least one reconfiguration
         # decision with predicted per-stream hit rates, and the realized
@@ -111,19 +109,21 @@ class TestTraceCommands:
             for s in e["streams"]
         )
 
-        assert main(["stats", str(trace_path)]) == 0
+        assert main(["stats", str(trace_path), "--csv", str(csv_path)]) == 0
         out = capsys.readouterr().out
         assert "cache_hit_rate" in out
         assert "mean_hit_prediction_error" in out
+        assert "self-profile" in out
+        assert len(csv_path.read_text().splitlines()) == len(trace.report.timeline) + 1
 
     def test_stats_diff_two_traces(self, tmp_path, capsys):
         paths = []
         for policy in ("ndpext", "ndpext-static"):
             path = tmp_path / f"{policy}.jsonl"
             assert main([
-                "--preset", "tiny", "trace",
+                "--preset", "tiny", "run",
                 "--workload", "pr", "--policy", policy,
-                "--out", str(path),
+                "--trace-out", str(path),
             ]) == 0
             paths.append(str(path))
         capsys.readouterr()
@@ -135,16 +135,16 @@ class TestTraceCommands:
     def test_stats_rejects_three_traces(self, tmp_path):
         path = tmp_path / "t.jsonl"
         assert main([
-            "--preset", "tiny", "trace",
+            "--preset", "tiny", "run",
             "--workload", "pr", "--policy", "ndpext",
-            "--out", str(path),
+            "--trace-out", str(path),
         ]) == 0
         with pytest.raises(SystemExit):
             main(["stats", str(path), str(path), str(path)])
 
     def test_serve_slo_end_to_end(self, tmp_path, capsys):
         """The CI storm recipe through the CLI: SLO admission with
-        explicit objectives writes a schema-3 trace whose burns the
+        explicit objectives writes a trace whose burns the
         stats verb then surfaces."""
         trace = tmp_path / "serve.jsonl"
         report = tmp_path / "serve.json"
@@ -252,4 +252,5 @@ class TestTraceCommands:
         ]) == 0
         assert "runtime cycles" in capsys.readouterr().out
         trace = read_trace(str(trace_path))
-        assert trace.events_of("epoch")
+        assert len(trace.events_of("report")) == 1
+        assert len(trace.report.timeline) > 0

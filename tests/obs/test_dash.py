@@ -2,6 +2,7 @@
 either input shape (JSONL trace or report JSON), with every section the
 acceptance criteria name — CDF, unit heatmap, link matrix, timeline."""
 
+from dataclasses import replace
 from html.parser import HTMLParser
 
 import pytest
@@ -94,9 +95,7 @@ class TestRenderDash:
 
     def test_report_without_obs_degrades_gracefully(self, recorded):
         report, _ = recorded
-        from repro.sim.metrics import SimulationReport
-
-        bare = SimulationReport.from_json(report.to_json())
+        bare = replace(report, timeline=None, tier_histograms=None, spatial=None)
         html_text = render_dash(bare)
         checked(html_text)
         assert "no latency histograms" in html_text
@@ -128,7 +127,7 @@ class TestLoadInput:
     def test_loads_report_json(self, recorded, tmp_path):
         report, _ = recorded
         path = tmp_path / "r.json"
-        write_json(str(path), report.to_json(include_obs=True))
+        write_json(str(path), report.to_json())
         loaded = load_input(str(path))
         assert loaded.runtime_cycles == report.runtime_cycles
         assert loaded.spatial.served == report.spatial.served
@@ -212,7 +211,7 @@ class TestLoadSloEvents:
 
         report, _ = recorded
         path = tmp_path / "r.json"
-        write_json(str(path), report.to_json(include_obs=True))
+        write_json(str(path), report.to_json())
         assert load_slo_events(str(path)) == []
 
 

@@ -22,7 +22,6 @@ class TestNullRecorder:
         null = NullRecorder()
         null.event("epoch", epoch=0)
         null.counter("x")
-        null.gauge("y", 1.0)
         with null.span("anything"):
             pass
         assert not hasattr(null, "events")
@@ -41,14 +40,11 @@ class TestRecorder:
         assert rec.events[0]["kind"] == "alpha"
         assert rec.events[1]["y"] == 2
 
-    def test_counters_accumulate_and_gauges_overwrite(self):
+    def test_counters_accumulate(self):
         rec = Recorder()
         rec.counter("n", 2)
         rec.counter("n", 3)
-        rec.gauge("g", 1.0)
-        rec.gauge("g", 4.0)
         assert rec.counters["n"] == 5
-        assert rec.gauges["g"] == 4.0
 
     def test_events_of_filters_by_kind(self):
         rec = Recorder()
@@ -83,12 +79,12 @@ class TestRecorder:
         assert parsed[-1] == {"kind": "footer", "events": 1}
 
     def test_jsonl_never_emits_nan_or_infinity_tokens(self, tmp_path):
-        """A non-finite gauge or event field must serialize as ``null``:
+        """A non-finite counter or event field must serialize as ``null``:
         the bare ``NaN``/``Infinity`` tokens json.dumps would otherwise
         produce are rejected by the JSON spec and strict parsers."""
         rec = Recorder()
         rec.event("weird", value=float("nan"), nested={"x": float("inf")})
-        rec.gauge("bad_gauge", float("-inf"))
+        rec.counter("bad_counter", float("-inf"))
         path = tmp_path / "t.jsonl"
         rec.write_jsonl(str(path))
         text = path.read_text()
@@ -100,7 +96,7 @@ class TestRecorder:
         assert event["nested"]["x"] is None
         # And the sanitized trace still round-trips through read_trace.
         trace = read_trace(str(path))
-        assert trace.gauges["bad_gauge"] is None
+        assert trace.counters["bad_counter"] is None
 
 
 class TestSanitizeJson:

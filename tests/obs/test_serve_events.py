@@ -7,12 +7,15 @@ from repro.obs.export import serve_prometheus
 from repro.obs.histogram import LatencyHistogram
 from repro.obs.traceio import serve_event_counts, summarize
 from repro.serve import ServeReport, TenantStats
+from repro.sim.metrics import SimulationReport
 
 
 def _trace_with(tmp_path, events):
     rec = Recorder(workload="pr", policy="ndpext")
     for kind, fields in events:
         rec.event(kind, **fields)
+    # Every recorded run ends with its report line, which ``summarize`` reads.
+    rec.event("report", **SimulationReport("ndpext", "pr", 0.0).to_json())
     path = tmp_path / "trace.jsonl"
     rec.write_jsonl(str(path))
     return read_trace(str(path))
@@ -20,7 +23,9 @@ def _trace_with(tmp_path, events):
 
 class TestServeEventCounts:
     def test_schema_was_bumped_for_slo_events(self):
-        assert SCHEMA_VERSION == 3
+        # 3 added the SLO events; 4 replaced the per-epoch events with
+        # one report line per session.
+        assert SCHEMA_VERSION == 4
 
     def test_counts_well_formed_events(self, tmp_path):
         trace = _trace_with(

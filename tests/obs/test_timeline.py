@@ -1,4 +1,4 @@
-"""Unit tests for EpochRecord / Timeline serialization and aggregation."""
+"""Unit tests for EpochRecord / Timeline serialization and CSV export."""
 
 import csv
 
@@ -51,27 +51,6 @@ class TestTimeline:
         tl = self._timeline()
         assert len(tl) == 3
         assert [r.epoch for r in tl] == [0, 1, 2]
-
-    def test_aggregate_hits_sums_fieldwise(self):
-        agg = self._timeline().aggregate_hits()
-        assert agg.l1_hits == 120
-        assert agg.cache_misses == 30
-        assert agg.total_requests == 300
-
-    def test_aggregate_breakdown_and_energy(self):
-        tl = self._timeline()
-        assert tl.aggregate_breakdown().dram_ns == 5.0 + 10.0 + 15.0
-        assert tl.aggregate_energy().cxl_nj == 0.0 + 1.0 + 2.0
-        assert tl.aggregate_energy().static_nj == 0.0
-
-    def test_event_round_trip_sorts_by_epoch(self):
-        tl = self._timeline()
-        events = tl.to_events()
-        assert all(e["kind"] == "epoch" for e in events)
-        # shuffle + add foreign event kinds; from_events must recover order
-        mixed = [events[2], {"kind": "reconfig", "epoch": 1}, events[0], events[1]]
-        clone = Timeline.from_events(mixed)
-        assert clone.records == tl.records
 
     def test_csv_has_dotted_nested_columns(self, tmp_path):
         tl = self._timeline()

@@ -17,7 +17,6 @@ from repro.obs.slo import SLO_OK, SLO_PAGE, SLO_WARN, SloObjective
 from repro.serve import (
     AdmissionController,
     ServeHarness,
-    ServeScenario,
     SloAdmissionController,
     TenantSpec,
     two_tenant_scenario,
@@ -91,9 +90,15 @@ class TestQuotaPathBitIdentity:
         recorder = Recorder(workload="pr", policy="ndpext")
         on = run(recorder)
         off = run(None)
-        assert on.to_json() == off.to_json()
-        assert "slo" not in on.to_json()
-        assert on.sim.to_json() == off.sim.to_json()
+        # The recorded run's report additionally serializes its timeline,
+        # histograms and spatial map; everything else must match.
+        on_json = on.to_json()
+        for key in ("timeline", "tier_histograms", "spatial"):
+            assert off.to_json()["sim"].get(key) is None
+            assert on_json["sim"].pop(key) is not None
+        assert on_json == off.to_json()
+        assert "slo" not in on_json
+        assert on_json["sim"] == off.sim.to_json()
         assert not [
             e for e in recorder.events if e["kind"].startswith("slo_")
         ]

@@ -21,8 +21,9 @@ from repro.faults import (
     FaultSchedule,
     UnitFailure,
 )
-from repro.obs import Recorder
+from repro.obs import Recorder, read_trace
 from repro.sim import SimulationEngine, tiny
+from repro.sim.metrics import SimulationReport
 from repro.workloads import TINY, build
 from tests.reports import assert_reports_identical
 
@@ -52,7 +53,7 @@ def _engine(faults, recorded, label):
 
 @pytest.mark.parametrize("recorded", [False, True], ids=["unrecorded", "recorded"])
 @pytest.mark.parametrize("faults", [None, FAULTS], ids=["fault-free", "faults"])
-def test_interleaved_sessions_match_separate_engines(faults, recorded):
+def test_interleaved_sessions_match_separate_engines(faults, recorded, tmp_path):
     workloads = {name: build(name, TINY) for name, _ in RUNS}
     alone = [
         _engine(faults, recorded, name).run(workloads[name], POLICIES[policy]())
@@ -80,6 +81,15 @@ def test_interleaved_sessions_match_separate_engines(faults, recorded):
         assert_reports_identical(expected, got)
     if recorded:
         assert all(report.timeline is not None for report in together)
+        # Each session writes its own report line, in finish order, so
+        # one trace keeps the two runs apart.
+        path = str(tmp_path / "shared.jsonl")
+        shared.recorder.write_jsonl(path)
+        lines = read_trace(path).events_of("report")
+        assert len(lines) == 2
+        for expected, line in zip(alone, lines):
+            payload = {k: v for k, v in line.items() if k not in ("kind", "seq")}
+            assert_reports_identical(expected, SimulationReport.from_json(payload))
     if faults is not None:
         assert together[0].faults.min_lanes == 4
 
