@@ -13,7 +13,7 @@ Usage::
     python -m repro dash trace.jsonl --out dash.html [--prom m.prom]
     python -m repro bench [--quick] [--out BENCH.json] [--check PREV.json]
     python -m repro profile --workload pr --policy ndpext [--perf-out prof.json]
-    python -m repro profile --suite --jobs 4 [--report-out bottleneck.json]
+    python -m repro profile --suite [--report-out bottleneck.json]
     python -m repro serve --workload pr [--storm] [--journal serve.jsonl]
 
 ``--jobs N`` (or ``--jobs auto``, which sizes the pool from the CPU
@@ -53,12 +53,13 @@ one and warns on regressions beyond 20%; ``--check-strict`` exits
 non-zero instead of warning.
 
 ``profile`` answers *where the simulator's own wall clock goes*: it
-runs one cell (or, with ``--suite``, a small grid fanned through the
-worker pool) against a temporary cache directory so nothing is served
-warm, then writes a Chrome/Perfetto trace-event JSON (``--perf-out``,
-load it at https://ui.perfetto.dev) and prints a bottleneck report —
-engine phases ranked by exclusive time, cache I/O spans, the pool
-critical path, and per-worker utilization.  Do not confuse the two
+runs one cell (or, with ``--suite``, a small grid, serially) in this
+process against a temporary cache directory so nothing is served warm,
+then writes a Chrome/Perfetto trace-event JSON (``--perf-out``, load it
+at https://ui.perfetto.dev) and prints a bottleneck report — engine
+phases and policy internals (``configure.*``, ``profile.*``) ranked by
+exclusive time, and cache I/O spans.  It refuses ``--jobs`` above 1:
+one tracer attributes one process.  Do not confuse the two
 trace flags: ``--trace-out`` (on ``run``/``compare``/``serve``) is the
 *semantic* JSONL event trace of the simulated system, consumed by
 ``stats`` and ``dash``; ``--perf-out`` is a *performance* trace of the
@@ -90,6 +91,7 @@ import sys
 from repro.experiments import faults, fig2, fig4b, fig5, fig6, fig7, fig8, fig9, sec5d
 from repro.experiments.runner import POLICIES, PRESETS, Cell, ExperimentContext
 from repro.obs import Recorder, diff_rows, read_trace, summarize, summary_rows
+from repro.obs.tracing import NullTracer, PerfTracer, activate, current
 from repro.sim.metrics import SimulationReport
 from repro.util import render_table
 from repro.workloads import SUITE
@@ -234,15 +236,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof_p = sub.add_parser(
         "profile",
-        help="profile a cold run: Perfetto perf trace + bottleneck report",
+        help="profile a cold run in this process: Perfetto perf trace + "
+        "bottleneck report, policy internals included (no --jobs)",
     )
     prof_p.add_argument("--workload", default=None, choices=sorted(SUITE))
     prof_p.add_argument("--policy", default=None, choices=sorted(POLICIES))
     prof_p.add_argument(
         "--suite",
         action="store_true",
-        help="profile the quick suite grid (pr/hotspot x ndpext/nexus) "
-        "through the worker pool instead of a single cell",
+        help="profile the quick suite grid (pr/hotspot x ndpext/nexus), "
+        "run serially in this process, instead of a single cell",
     )
     prof_p.add_argument(
         "--perf-out",
@@ -424,6 +427,13 @@ def _new_recorder(context: ExperimentContext, workload: str, policy: str) -> Rec
     return Recorder(workload=workload, policy=policy, preset=context.preset)
 
 
+def _span_sink(trace_out: str | None) -> NullTracer:
+    """The tracer to activate around a run: a fresh aggregates-only one
+    when the run's trace is written (its rows become the trace's
+    ``profile`` lines), else the tracer already ambient."""
+    return PerfTracer(keep_events=False) if trace_out else current()
+
+
 def _print_run_table(
     context: ExperimentContext, args, report: SimulationReport, policy: str
 ) -> None:
@@ -451,10 +461,12 @@ def cmd_run(context: ExperimentContext, args) -> None:
         if (args.trace_out or args.report_out)
         else None
     )
-    report = context.run(args.workload, args.policy, recorder=recorder)
+    tracer = _span_sink(args.trace_out)
+    with activate(tracer):
+        report = context.run(args.workload, args.policy, recorder=recorder)
     _print_run_table(context, args, report, args.policy)
     if recorder is not None and args.trace_out:
-        lines = recorder.write_jsonl(args.trace_out)
+        lines = recorder.write_jsonl(args.trace_out, tracer)
         print(f"[trace] wrote {args.trace_out} ({lines} lines)")
     if args.report_out:
         from repro.obs.export import write_json
@@ -491,10 +503,12 @@ def cmd_compare(context: ExperimentContext, args) -> None:
         recorder = (
             _new_recorder(context, args.workload, name) if args.trace_out else None
         )
-        report = context.run(args.workload, name, recorder=recorder)
+        tracer = _span_sink(args.trace_out)
+        with activate(tracer):
+            report = context.run(args.workload, name, recorder=recorder)
         if recorder is not None:
             path = f"{args.trace_out}.{name}.jsonl"
-            recorder.write_jsonl(path)
+            recorder.write_jsonl(path, tracer)
             print(f"[trace] wrote {path}")
         rows.append(
             [
@@ -542,7 +556,8 @@ def cmd_profile(args) -> None:
     The run happens inside a throwaway ``REPRO_CACHE_DIR`` so workload
     generation and simulation actually execute — profiled against a warm
     cache, the whole run would collapse into one ``cache.report_load``
-    span and the report would say nothing.
+    span and the report would say nothing.  Every cell runs in this
+    process, so one tracer sees every span, policy internals included.
     """
     from repro.exec.cache import throwaway_cache_dir
     from repro.obs.perfreport import (
@@ -550,18 +565,22 @@ def cmd_profile(args) -> None:
         render_bottleneck,
         write_chrome_trace,
     )
-    from repro.obs.tracing import PerfTracer, activate
 
     if not args.suite and not (args.workload and args.policy):
         raise SystemExit(
             "profile: pass --workload and --policy, or --suite for the grid"
+        )
+    if args.jobs > 1:
+        raise SystemExit(
+            f"profile: attributes one process and runs its cells serially; "
+            f"drop --jobs {args.jobs}"
         )
     tracer = PerfTracer(process_label="main")
     accesses = 0
     with throwaway_cache_dir(prefix="repro-profile-"):
         context = ExperimentContext(
             preset=args.preset,
-            jobs=args.jobs,
+            jobs=1,
             timeout_s=args.timeout,
             max_retries=args.max_retries,
         )
@@ -584,7 +603,6 @@ def cmd_profile(args) -> None:
         args.perf_out,
         meta={
             "preset": args.preset,
-            "jobs": args.jobs,
             "suite": bool(args.suite),
             "workload": args.workload,
             "policy": args.policy,
@@ -715,8 +733,12 @@ def cmd_serve(args) -> None:
         ).start()
         print(f"[serve] live endpoint at {server.url} "
               "(/metrics /healthz /slo /report; POST /ingest)")
+    tracer = _span_sink(args.trace_out)
     try:
-        report = harness.run(pace_s=args.pace, lock=server.lock if server else None)
+        with activate(tracer):
+            report = harness.run(
+                pace_s=args.pace, lock=server.lock if server else None
+            )
         if server is not None:
             server.set_final(report)
             if args.linger > 0:
@@ -732,7 +754,7 @@ def cmd_serve(args) -> None:
         write_json(args.report_out, report.to_json())
         print(f"[serve] wrote {args.report_out}")
     if recorder is not None and args.trace_out:
-        lines = recorder.write_jsonl(args.trace_out)
+        lines = recorder.write_jsonl(args.trace_out, tracer)
         print(f"[serve] wrote {args.trace_out} ({lines} lines)")
     if args.prom:
         from repro.obs.export import serve_prometheus
@@ -754,14 +776,20 @@ def cmd_stats(args) -> None:
             )
         )
         if trace.profile:
+            rows = sorted(trace.profile, key=lambda row: -row.get("exclusive_s", 0.0))
             print(
                 render_table(
-                    ["span", "calls", "total s"],
+                    ["span", "calls", "excl s", "total s"],
                     [
-                        [row["label"], str(row["calls"]), f"{row['total_s']:.3f}"]
-                        for row in trace.profile[:8]
+                        [
+                            row["label"],
+                            str(row["calls"]),
+                            f"{row.get('exclusive_s', 0.0):.3f}",
+                            f"{row['total_s']:.3f}",
+                        ]
+                        for row in rows[:8]
                     ],
-                    title="simulator self-profile",
+                    title="simulator self-profile (by exclusive time)",
                 )
             )
     elif len(traces) == 2:

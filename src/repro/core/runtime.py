@@ -25,6 +25,7 @@ from repro.core.sampler import MissCurveSampler, SamplerParams, stream_tags
 from repro.core.stream import StreamConfig
 from repro.core.stream_cache import StreamCacheMapper
 from repro.faults import EpochFaults, FaultState
+from repro.obs import tracing
 from repro.sim.engine import DramCachePolicy, ReconfigStats, RequestOutcome
 from repro.sim.params import SystemConfig
 from repro.sim.topology import Topology
@@ -226,7 +227,7 @@ class NdpExtPolicy(DramCachePolicy):
         curves = self._curves
         if unsampled:
             curves = curves.extended(unsampled, self._fallback_rows(unsampled))
-        with self.recorder.span("configure.solve"):
+        with tracing.current().span("configure.solve"):
             result = self.configurator.configure(
                 streams=self._streams,
                 curves=curves,
@@ -235,7 +236,7 @@ class NdpExtPolicy(DramCachePolicy):
                 unit_capacity=self.mapper.table.capacity,
                 write_excepted=self.mapper.write_excepted,
             )
-        with self.recorder.span("configure.predict_cost"):
+        with tracing.current().span("configure.predict_cost"):
             current = self._current_allocations()
             old_cost = self._predicted_cost(curves, current)
             new_cost = self._predicted_cost(curves, result.allocations)
@@ -458,9 +459,9 @@ class NdpExtPolicy(DramCachePolicy):
             }
             self._epoch_access_totals[sid] = int(counts[:, sid].sum())
 
-        with self.recorder.span("profile.assign"):
+        with tracing.current().span("profile.assign"):
             assignment = self.assigner.assign(bitvec)
-        with self.recorder.span("profile.sample"):
+        with tracing.current().span("profile.sample"):
             sids, tags, granularities, resized = [], [], [], []
             for sid in assignment.assignment:
                 stream = self._streams.get(sid)

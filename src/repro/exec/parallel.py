@@ -52,13 +52,12 @@ import signal
 import time
 import traceback
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Callable, Sequence
 
 from repro.faults import FaultSchedule
-from repro.obs.tracing import PerfTracer, activate, current
+from repro.obs.tracing import NULL_TRACER, activate, current
 from repro.sim import (
     SimulationEngine,
     SimulationReport,
@@ -256,28 +255,21 @@ def _noop_event(kind: str, **fields) -> None:
 # Worker side.
 
 
-def _worker_main(conn, tasks: Sequence[CellTask], trace: bool = False) -> None:
+def _worker_main(conn, tasks: Sequence[CellTask]) -> None:
     """Worker loop: receive (index, attempt), simulate, send the report.
 
     SIGINT is ignored so a Ctrl+C in the parent's terminal (delivered to
     the whole process group) leaves shutdown sequencing to the
-    supervisor — which journals completed cells before dying.
-
-    With ``trace`` on, one :class:`PerfTracer` lives for the worker's
-    whole lifetime and its recorded spans are shipped as per-task
-    snapshot *deltas* on the result tuple (the anchors persist across
-    ``reset()``, so all deltas share one timebase).  The time spent
-    serializing and sending task N's report is itself a span
-    (``task.send``) — it necessarily travels with task N+1's snapshot,
-    since a snapshot cannot contain the send that ships it.
+    supervisor — which journals completed cells before dying.  The
+    worker runs under the null tracer: a tracer active in the parent
+    observes the parent process only.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         chaos_every = int(os.environ.get(CHAOS_KILL_ENV, "0") or 0)
     except ValueError:
         chaos_every = 0
-    wtracer = PerfTracer(process_label=f"worker-{os.getpid()}") if trace else None
-    with activate(wtracer) if wtracer is not None else nullcontext():
+    with activate(NULL_TRACER):
         while True:
             try:
                 msg = conn.recv()
@@ -289,32 +281,11 @@ def _worker_main(conn, tasks: Sequence[CellTask], trace: bool = False) -> None:
             if chaos_every > 0 and attempt == 0 and index % chaos_every == 0:
                 os.kill(os.getpid(), signal.SIGKILL)
             try:
-                if wtracer is None:
-                    report = tasks[index].run()
-                    conn.send(("done", index, attempt, report, None))
-                else:
-                    with wtracer.span(
-                        "task",
-                        cat="task",
-                        index=index,
-                        attempt=attempt,
-                        label=tasks[index].label,
-                    ):
-                        report = tasks[index].run()
-                    snap = wtracer.snapshot()
-                    wtracer.reset()
-                    with wtracer.span("task.send", cat="task", index=index):
-                        conn.send(("done", index, attempt, report, snap))
+                report = tasks[index].run()
+                conn.send(("done", index, attempt, report))
             except BaseException:
-                if wtracer is not None:
-                    snap = wtracer.snapshot()
-                    wtracer.reset()
-                else:
-                    snap = None
                 try:
-                    conn.send(
-                        ("error", index, attempt, traceback.format_exc(), snap)
-                    )
+                    conn.send(("error", index, attempt, traceback.format_exc()))
                 except (OSError, ValueError):
                     break
 
@@ -344,7 +315,6 @@ class _Supervisor:
         outcome: PoolOutcome,
         on_result,
         emit,
-        tracer=None,
     ) -> None:
         self.tasks = tasks
         self.jobs = jobs
@@ -352,7 +322,6 @@ class _Supervisor:
         self.outcome = outcome
         self.on_result = on_result
         self.emit = emit
-        self.tracer = tracer if tracer is not None else current()
         self.ctx = multiprocessing.get_context("fork")
         self.pending: deque[int] = deque(schedule_order(tasks))
         self.delayed: list[tuple[float, int]] = []  # (ready time, index)
@@ -366,7 +335,7 @@ class _Supervisor:
         parent_conn, child_conn = self.ctx.Pipe()
         proc = self.ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.tasks, self.tracer.enabled),
+            args=(child_conn, self.tasks),
             daemon=True,
         )
         proc.start()
@@ -395,13 +364,6 @@ class _Supervisor:
         worker.index = index
         worker.deadline = time.monotonic() + self.policy.timeout_for(
             self.tasks[index].est_accesses()
-        )
-        self.tracer.instant(
-            "pool.dispatch",
-            cat="pool",
-            index=index,
-            pid=worker.proc.pid,
-            attempt=self.attempts[index],
         )
         worker.conn.send(("run", index, self.attempts[index]))
 
@@ -439,9 +401,6 @@ class _Supervisor:
                 failure=kind,
                 error=error[-2000:],
             )
-            self.tracer.instant(
-                "pool.quarantine", cat="pool", index=index, failure=kind
-            )
         else:
             self.outcome.retries += 1
             backoff = self.policy.backoff_s(index, self.attempts[index])
@@ -453,20 +412,11 @@ class _Supervisor:
                 failure=kind,
                 backoff_s=backoff,
             )
-            self.tracer.instant(
-                "pool.retry",
-                cat="pool",
-                index=index,
-                failure=kind,
-                backoff_s=backoff,
-            )
             heapq.heappush(self.delayed, (time.monotonic() + backoff, index))
 
     def handle_message(self, worker: _Worker, msg) -> None:
-        kind, index, _attempt, payload, snapshot = msg
+        kind, index, _attempt, payload = msg
         worker.index = None
-        if snapshot is not None and self.tracer.enabled:
-            self.tracer.merge(snapshot)
         if kind == "done":
             self.succeed(index, payload)
         else:
@@ -533,11 +483,10 @@ class _Supervisor:
                 timeout = min(w.deadline for w in busy) - now
                 if self.delayed:
                     timeout = min(timeout, self.delayed[0][0] - now)
-                with self.tracer.span("pool.wait", cat="pool"):
-                    ready = connection.wait(
-                        [w.conn for w in busy] + [w.proc.sentinel for w in busy],
-                        timeout=max(0.0, timeout),
-                    )
+                ready = connection.wait(
+                    [w.conn for w in busy] + [w.proc.sentinel for w in busy],
+                    timeout=max(0.0, timeout),
+                )
                 for worker in list(busy):
                     if worker not in self.workers:
                         continue  # already reaped this round
@@ -589,9 +538,8 @@ def _run_serial(
     outcome: PoolOutcome,
     on_result,
     emit,
-    tracer=None,
 ) -> PoolOutcome:
-    tracer = tracer if tracer is not None else current()
+    tracer = current()
     for index, task in enumerate(tasks):
         attempt = 0
         while True:
@@ -652,7 +600,6 @@ def run_supervised(
     policy: RetryPolicy | None = None,
     on_result: Callable[[int, SimulationReport], None] | None = None,
     on_event: Callable[..., None] | None = None,
-    tracer=None,
 ) -> PoolOutcome:
     """Run a batch under supervision; never raises for cell failures.
 
@@ -664,29 +611,21 @@ def run_supervised(
     indexed by submission order; quarantined cells leave ``None`` and an
     entry in ``outcome.poisoned``.
 
-    ``tracer`` (default: the ambient :func:`~repro.obs.tracing.current`)
-    collects the batch's perf timeline: supervisor wait/dispatch spans
-    in the parent, per-task spans shipped back from workers with
-    clock-offset correction.  With the null tracer nothing is recorded
-    or shipped.
+    The serial path records one ``task`` span per cell on the ambient
+    tracer (:func:`~repro.obs.tracing.current`); pool workers run
+    untraced.
     """
     tasks = list(tasks)
     policy = policy or RetryPolicy()
     outcome = PoolOutcome(reports=[None] * len(tasks))
     emit = on_event or _noop_event
-    tracer = tracer if tracer is not None else current()
     if not tasks:
         return outcome
     if jobs <= 1 or not fork_available():
-        with tracer.span("pool.run", cat="pool", jobs=1, cells=len(tasks)):
-            return _run_serial(tasks, policy, outcome, on_result, emit, tracer)
-    supervisor = _Supervisor(
-        tasks, min(jobs, len(tasks)), policy, outcome, on_result, emit, tracer
-    )
-    with tracer.span(
-        "pool.run", cat="pool", jobs=supervisor.jobs, cells=len(tasks)
-    ):
-        return supervisor.run()
+        return _run_serial(tasks, policy, outcome, on_result, emit)
+    return _Supervisor(
+        tasks, min(jobs, len(tasks)), policy, outcome, on_result, emit
+    ).run()
 
 
 def run_cells(

@@ -338,7 +338,7 @@ class ExperimentContext:
                 faults=faults,
                 recorder=recorder,
             )
-            with recorder.span("runner.recorded_run"):
+            with current().span("runner.recorded_run"):
                 return engine.run(workload, factory())
         key = self._cell_key(cell)
         report = self._lookup(key, recorder)

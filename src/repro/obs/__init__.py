@@ -2,8 +2,8 @@
 
 Layers (DESIGN.md "Observability" and "Distributional observability"):
 
-* :class:`Recorder` / :class:`NullRecorder` — structured counters,
-  events, and wall-clock spans; the null default costs nothing.
+* :class:`Recorder` / :class:`NullRecorder` — structured counters and
+  events; the null default costs nothing.  The recorder does no timing.
 * :class:`Timeline` / :class:`EpochRecord` — per-epoch breakdowns of
   every aggregate in :class:`~repro.sim.metrics.SimulationReport`.
 * :class:`LatencyHistogram` / :class:`TierHistogramSet` — fixed
@@ -11,11 +11,12 @@ Layers (DESIGN.md "Observability" and "Distributional observability"):
   :class:`SpatialAccumulator` / :class:`SpatialReport` — per-unit load
   and the stack-to-stack link-traffic matrix.
 * :class:`PerfTracer` — perf_counter spans over the simulator's own
-  hot paths (trace generation, L1 filter, policy, DRAM, reconfigure):
-  the hierarchical span tracer behind the recorder's ``profile`` rows
-  and the ``profile`` verb (Perfetto export and the bottleneck report
-  live in :mod:`repro.obs.perfreport`, imported directly to keep this
-  package import-light).
+  hot paths (trace generation, L1 filter, policy internals, DRAM,
+  reconfigure), the one sink every span site writes to through the
+  ambient :func:`current`.  Its aggregates become a trace's ``profile``
+  lines and the ``profile`` verb's report (Perfetto export and the
+  bottleneck report live in :mod:`repro.obs.perfreport`, imported
+  directly to keep this package import-light).
 * Exporters — :func:`prometheus_text` / :func:`json_payload` over a
   report, and the ``dash`` HTML renderer.
 * :mod:`repro.obs.regress` — the ``bench --check`` gate: fixed 20%

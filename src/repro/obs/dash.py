@@ -589,13 +589,21 @@ def _is_trace(path: str) -> bool:
     return isinstance(head, dict) and head.get("kind") == "header"
 
 
-def load_input(path: str) -> SimulationReport:
-    """Read a trace's ``report`` line or a report JSON; both are
-    :meth:`SimulationReport.to_json` dicts."""
+def load_input(path: str) -> tuple[SimulationReport, list[dict], dict]:
+    """The dashboard's inputs from one read of ``path``: the report, the
+    SLO events and the counters.  A trace gives all three (its
+    ``report`` line is a :meth:`SimulationReport.to_json` dict); a
+    report JSON gives the report alone."""
     from repro.obs.traceio import read_trace
 
     if _is_trace(path):
-        return read_trace(path).report
+        trace = read_trace(path)
+        slo_events = [
+            e
+            for e in trace.events
+            if e.get("kind") in ("slo_burn", "slo_recovered", "slo_status")
+        ]
+        return trace.report, slo_events, trace.counters
     try:
         with open(path) as f:
             payload = json.load(f)
@@ -605,29 +613,12 @@ def load_input(path: str) -> SimulationReport:
         raise ValueError(
             f"{path}: neither a JSONL trace (header line) nor a report JSON"
         )
-    return SimulationReport.from_json(payload)
-
-
-def load_slo_events(path: str) -> list[dict]:
-    """The trace's SLO events for the dash panel; [] when the input is
-    a report JSON (no event stream) or records no SLO activity."""
-    from repro.obs.traceio import read_trace
-
-    if not _is_trace(path):
-        return []
-    trace = read_trace(path)
-    return [
-        e
-        for e in trace.events
-        if e.get("kind") in ("slo_burn", "slo_recovered", "slo_status")
-    ]
+    return SimulationReport.from_json(payload), [], {}
 
 
 def cmd_dash(args) -> None:
-    report = load_input(args.input)
-    html_text = render_dash(
-        report, source=args.input, slo_events=load_slo_events(args.input)
-    )
+    report, slo_events, counters = load_input(args.input)
+    html_text = render_dash(report, source=args.input, slo_events=slo_events)
     with open(args.out, "w") as f:
         f.write(html_text)
     print(f"[dash] wrote {args.out}")
@@ -640,5 +631,5 @@ def cmd_dash(args) -> None:
     if args.json:
         from repro.obs.export import json_payload, write_json
 
-        write_json(args.json, json_payload(report))
+        write_json(args.json, json_payload(report, counters=counters))
         print(f"[dash] wrote {args.json}")

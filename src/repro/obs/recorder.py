@@ -1,6 +1,6 @@
 """Structured event recording for simulation runs.
 
-A :class:`Recorder` collects three kinds of observations:
+A :class:`Recorder` collects two kinds of observations:
 
 * **events** — schema-versioned dicts (one JSONL line each):
   reconfiguration decisions, sampled miss curves, fault injections,
@@ -8,8 +8,12 @@ A :class:`Recorder` collects three kinds of observations:
   engine session).
 * **counters** — cheap named scalars that accumulate into one
   ``counters`` line.
-* **spans** — wall-clock self-profiling: exact per-label aggregates in
-  a :class:`~repro.obs.tracing.PerfTracer`.
+
+The recorder does no timing.  Spans go to the ambient
+:class:`~repro.obs.tracing.PerfTracer` (:func:`~repro.obs.tracing.current`);
+the CLI activates one around a recorded run and hands it to
+:meth:`Recorder.write_jsonl`, which writes its aggregates as the
+trace's ``profile`` lines.
 
 The default everywhere is :class:`NullRecorder`, whose methods are
 no-ops and whose ``enabled`` flag lets hot paths skip building payloads
@@ -18,8 +22,9 @@ to a build without any observability calls.
 
 Trace layout (``write_jsonl``): a ``header`` line first (schema
 version, run metadata), then every event in emission order, then one
-``counters`` line, one ``profile`` line per span label, and a final
-``footer`` line with the event count (truncation check).
+``counters`` line, one ``profile`` line per span label of the tracer
+passed in, and a final ``footer`` line with the event count
+(truncation check).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import json
 import math
 from typing import Iterator
 
-from repro.obs.tracing import _NULL_SPAN, PerfTracer, _NullSpan
+from repro.obs.tracing import NULL_TRACER, NullTracer
 
 # Schema history:
 #   1 — initial trace layout (header / events / counters / profile / footer).
@@ -80,23 +85,37 @@ class NullRecorder:
     def counter(self, name: str, value: float = 1) -> None:
         pass
 
-    def span(self, label: str) -> _NullSpan:
-        return _NULL_SPAN
+
+def profile_rows(tracer: NullTracer) -> list[dict]:
+    """Per-label span totals of ``tracer`` as JSON-able rows, slowest
+    inclusive total first.  ``total_s`` includes child spans' time;
+    ``exclusive_s`` does not, so the exclusive times sum to the wall
+    time of the root spans.  The null tracer has no rows."""
+    if not tracer.enabled:
+        return []
+    return [
+        {
+            "label": label,
+            "calls": agg.calls,
+            "total_s": agg.total_s,
+            "exclusive_s": agg.exclusive_s,
+            "mean_us": (agg.total_s / agg.calls if agg.calls else 0.0) * 1e6,
+        }
+        for label, agg in sorted(
+            tracer.aggregates.items(), key=lambda kv: -kv[1].total_ns
+        )
+    ]
 
 
 class Recorder(NullRecorder):
-    """Collects events, counters, and profiling spans."""
+    """Collects events and counters."""
 
     enabled = True
 
-    def __init__(self, tracer=None, **meta) -> None:
+    def __init__(self, **meta) -> None:
         self.meta = dict(meta)
         self.events: list[dict] = []
         self.counters: dict[str, float] = {}
-        # Span timing is delegated to a PerfTracer (aggregates only by
-        # default); passing a shared one merges recorder spans into an
-        # ambient perf trace (profile verb).
-        self.tracer = tracer if tracer is not None else PerfTracer(keep_events=False)
         self._seq = 0
 
     # ------------------------------------------------------------------
@@ -110,50 +129,34 @@ class Recorder(NullRecorder):
     def counter(self, name: str, value: float = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + value
 
-    def span(self, label: str):
-        return self.tracer.span(label)
-
     def events_of(self, kind: str) -> list[dict]:
         return [e for e in self.events if e["kind"] == kind]
 
-    def profile(self) -> list[dict]:
-        """Per-label inclusive span totals as JSON-able rows, slowest
-        label first (a label's total includes its child spans' time)."""
-        return [
-            {
-                "label": label,
-                "calls": agg.calls,
-                "total_s": agg.total_s,
-                "mean_us": (agg.total_s / agg.calls if agg.calls else 0.0) * 1e6,
-            }
-            for label, agg in sorted(
-                self.tracer.aggregates.items(), key=lambda kv: -kv[1].total_s
-            )
-        ]
-
     # ------------------------------------------------------------------
 
-    def lines(self) -> Iterator[dict]:
-        """The trace as an ordered sequence of JSON-able dicts."""
+    def lines(self, tracer: NullTracer = NULL_TRACER) -> Iterator[dict]:
+        """The trace as an ordered sequence of JSON-able dicts; the
+        ``profile`` lines are ``tracer``'s aggregates."""
         header = {"kind": "header", "schema": SCHEMA_VERSION}
         header.update(self.meta)
         yield header
         yield from self.events
         if self.counters:
             yield {"kind": "counters", "values": dict(self.counters)}
-        for row in self.profile():
+        for row in profile_rows(tracer):
             yield {"kind": "profile", **row}
         yield {"kind": "footer", "events": len(self.events)}
 
-    def write_jsonl(self, path: str) -> int:
-        """Write the trace; returns the number of lines written.
+    def write_jsonl(self, path: str, tracer: NullTracer = NULL_TRACER) -> int:
+        """Write the trace (with ``tracer``'s ``profile`` lines); returns
+        the number of lines written.
 
         Non-finite floats are mapped to ``null`` (``allow_nan=False``
         guarantees no ``NaN``/``Infinity`` token can slip through).
         """
         n = 0
         with open(path, "w") as f:
-            for line in self.lines():
+            for line in self.lines(tracer):
                 f.write(
                     json.dumps(sanitize_json(line), sort_keys=False, allow_nan=False)
                     + "\n"

@@ -234,7 +234,9 @@ def summarize(trace: TraceFile) -> dict:
             f"slo_worst_burn[{tenant}]": rate
             for tenant, rate in slo["slo_worst_burn"].items()
         },
-        "profile_s": sum(row.get("total_s", 0.0) for row in trace.profile),
+        # Exclusive times sum to the root spans' wall time; inclusive
+        # totals would count every nested span again.
+        "profile_s": sum(row.get("exclusive_s", 0.0) for row in trace.profile),
     }
 
 

@@ -3,9 +3,9 @@
 Where :mod:`repro.obs.recorder` answers *what the simulation did*, this
 module answers *where the simulator's own time went* — the attribution
 layer every ROADMAP perf item starts from.  A :class:`PerfTracer`
-records **spans**: nested wall-clock intervals with parent ids, process
-and thread ids, and optional per-span arguments.  Two representations
-are kept simultaneously:
+records **spans**: nested wall-clock intervals with parent ids, thread
+ids, and optional per-span arguments.  Two representations are kept
+simultaneously:
 
 * **exact aggregates** — per-name call counts plus inclusive and
   *exclusive* time (inclusive minus time spent in child spans).  These
@@ -13,27 +13,23 @@ are kept simultaneously:
   per-occurrence event buffer saturates.
 * **per-occurrence events** — one :class:`SpanEvent` per closed span
   (bounded by ``max_events``), the input to the Chrome/Perfetto export
-  and the pool-timeline analysis in :mod:`repro.obs.perfreport`.
+  in :mod:`repro.obs.perfreport`.
+
+**One sink.**  Every span site in the package — engine phases, policy
+internals, cache I/O, the runner — opens its span on the
+process-ambient tracer, :func:`current`; :func:`activate` installs one
+for a ``with`` scope.  The ``profile`` verb activates an event-keeping
+tracer; ``run``/``compare``/``serve --trace-out`` activate an
+aggregates-only one whose rows become the trace's ``profile`` lines.
+A tracer observes one process: pool workers run under the null tracer.
 
 **Off state.**  The default everywhere is the module singleton
 :data:`NULL_TRACER`, whose ``span`` returns one shared do-nothing
 context manager: an uninstrumented run performs no allocation, no
 clock reads, and no arithmetic, so simulation outputs stay
 bit-identical and wall clock stays within noise (the same contract as
-:class:`~repro.obs.recorder.NullRecorder`).
-
-**Clocks and cross-process merge.**  Spans are timed with
-``time.perf_counter_ns`` (monotonic, ns resolution).  Monotonic clocks
-have an arbitrary per-process origin, so each tracer records an
-*anchor* pair ``(time_ns, perf_counter_ns)`` taken at construction;
-:meth:`PerfTracer.merge` aligns a worker snapshot's timestamps onto the
-parent's timebase through the shared wall clock — the offset-sync that
-lets per-worker task timelines land on one coherent Perfetto track set.
-
-**Ambient tracer.**  Layers that cannot thread a tracer argument
-through their call chain (cache I/O, workload builders, the engine
-inside a forked worker) read the process-ambient tracer via
-:func:`current`; :func:`activate` installs one for a ``with`` scope.
+:class:`~repro.obs.recorder.NullRecorder`).  Spans are timed with
+``time.perf_counter_ns`` (monotonic, ns resolution).
 """
 
 from __future__ import annotations
@@ -95,17 +91,13 @@ class NullTracer:
     def span(self, name: str, cat: str = "phase", **args) -> _NullSpan:
         return _NULL_SPAN
 
-    def instant(self, name: str, cat: str = "phase", **args) -> None:
-        return None
-
 
 NULL_TRACER = NullTracer()
 
-# Process-ambient tracer.  A plain module global (not thread-local): the
-# supervised pool forks one process per worker, and within a process the
-# simulator is single-threaded on its hot path.  Thread ids are still
-# recorded per span, so multi-threaded callers get correct events —
-# they just share one tracer.
+# Process-ambient tracer.  A plain module global (not thread-local):
+# within a process the simulator is single-threaded on its hot path.
+# Thread ids are still recorded per span, so multi-threaded callers get
+# correct events — they just share one tracer.
 _current: NullTracer = NULL_TRACER
 
 
@@ -163,9 +155,8 @@ class SpanAgg:
 
 @dataclass
 class SpanEvent:
-    """One closed span occurrence (or an instant, when ``dur_ns`` is 0
-    and ``cat`` marks it).  ``ts_ns`` is in the owning tracer's
-    ``perf_counter_ns`` timebase; :meth:`PerfTracer.merge` converts."""
+    """One closed span occurrence; ``ts_ns`` is in the owning tracer's
+    ``perf_counter_ns`` timebase."""
 
     sid: int
     parent: int  # parent span id, -1 at the root
@@ -173,13 +164,8 @@ class SpanEvent:
     cat: str
     ts_ns: int
     dur_ns: int
-    pid: int
     tid: int
     args: dict | None = None
-
-    @property
-    def end_ns(self) -> int:
-        return self.ts_ns + self.dur_ns
 
 
 class _TraceSpan:
@@ -218,29 +204,28 @@ class _TraceSpan:
         agg.calls += 1
         agg.total_ns += dur
         agg.child_ns += self.child_ns
-        tracer._record(
-            SpanEvent(
-                sid=self._sid,
-                parent=self._parent,
-                name=self.name,
-                cat=self.cat,
-                ts_ns=self._t0,
-                dur_ns=dur,
-                pid=tracer.pid,
-                tid=threading.get_ident(),
-                args=self.args,
+        if tracer.keep_events:
+            tracer._record(
+                SpanEvent(
+                    sid=self._sid,
+                    parent=self._parent,
+                    name=self.name,
+                    cat=self.cat,
+                    ts_ns=self._t0,
+                    dur_ns=dur,
+                    tid=threading.get_ident(),
+                    args=self.args,
+                )
             )
-        )
 
 
 class PerfTracer(NullTracer):
     """Collects hierarchical spans; see the module docstring.
 
     ``keep_events=False`` keeps only the exact aggregates (the mode a
-    :class:`~repro.obs.recorder.Recorder` uses by default); per-occurrence
-    events are capped at ``max_events`` with a ``dropped_events``
-    counter — aggregates stay exact regardless.  ``clock`` / ``wall``
-    are injectable for deterministic tests.
+    recorded run's trace uses); per-occurrence events are capped at
+    ``max_events`` with a ``dropped_events`` counter — aggregates stay
+    exact regardless.  ``clock`` is injectable for deterministic tests.
     """
 
     enabled = True
@@ -251,26 +236,17 @@ class PerfTracer(NullTracer):
         keep_events: bool = True,
         max_events: int = 1_000_000,
         clock=None,
-        wall=None,
     ) -> None:
         self.process_label = process_label
         self.keep_events = keep_events
         self.max_events = max_events
         self.pid = os.getpid()
         self._clock = clock or time.perf_counter_ns
-        self._wall = wall or time.time_ns
-        # Anchor pair: maps this process's monotonic timebase onto the
-        # machine-wide wall clock, the common frame merges align on.
-        self.anchor_perf_ns = self._clock()
-        self.anchor_wall_ns = self._wall()
         self.events: list[SpanEvent] = []
         self.aggregates: dict[str, SpanAgg] = {}
-        self.process_labels: dict[int, str] = {self.pid: process_label}
         self.dropped_events = 0
         self._next_sid = 0
         self._tls = threading.local()
-
-    # -- span recording ------------------------------------------------
 
     def _stack(self) -> list[_TraceSpan]:
         stack = getattr(self._tls, "stack", None)
@@ -279,8 +255,6 @@ class PerfTracer(NullTracer):
         return stack
 
     def _record(self, event: SpanEvent) -> None:
-        if not self.keep_events:
-            return
         if len(self.events) >= self.max_events:
             self.dropped_events += 1
             return
@@ -288,102 +262,3 @@ class PerfTracer(NullTracer):
 
     def span(self, name: str, cat: str = "phase", **args) -> _TraceSpan:
         return _TraceSpan(self, name, cat, args or None)
-
-    def instant(self, name: str, cat: str = "instant", **args) -> None:
-        """A zero-duration marker (dispatch decisions, retries)."""
-        self._record(
-            SpanEvent(
-                sid=self._next_sid,
-                parent=self._stack()[-1]._sid if self._stack() else -1,
-                name=name,
-                cat=cat,
-                ts_ns=self._clock(),
-                dur_ns=0,
-                pid=self.pid,
-                tid=threading.get_ident(),
-                args=args or None,
-            )
-        )
-        self._next_sid += 1
-
-    def add_external(self, name: str, dur_ns: int, calls: int = 1, cat: str = "phase") -> None:
-        """Fold an externally measured duration into the aggregates
-        (no event: the measurement carries no timestamps)."""
-        agg = self.aggregates.get(name)
-        if agg is None:
-            agg = self.aggregates[name] = SpanAgg(cat=cat)
-        agg.calls += calls
-        agg.total_ns += int(dur_ns)
-
-    # -- cross-process shipping ---------------------------------------
-
-    def snapshot(self) -> dict:
-        """A picklable copy of everything recorded so far, carrying the
-        anchors a receiving :meth:`merge` needs for clock correction."""
-        return {
-            "process_label": self.process_label,
-            "pid": self.pid,
-            "anchor_perf_ns": self.anchor_perf_ns,
-            "anchor_wall_ns": self.anchor_wall_ns,
-            "dropped_events": self.dropped_events,
-            "events": [
-                (e.sid, e.parent, e.name, e.cat, e.ts_ns, e.dur_ns, e.pid, e.tid, e.args)
-                for e in self.events
-            ],
-            "aggregates": {
-                name: (agg.cat, agg.calls, agg.total_ns, agg.child_ns)
-                for name, agg in self.aggregates.items()
-            },
-        }
-
-    def reset(self) -> None:
-        """Drop recorded spans but keep identity and anchors — used by
-        pool workers to ship per-task snapshot *deltas* whose timestamps
-        all share one timebase."""
-        self.events = []
-        self.aggregates = {}
-        self.dropped_events = 0
-
-    def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` from another process into this tracer.
-
-        Timestamps are converted from the snapshot's monotonic timebase
-        into this tracer's by aligning the two wall-clock anchors:
-        ``local_ts = ts - snap_perf + (snap_wall - local_wall) + local_perf``.
-        Aggregates fold by name, so phase totals span every process.
-        """
-        offset = (
-            snapshot["anchor_wall_ns"]
-            - snapshot["anchor_perf_ns"]
-            - self.anchor_wall_ns
-            + self.anchor_perf_ns
-        )
-        self.process_labels[snapshot["pid"]] = snapshot["process_label"]
-        self.dropped_events += snapshot.get("dropped_events", 0)
-        for sid, parent, name, cat, ts_ns, dur_ns, pid, tid, args in snapshot["events"]:
-            self._record(
-                SpanEvent(
-                    sid=sid,
-                    parent=parent,
-                    name=name,
-                    cat=cat,
-                    ts_ns=ts_ns + offset,
-                    dur_ns=dur_ns,
-                    pid=pid,
-                    tid=tid,
-                    args=args,
-                )
-            )
-        for name, (cat, calls, total_ns, child_ns) in snapshot["aggregates"].items():
-            agg = self.aggregates.get(name)
-            if agg is None:
-                agg = self.aggregates[name] = SpanAgg(cat=cat)
-            agg.calls += calls
-            agg.total_ns += total_ns
-            agg.child_ns += child_ns
-
-    # -- convenience ---------------------------------------------------
-
-    @property
-    def total_s(self) -> float:
-        return sum(a.total_ns for a in self.aggregates.values()) / 1e9

@@ -122,7 +122,8 @@ class DramCachePolicy(ABC):
     name: str = "abstract"
 
     # Observability hook: the engine rebinds this before ``setup`` so a
-    # policy can emit decision events and profiling spans.  The shared
+    # policy can emit decision events (its spans go to the ambient
+    # tracer, :func:`repro.obs.tracing.current`).  The shared
     # null default keeps standalone policy use (tests, notebooks) free.
     recorder: NullRecorder = NullRecorder()
 
@@ -190,21 +191,9 @@ class SimulationEngine:
         self.topology = Topology(config)
         self.ndp_dram = DramModel(config.ndp_dram)
 
-    def _resolve_tracer(self):
-        """Phase attribution target: the ambient perf tracer when one is
-        active (`profile` verb, traced bench), else the recorder's
-        tracer so `trace` output keeps its span table,
-        else the shared no-op.  Spans never touch simulation state, so
-        outputs are bit-identical whichever target is live."""
-        tracer = current()
-        if not tracer.enabled and self.recorder.enabled:
-            tracer = self.recorder.tracer
-        return tracer
-
     def run(self, workload: Workload, policy: DramCachePolicy) -> SimulationReport:
-        tracer = self._resolve_tracer()
-        with tracer.span("engine.run"):
-            session = EngineSession(self, workload, policy, tracer)
+        with current().span("engine.run"):
+            session = EngineSession(self, workload, policy)
             epochs = workload.trace.epochs(self.config.epoch_accesses)
             if self.options.max_epochs is not None:
                 epochs = epochs[: self.options.max_epochs]
@@ -230,7 +219,7 @@ class SimulationEngine:
         serving caller may slice request batches from it at any
         granularity (or from elsewhere entirely).
         """
-        return EngineSession(self, workload, policy, self._resolve_tracer())
+        return EngineSession(self, workload, policy)
 
     @staticmethod
     def _epoch_core_orders(epochs: list[Trace]) -> list[np.ndarray]:
@@ -284,18 +273,16 @@ class EngineSession:
         engine: SimulationEngine,
         workload: Workload,
         policy: DramCachePolicy,
-        tracer=None,
     ) -> None:
         self.engine = engine
         self.config = config = engine.config
         self.topology = engine.topology
         self.workload = workload
         self.policy = policy
-        self.tracer = tracer if tracer is not None else engine._resolve_tracer()
         recorder = engine.recorder
         self.recorder = recorder
         policy.bind_recorder(recorder)
-        with self.tracer.span("policy.setup"):
+        with current().span("policy.setup"):
             policy.setup(config, engine.topology, workload)
         # Per-sid affine flag for the prefetch-overlap (MLP) model.
         max_sid = max((s.sid for s in workload.streams), default=-1)
@@ -354,7 +341,7 @@ class EngineSession:
         if self._finished:
             raise RuntimeError("EngineSession already finished")
         config = self.config
-        tracer = self.tracer
+        tracer = current()
         recorder = self.recorder
         fault_state = self.fault_state
         breakdown = self.breakdown
@@ -493,7 +480,7 @@ class EngineSession:
             raise RuntimeError("EngineSession already finished")
         self._finished = True
         config = self.config
-        tracer = self.tracer
+        tracer = current()
         recorder = self.recorder
         energy = self.energy
         with tracer.span("engine.runtime_model"):
@@ -587,7 +574,7 @@ class EngineSession:
         self._inter_stack_bytes += int(crosses.sum()) * (msg_bits // 8) * 2
 
         # --- NDP DRAM: hits and in-DRAM miss probes, row-buffer aware. ---
-        tracer = self.tracer
+        tracer = current()
         with tracer.span("engine.dram_charge"):
             touches = cached & (hit | outcome.miss_probe_dram)
             dram_ns = np.zeros(n)

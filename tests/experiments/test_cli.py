@@ -116,6 +116,36 @@ class TestTraceCommands:
         assert "self-profile" in out
         assert len(csv_path.read_text().splitlines()) == len(trace.report.timeline) + 1
 
+    def test_stats_profile_time_counts_each_span_once(self, tmp_path, capsys):
+        """``profile_s`` sums exclusive time, which is the root spans'
+        wall time: it fits inside the command's own wall clock, where
+        the sum of inclusive totals counts every nested span again."""
+        import time
+
+        from repro.obs import summarize
+
+        trace_path = tmp_path / "t.jsonl"
+        start = time.perf_counter()
+        assert main([
+            "--preset", "tiny", "run",
+            "--workload", "pr", "--policy", "ndpext",
+            "--trace-out", str(trace_path),
+        ]) == 0
+        wall_s = time.perf_counter() - start
+        trace = read_trace(str(trace_path))
+        profile_s = summarize(trace)["profile_s"]
+        assert profile_s == pytest.approx(
+            sum(row["exclusive_s"] for row in trace.profile)
+        )
+        assert profile_s <= wall_s
+        assert profile_s < sum(row["total_s"] for row in trace.profile)
+        capsys.readouterr()
+        assert main(["stats", str(trace_path)]) == 0
+        out = capsys.readouterr().out
+        table = out[out.index("self-profile"):].splitlines()[3:]
+        exclusive = [float(line.split()[2]) for line in table if line.strip()]
+        assert exclusive and exclusive == sorted(exclusive, reverse=True)
+
     def test_stats_diff_two_traces(self, tmp_path, capsys):
         paths = []
         for policy in ("ndpext", "ndpext-static"):
@@ -225,6 +255,29 @@ class TestTraceCommands:
         assert prof["coverage"] >= 0.95
         assert prof["top_phases"]
         assert prof["accesses"] > 0
+
+    def test_profile_attributes_policy_internals(self, tmp_path):
+        report_path = tmp_path / "bottleneck.json"
+        assert main([
+            "--preset", "tiny", "profile",
+            "--workload", "pr", "--policy", "ndpext",
+            "--perf-out", str(tmp_path / "prof.json"),
+            "--report-out", str(report_path),
+        ]) == 0
+        prof = json.loads(report_path.read_text())
+        assert {
+            "configure.solve", "configure.predict_cost",
+            "profile.sample", "profile.assign",
+        } <= set(prof["top_phases"])
+        assert prof["coverage"] == pytest.approx(1.0)
+
+    def test_profile_refuses_jobs(self, tmp_path):
+        with pytest.raises(SystemExit, match="--jobs 2"):
+            main([
+                "--preset", "tiny", "--jobs", "2", "profile",
+                "--workload", "pr", "--policy", "ndpext",
+                "--perf-out", str(tmp_path / "prof.json"),
+            ])
 
     def test_profile_requires_cell_or_suite(self):
         with pytest.raises(SystemExit, match="workload"):

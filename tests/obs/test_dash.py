@@ -119,18 +119,20 @@ class TestLoadInput:
         report, recorder = recorded
         path = tmp_path / "t.jsonl"
         recorder.write_jsonl(str(path))
-        loaded = load_input(str(path))
+        loaded, slo_events, counters = load_input(str(path))
         assert loaded.runtime_cycles == report.runtime_cycles
         assert loaded.tier_histograms is not None
         assert loaded.spatial is not None
+        assert slo_events == [] and counters == recorder.counters
 
     def test_loads_report_json(self, recorded, tmp_path):
         report, _ = recorded
         path = tmp_path / "r.json"
         write_json(str(path), report.to_json())
-        loaded = load_input(str(path))
+        loaded, slo_events, counters = load_input(str(path))
         assert loaded.runtime_cycles == report.runtime_cycles
         assert loaded.spatial.served == report.spatial.served
+        assert slo_events == [] and counters == {}
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "x.txt"
@@ -193,26 +195,24 @@ class TestSloPanel:
 
 
 class TestLoadSloEvents:
-    def test_pulls_slo_events_from_trace(self, tmp_path):
-        from repro.obs.dash import load_slo_events
-
+    def test_pulls_slo_events_from_trace(self, recorded, tmp_path):
+        report, _ = recorded
         rec = Recorder(workload="pr", policy="ndpext")
         rec.event("epoch", epoch=0)
         rec.event("slo_burn", tenant="a", state="page", epoch=3)
         rec.event("slo_status", tenant="a", alert="page",
                   budget_remaining=-0.2, worst_burn=30.0)
+        rec.event("report", **report.to_json())
         path = tmp_path / "t.jsonl"
         rec.write_jsonl(str(path))
-        events = load_slo_events(str(path))
+        _, events, _ = load_input(str(path))
         assert [e["kind"] for e in events] == ["slo_burn", "slo_status"]
 
     def test_report_json_input_yields_no_events(self, recorded, tmp_path):
-        from repro.obs.dash import load_slo_events
-
         report, _ = recorded
         path = tmp_path / "r.json"
         write_json(str(path), report.to_json())
-        assert load_slo_events(str(path)) == []
+        assert load_input(str(path))[1] == []
 
 
 class TestCli:
@@ -240,3 +240,39 @@ class TestCli:
         checked(out.read_text())
         assert prom.read_text().startswith("# HELP")
         assert "wrote" in capsys.readouterr().out
+
+    def test_dash_reads_a_trace_once(self, recorded, tmp_path, monkeypatch):
+        from repro.__main__ import main
+        from repro.obs import traceio
+
+        _, recorder = recorded
+        trace = tmp_path / "t.jsonl"
+        recorder.write_jsonl(str(trace))
+        calls = []
+        real = traceio.read_trace
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(traceio, "read_trace", counting)
+        assert main(["dash", str(trace), "--out", str(tmp_path / "d.html")]) == 0
+        assert calls == [str(trace)]
+
+    def test_dash_json_carries_the_trace_counters(self, tmp_path):
+        import json
+
+        from repro.__main__ import main
+
+        trace = tmp_path / "run.jsonl"
+        assert main([
+            "--preset", "tiny", "run", "--workload", "pr", "--policy", "ndpext",
+            "--trace-out", str(trace),
+        ]) == 0
+        out = tmp_path / "d.json"
+        assert main([
+            "dash", str(trace), "--out", str(tmp_path / "d.html"),
+            "--json", str(out),
+        ]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["counters"]["runner.recorded_runs"] == 1

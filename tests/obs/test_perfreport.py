@@ -1,5 +1,5 @@
 """Perf-trace analysis: Perfetto export schema, phase attribution and
-its coverage invariant, pool critical path, and worker utilization."""
+its coverage invariant, and the bottleneck report."""
 
 import json
 
@@ -9,41 +9,14 @@ from repro.experiments.runner import POLICIES
 from repro.obs.perfreport import (
     bottleneck_report,
     chrome_trace,
-    critical_path,
     missing_engine_phases,
     phase_summary,
     render_bottleneck,
-    worker_utilization,
     write_chrome_trace,
 )
-from repro.obs.tracing import ENGINE_PHASES, PerfTracer, SpanEvent, activate
+from repro.obs.tracing import ENGINE_PHASES, PerfTracer, activate
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
-
-
-class FakeClock:
-    def __init__(self, start=0):
-        self.now = start
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, ns):
-        self.now += ns
-
-
-def task_event(sid, ts_ns, dur_ns, pid, label=""):
-    return SpanEvent(
-        sid=sid,
-        parent=-1,
-        name="task",
-        cat="task",
-        ts_ns=ts_ns,
-        dur_ns=dur_ns,
-        pid=pid,
-        tid=1,
-        args={"label": label} if label else None,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -88,7 +61,7 @@ class TestChromeTrace:
             for e in payload["traceEvents"]
             if e["ph"] == "M"
         }
-        assert named == tracer.process_labels
+        assert named == {tracer.pid: tracer.process_label}
 
     def test_write_round_trips_as_json(self, traced_run, tmp_path):
         tracer, _ = traced_run
@@ -98,15 +71,6 @@ class TestChromeTrace:
         assert len(payload["traceEvents"]) == count
         names = {e["name"] for e in payload["traceEvents"]}
         assert set(ENGINE_PHASES) <= names
-
-    def test_instants_export_with_scope(self):
-        clock = FakeClock()
-        tracer = PerfTracer(clock=clock, wall=clock)
-        tracer.instant("pool.dispatch", index=1)
-        (meta, ev) = chrome_trace(tracer)["traceEvents"]
-        assert meta["ph"] == "M"
-        assert ev["ph"] == "i" and ev["s"] == "t"
-        assert "dur" not in ev
 
 
 class TestPhaseSummary:
@@ -141,51 +105,6 @@ class TestPhaseSummary:
         tracer = PerfTracer()
         assert missing_engine_phases(tracer) == list(ENGINE_PHASES)
         assert phase_summary(tracer)["sim_wall_s"] == 0.0
-
-
-class TestCriticalPath:
-    def test_chain_walks_latest_predecessors(self):
-        # B finishes latest before C starts, so the chain is B -> C even
-        # though A also precedes C.
-        events = [
-            task_event(0, ts_ns=0, dur_ns=100, pid=1, label="a"),
-            task_event(1, ts_ns=0, dur_ns=150, pid=2, label="b"),
-            task_event(2, ts_ns=160, dur_ns=40, pid=2, label="c"),
-        ]
-        steps = critical_path(events)
-        assert [s.label for s in steps] == ["b", "c"]
-        assert steps[0].gap_s == 0.0
-        assert steps[1].gap_s == pytest.approx(10 / 1e9)
-        assert steps[1].start_s == pytest.approx(160 / 1e9)
-
-    def test_serial_degenerates_to_full_sequence(self):
-        events = [
-            task_event(i, ts_ns=i * 100, dur_ns=90, pid=1, label=f"t{i}")
-            for i in range(3)
-        ]
-        steps = critical_path(events)
-        assert [s.label for s in steps] == ["t0", "t1", "t2"]
-        assert all(s.gap_s == pytest.approx(10 / 1e9) for s in steps[1:])
-
-    def test_no_tasks_no_path(self):
-        assert critical_path([]) == []
-
-
-class TestWorkerUtilization:
-    def test_busy_fraction_over_batch_window(self):
-        events = [
-            task_event(0, ts_ns=0, dur_ns=100, pid=1),
-            task_event(1, ts_ns=0, dur_ns=150, pid=2),
-            task_event(2, ts_ns=160, dur_ns=40, pid=2),
-        ]
-        util = worker_utilization(events, {1: "w1", 2: "w2"})
-        assert util["1"]["utilization"] == pytest.approx(0.5)
-        assert util["2"]["utilization"] == pytest.approx(0.95)
-        assert util["2"]["tasks"] == 2
-        assert util["1"]["label"] == "w1"
-
-    def test_empty_events(self):
-        assert worker_utilization([], {}) == {}
 
 
 class TestBottleneckReport:

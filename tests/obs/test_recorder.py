@@ -1,4 +1,5 @@
-"""Tests for the recorder, null recorder, and its span profile."""
+"""Tests for the recorder, the null recorder, and a trace's profile
+rows (read from the tracer handed to ``write_jsonl``)."""
 
 import json
 import math
@@ -12,6 +13,16 @@ from repro.obs import (
     read_trace,
     sanitize_json,
 )
+from repro.obs.recorder import profile_rows
+from repro.obs.tracing import NULL_TRACER, PerfTracer, activate, current
+
+
+class FakeClock:
+    def __init__(self):
+        self.now = 0
+
+    def __call__(self):
+        return self.now
 
 
 class TestNullRecorder:
@@ -22,13 +33,7 @@ class TestNullRecorder:
         null = NullRecorder()
         null.event("epoch", epoch=0)
         null.counter("x")
-        with null.span("anything"):
-            pass
         assert not hasattr(null, "events")
-
-    def test_span_is_reusable_singleton(self):
-        null = NullRecorder()
-        assert null.span("a") is null.span("b")
 
 
 class TestRecorder:
@@ -53,29 +58,39 @@ class TestRecorder:
         rec.event("a")
         assert len(rec.events_of("a")) == 2
 
-    def test_span_accumulates_wall_clock(self):
+    def test_span_accumulates_wall_clock(self, tmp_path):
+        """Spans go to the ambient tracer; the trace's profile lines
+        are read from the tracer handed to ``write_jsonl``."""
         rec = Recorder()
-        with rec.span("work"):
-            pass
-        with rec.span("work"):
-            pass
-        stats = rec.tracer.aggregates["work"]
-        assert stats.calls == 2
-        assert stats.total_s >= 0.0
+        tracer = PerfTracer(keep_events=False)
+        with activate(tracer):
+            with current().span("work"):
+                pass
+            with current().span("work"):
+                pass
+        path = tmp_path / "t.jsonl"
+        rec.write_jsonl(str(path), tracer)
+        (row,) = read_trace(str(path)).profile
+        assert row["label"] == "work"
+        assert row["calls"] == 2
+        assert row["total_s"] >= row["exclusive_s"] >= 0.0
 
     def test_jsonl_layout(self, tmp_path):
         rec = Recorder(workload="pr", policy="ndpext")
         rec.event("epoch", epoch=0)
         rec.counter("n", 1)
-        with rec.span("s"):
+        tracer = PerfTracer(keep_events=False)
+        with tracer.span("s"):
             pass
         path = tmp_path / "t.jsonl"
-        lines = rec.write_jsonl(str(path))
+        lines = rec.write_jsonl(str(path), tracer)
         parsed = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(parsed) == lines
         assert parsed[0]["kind"] == "header"
         assert parsed[0]["schema"] == SCHEMA_VERSION
         assert parsed[0]["workload"] == "pr"
+        assert [p["kind"] for p in parsed[2:-1]] == ["counters", "profile"]
+        assert parsed[-2]["label"] == "s"
         assert parsed[-1] == {"kind": "footer", "events": 1}
 
     def test_jsonl_never_emits_nan_or_infinity_tokens(self, tmp_path):
@@ -182,22 +197,38 @@ class TestReadTrace:
 
 
 class TestProfileRows:
-    """The recorder's ``profile`` rows, read from its tracer's aggregates."""
+    """A trace's ``profile`` rows, read from the tracer's aggregates."""
+
+    def _tracer(self):
+        clock = FakeClock()
+        tracer = PerfTracer(keep_events=False, clock=clock)
+        for _ in range(5):
+            with tracer.span("fast"):
+                clock.now += 100_000_000
+        with tracer.span("slow"):
+            clock.now += 1_000_000_000
+            with tracer.span("fast"):
+                clock.now += 500_000_000
+            clock.now += 500_000_000
+        return tracer
 
     def test_add_and_summary_order(self):
-        rec = Recorder()
-        rec.tracer.add_external("fast", 500_000_000, calls=5)
-        rec.tracer.add_external("slow", 2_000_000_000)
-        summary = rec.profile()
+        tracer = self._tracer()
+        summary = profile_rows(tracer)
         assert [row["label"] for row in summary] == ["slow", "fast"]
-        assert summary[1]["calls"] == 5
-        assert rec.tracer.total_s == pytest.approx(2.5)
-        rows = [line for line in rec.lines() if line["kind"] == "profile"]
+        assert summary[1]["calls"] == 6
+        assert summary[0]["total_s"] == pytest.approx(2.0)
+        assert summary[0]["exclusive_s"] == pytest.approx(1.5)
+        # Exclusive times sum to the root spans' wall time.
+        assert sum(row["exclusive_s"] for row in summary) == pytest.approx(2.5)
+        rows = [line for line in Recorder().lines(tracer) if line["kind"] == "profile"]
         assert rows == [{"kind": "profile", **row} for row in summary]
-        assert set(rows[0]) == {"kind", "label", "calls", "total_s", "mean_us"}
+        assert set(rows[0]) == {
+            "kind", "label", "calls", "total_s", "exclusive_s", "mean_us"
+        }
+        assert profile_rows(NULL_TRACER) == []
 
     def test_mean(self):
-        rec = Recorder()
-        rec.tracer.add_external("x", 4_000_000_000, calls=2)
-        assert rec.tracer.aggregates["x"].total_s == pytest.approx(4.0)
-        assert rec.profile()[0]["mean_us"] == pytest.approx(2.0e6)
+        (slow, fast) = profile_rows(self._tracer())
+        assert slow["mean_us"] == pytest.approx(2.0e6)
+        assert fast["mean_us"] == pytest.approx(1.0e6 / 6)

@@ -18,6 +18,7 @@ import pytest
 from repro.experiments.runner import POLICIES
 from repro.faults import CxlCrcBurst, FaultSchedule, UnitFailure
 from repro.obs import Recorder
+from repro.obs.tracing import PerfTracer, activate
 from repro.sim import SimulationEngine, tiny
 from repro.sim.metrics import EnergyBreakdown, HitStats, LatencyBreakdown
 from repro.workloads import TINY, build
@@ -139,12 +140,34 @@ def test_fault_events_recorded_in_trace_and_timeline():
 
 
 def test_engine_profile_spans_present():
-    _, recorder = run_recorded()
-    labels = set(recorder.tracer.aggregates)
+    tracer = PerfTracer(keep_events=False)
+    with activate(tracer):
+        run_recorded()
+    labels = set(tracer.aggregates)
     assert {"policy.setup", "engine.l1_filter", "policy.process", "engine.charge"} <= labels
     assert "configure.solve" in labels
     # Per-epoch children of policy.begin_epoch / policy.end_epoch.
     assert {"configure.predict_cost", "profile.assign", "profile.sample"} <= labels
+
+
+def test_recorded_run_puts_each_policy_span_in_the_ambient_tracer_once():
+    """One span sink: under an active tracer, a recorded run's policy
+    internals land in that tracer, one span per occurrence — one solve
+    and one cost prediction per ``reconfig`` event, one assignment and
+    one sampling pass per profiled epoch."""
+    tracer = PerfTracer()
+    with activate(tracer):
+        report, recorder = run_recorded()
+    expected = {
+        "configure.solve": len(recorder.events_of("reconfig")),
+        "configure.predict_cost": len(recorder.events_of("reconfig")),
+        "profile.assign": len(report.per_epoch_cycles),
+        "profile.sample": len(report.per_epoch_cycles),
+    }
+    assert expected["configure.solve"] > 0
+    for name, calls in expected.items():
+        assert tracer.aggregates[name].calls == calls, name
+        assert sum(e.name == name for e in tracer.events) == calls, name
 
 
 def test_perf_tracer_bit_identical():
