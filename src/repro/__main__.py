@@ -7,7 +7,6 @@ Usage::
     python -m repro run --workload pr --policy ndpext --trace-out t.jsonl
     python -m repro compare --workload pr [--trace-out prefix] [--jobs 4]
     python -m repro figure fig5 [--preset small] [--jobs 4]
-    python -m repro suite [--preset small] [--jobs 4]
     python -m repro report [--output results.md]
     python -m repro stats trace.jsonl [other.jsonl]
     python -m repro dash trace.jsonl --out dash.html [--prom m.prom]
@@ -199,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_p = sub.add_parser("figure", help="regenerate one paper figure")
     fig_p.add_argument("name", choices=sorted(FIGURES))
-
-    sub.add_parser("suite", help="Fig. 5 table over the whole suite")
 
     rep_p = sub.add_parser(
         "report", help="regenerate every figure into a markdown report"
@@ -846,8 +843,6 @@ def main(argv: list[str] | None = None) -> int:
         cmd_compare(context, args)
     elif args.command == "figure":
         FIGURES[args.name](context)
-    elif args.command == "suite":
-        fig5.run(context)
     elif args.command == "report":
         cmd_report(context, args)
     return 0

@@ -3,9 +3,9 @@
 See DESIGN.md § "Execution & caching" and § "Resilient execution".
 Public surface:
 
-* :mod:`repro.exec.cache` — content-addressed, checksummed report cache.
-* :mod:`repro.exec.tracecache` — mmap-shared trace memoization with
-  single-builder locking.
+* :mod:`repro.exec.cache` — one content-addressed, checksummed store
+  with two codecs: simulation reports, and mmap-shared workload traces
+  built once per key under a file lock.
 * :mod:`repro.exec.parallel` — supervised worker-pool execution
   (retry/timeout/backoff, poison-list quarantine).
 * :mod:`repro.exec.checkpoint` — append-only sweep manifests (resume).
@@ -33,7 +33,6 @@ from repro.exec.parallel import (
     run_cells,
     run_supervised,
 )
-from repro.exec.tracecache import TraceCache, workload_key
 
 __all__ = [
     "CellExecutionError",
@@ -43,7 +42,6 @@ __all__ = [
     "ReportCache",
     "RetryPolicy",
     "SweepManifest",
-    "TraceCache",
     "auto_jobs",
     "cache_enabled",
     "cache_root",
@@ -52,5 +50,4 @@ __all__ = [
     "run_cells",
     "run_supervised",
     "throwaway_cache_dir",
-    "workload_key",
 ]

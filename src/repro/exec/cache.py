@@ -1,17 +1,21 @@
-"""Content-addressed, persistent result caching.
+"""Content-addressed, persistent caching of reports and traces.
 
 Every simulation cell — one (workload, policy, system config, scale,
-fault schedule) combination — is deterministic, so its report can be
-reused by any later process that asks for the same cell.  This module
-provides the two ingredients:
+fault schedule) combination — is deterministic, and so is every
+generated workload trace, so both can be reused by any later process
+that asks for the same inputs.  This module provides:
 
-* :func:`cell_key` — a stable SHA-256 digest over the *values* that
-  determine a cell's result: the full system config, the workload name
-  and scale, the policy name plus the caller-supplied variant key, the
-  fault schedule, and a code stamp.
-* :class:`ReportCache` — a directory of one JSON file per cell with
-  atomic writes (temp file + ``os.replace``), so concurrent writers and
-  killed processes can never leave a torn entry behind.
+* :func:`content_key` — a stable SHA-256 digest over the canonical JSON
+  of the *values* that determine a result plus a code stamp;
+  :func:`cell_key` names one simulation cell with it.
+* :class:`Store` — one directory per key holding payload files and a
+  ``meta.json`` with the schema and every file's size and sha256.
+  Entries are published atomically and verified on every read; a
+  damaged entry is quarantined, never served.
+* Two codecs on that store: :data:`REPORT` (one ``report.json`` of
+  ``SimulationReport.to_json()``, behind :class:`ReportCache`) and
+  :data:`TRACE` (a workload's four trace arrays as ``.npy`` files,
+  loaded with ``mmap_mode="r"``, plus its stream and phase metadata).
 
 The code stamp (:func:`code_stamp`) hashes the source of every package
 whose behaviour feeds a report (``sim``, ``core``, ``baselines``,
@@ -33,24 +37,32 @@ import contextlib
 import dataclasses
 import enum
 import hashlib
+import io
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
+from typing import Any, Callable, Iterable, NamedTuple
 
+import numpy as np
+
+from repro.core.stream import StreamConfig, StreamKind, StreamTable
 from repro.obs.tracing import current
 from repro.sim.metrics import SimulationReport
+from repro.workloads.trace import Trace, Workload
 
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_DISABLE_ENV = "REPRO_DISK_CACHE"
 
 # Bump when the on-disk entry layout (not the simulated values) changes.
-# Schema 2 added a sha256 checksum over the report payload; schema-1
-# entries are treated as plain (stale-format) misses.
-ENTRY_SCHEMA = 2
+# An entry with an older integer schema is a stale miss that the next
+# ``put`` replaces; any other schema is corrupt.  Schema 3 is the first
+# shared by reports and traces (both were at 2 in separate layouts).
+SCHEMA = 3
 
 # Packages whose source determines simulation results; their content
-# hash is part of every cell key.
+# hash is part of every key.
 _BEHAVIOR_PACKAGES = ("sim", "core", "baselines", "workloads", "faults")
 
 _code_stamp_cache: str | None = None
@@ -145,6 +157,16 @@ def _canonical(value):
     return repr(value)
 
 
+def content_key(*, stamp: str | None = None, **parts) -> str:
+    """sha256 over the canonical JSON (sorted keys, fixed separators) of
+    ``parts`` plus the code stamp: the one key of every store entry.
+    A workload trace is keyed ``content_key(workload=name, scale=scale)``.
+    """
+    payload = {"stamp": stamp if stamp is not None else code_stamp(), **parts}
+    blob = json.dumps(_canonical(payload), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def cell_key(
     workload: str,
     policy: str,
@@ -161,43 +183,15 @@ def cell_key(
     changing the policy name or the config (the established runner
     convention, e.g. ``"placement:consistent"``).
     """
-    payload = {
-        "stamp": stamp if stamp is not None else code_stamp(),
-        "workload": workload,
-        "policy": policy,
-        "config": _canonical(config),
-        "scale": _canonical(scale),
-        "cache_key": cache_key,
-        "faults": _canonical(faults),
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` without ever exposing a torn file.
-
-    The temp file is fsync'd *before* the rename and the directory
-    after it: ``os.replace`` alone guarantees the entry is never torn,
-    but on a power loss the rename can be persisted while the data
-    blocks are not, leaving a validly-named file full of zeros.  A
-    crash-safe cache has to pay both syncs.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=path.suffix)
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-        fsync_dir(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    return content_key(
+        stamp=stamp,
+        workload=workload,
+        policy=policy,
+        config=config,
+        scale=scale,
+        cache_key=cache_key,
+        faults=faults,
+    )
 
 
 def fsync_dir(path: Path) -> None:
@@ -214,28 +208,88 @@ def fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def payload_digest(payload) -> str:
-    """Canonical sha256 over a JSON-able payload (sorted keys, fixed
-    separators) — stable across a dump/load round trip, so a reader can
-    re-derive it from the parsed entry."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+def _write_synced(path: Path, data) -> None:
+    with open(path, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
 
 
-class _CorruptEntry(Exception):
-    """Internal: an entry that was read but failed validation."""
+def _file_sha256(f) -> str:
+    digest = hashlib.sha256()
+    for chunk in iter(lambda: f.read(1 << 20), b""):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
-class ReportCache:
-    """One checksummed JSON file per simulation cell, written atomically.
+@contextlib.contextmanager
+def _file_lock(path: Path):
+    """Blocking exclusive flock on ``path``; yields whether it was taken.
 
-    Sharded by the first two key hex digits to keep directories small.
-    ``get`` never fails a run: a missing or stale-schema entry is a
-    plain miss, while an entry that fails JSON decode or its sha256
-    checksum (torn write survived a crash, bit rot, truncation) is
-    *quarantined* — moved into ``<root>/quarantine/`` and counted on
-    ``self.quarantined`` — instead of silently deleted, so operators can
-    inspect what corrupted and regression tests can assert recovery.
+    Platforms without ``fcntl`` (or unwritable cache roots) degrade to
+    lockless behaviour — callers must still be correct, just without the
+    build-once guarantee.
+    """
+    try:
+        import fcntl
+    except ImportError:  # pragma: no cover - non-POSIX
+        yield False
+        return
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
+    except OSError:
+        yield False
+        return
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            yield True
+        finally:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_UN)
+            except OSError:
+                pass
+    finally:
+        os.close(fd)
+
+
+class Codec(NamedTuple):
+    """How one kind of value is laid out as an entry's payload files.
+
+    ``kind`` names the entries' directory (``<root>/<kind>s/``) and the
+    store's spans (``cache.<kind>_load`` / ``_write`` / ``_build``).
+    ``encode`` yields ``(file name, bytes)`` pairs one at a time, so
+    only one payload is held in memory; ``decode`` reads a verified
+    entry directory back into a value.
+    """
+
+    kind: str
+    encode: Callable[[Any], Iterable[tuple[str, Any]]]
+    decode: Callable[[Path], Any]
+
+
+class Store:
+    """Content-addressed entries, one directory per key.
+
+    An entry is ``<root>/<kind>s/<key[:2]>/<key>/``: the codec's payload
+    files plus a ``meta.json`` holding the schema and each file's byte
+    size and sha256.  The rules are the same for every codec:
+
+    * **Publish** — each payload file is written and fsync'd, then
+      ``meta.json``, then the temp directory is renamed into place and
+      the parent directory fsync'd, so a crash can never publish a torn
+      entry.  An entry already in place (stale, or a concurrent
+      writer's) is replaced.
+    * **Read** — ``load`` checks that ``meta.json`` lists exactly the
+      entry's files and verifies every size and checksum before
+      decoding.  Any failure moves the entry to ``<root>/quarantine/``
+      (counted on ``quarantined``) and reads as a miss, so a cache
+      problem never fails a run and operators can inspect the damage.
+    * **Build once** — ``get_or_build`` serializes builders of one key
+      on an exclusive per-key ``flock``.
+
+    ``hits``, ``misses`` and ``quarantined`` count ``load`` outcomes.
     """
 
     def __init__(self, root: Path | str) -> None:
@@ -244,80 +298,200 @@ class ReportCache:
         self.misses = 0
         self.quarantined = 0
 
-    def _path(self, key: str) -> Path:
-        return self.root / "reports" / key[:2] / f"{key}.json"
+    def _dir(self, key: str, codec: Codec) -> Path:
+        return self.root / f"{codec.kind}s" / key[:2] / key
 
-    def _quarantine(self, path: Path) -> None:
-        qdir = self.root / "quarantine"
+    def _quarantine(self, entry: Path) -> None:
+        target = self.root / "quarantine" / entry.name
         try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.rmtree(target, ignore_errors=True)
+            os.replace(entry, target)
         except OSError:
             return
         self.quarantined += 1
 
-    def get(self, key: str) -> SimulationReport | None:
-        with current().span("cache.report_load", cat="io"):
-            return self._get(key)
-
-    def _get(self, key: str) -> SimulationReport | None:
-        path = self._path(key)
-        try:
-            raw = path.read_text()
-        except OSError:
-            self.misses += 1
-            return None
-        try:
+    def load(self, key: str, codec: Codec):
+        """The verified value stored under ``key``, or None on a miss."""
+        with current().span(f"cache.{codec.kind}_load", cat="io"):
+            entry = self._dir(key, codec)
             try:
-                data = json.loads(raw)
-            except ValueError as exc:
-                raise _CorruptEntry("undecodable JSON") from exc
-            if not isinstance(data, dict):
-                raise _CorruptEntry("entry is not an object")
-            schema = data.get("schema")
-            if schema != ENTRY_SCHEMA:
-                if isinstance(schema, int):
-                    # Recognized-but-older layout: stale, not corrupt.
+                raw = (entry / "meta.json").read_bytes()
+            except OSError:
+                self.misses += 1
+                return None
+            try:
+                if not self._verify(entry, raw):
                     self.misses += 1
                     return None
-                raise _CorruptEntry(f"unrecognizable schema {schema!r}")
-            if "report" not in data or data.get("sha256") != payload_digest(
-                data["report"]
-            ):
-                raise _CorruptEntry("checksum mismatch")
+                value = codec.decode(entry)
+            except (OSError, ValueError, KeyError, TypeError):
+                self._quarantine(entry)
+                self.misses += 1
+                return None
+            self.hits += 1
+            return value
+
+    @staticmethod
+    def _verify(entry: Path, raw: bytes) -> bool:
+        """False for a stale entry; raises ValueError for a corrupt one."""
+        meta = json.loads(raw)
+        if not isinstance(meta, dict):
+            raise ValueError("metadata is not an object")
+        schema = meta.get("schema")
+        if schema != SCHEMA:
+            if type(schema) is int and schema < SCHEMA:
+                return False
+            raise ValueError(f"unrecognizable schema {schema!r}")
+        files = meta["files"]
+        if not isinstance(files, dict) or not files:
+            raise ValueError("no payload files listed")
+        if set(os.listdir(entry)) != {*files, "meta.json"}:
+            raise ValueError("entry files differ from its metadata")
+        for name, (size, sha256) in files.items():
+            with open(entry / name, "rb") as f:
+                if os.fstat(f.fileno()).st_size != size:
+                    raise ValueError(f"{name} truncated or oversized")
+                if _file_sha256(f) != sha256:
+                    raise ValueError(f"{name} checksum mismatch")
+        return True
+
+    def save(self, key: str, value, codec: Codec) -> bool:
+        """Publish ``value`` under ``key``; never fails the caller.
+        Returns whether the entry was published."""
+        with current().span(f"cache.{codec.kind}_write", cat="io"):
+            entry = self._dir(key, codec)
+            tmp = entry.parent / f".tmp-{key[:16]}-{os.getpid()}"
             try:
-                report = SimulationReport.from_json(data["report"])
-            except (ValueError, KeyError, TypeError) as exc:
-                raise _CorruptEntry("report failed to parse") from exc
-        except _CorruptEntry:
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return report
+                tmp.mkdir(parents=True, exist_ok=True)
+                files = {}
+                for name, data in codec.encode(value):
+                    _write_synced(tmp / name, data)
+                    files[name] = [len(data), hashlib.sha256(data).hexdigest()]
+                meta = {"schema": SCHEMA, "files": files}
+                _write_synced(tmp / "meta.json", json.dumps(meta).encode())
+                self._publish(tmp, entry)
+                return True
+            except (OSError, TypeError, ValueError):
+                # Unwritable root, or a value the codec cannot encode
+                # (e.g. a test double): skip caching, keep the run.
+                return False
+            finally:
+                shutil.rmtree(tmp, ignore_errors=True)
+
+    @staticmethod
+    def _publish(tmp: Path, entry: Path) -> None:
+        try:
+            os.rename(tmp, entry)
+        except OSError:
+            # An entry is in the way (stale, or a concurrent writer's
+            # equivalent one): move it aside and take its place.
+            # Readers that mapped its files keep them until they close.
+            aside = entry.with_name(f".old-{entry.name[:16]}-{os.getpid()}")
+            os.rename(entry, aside)
+            try:
+                os.rename(tmp, entry)
+            finally:
+                shutil.rmtree(aside, ignore_errors=True)
+        fsync_dir(entry.parent)
+
+    def get_or_build(self, key: str, codec: Codec, build: Callable[[], Any]):
+        """Fetch ``key``, or build it exactly once across processes.
+
+        The fast path is lock-free.  On a miss, an exclusive per-key
+        ``flock`` serializes builders: the winner builds and publishes,
+        everyone else blocks on the lock and then reads the winner's
+        entry.  The builder decodes the entry it just published, so it
+        too ends up on the shared (for traces, mmapped) copy; those
+        bytes were checksummed on the way out and are not verified
+        again.
+        """
+        found = self.load(key, codec)
+        if found is not None:
+            return found
+        tracer = current()
+        with contextlib.ExitStack() as stack:
+            with tracer.span("cache.lock_wait", cat="io"):
+                locked = stack.enter_context(
+                    _file_lock(self.root / "locks" / f"{key}.lock")
+                )
+            if locked:
+                found = self.load(key, codec)
+                if found is not None:
+                    return found
+            with tracer.span(f"cache.{codec.kind}_build", cat="io"):
+                value = build()
+            if self.save(key, value, codec):
+                with contextlib.suppress(OSError, ValueError):
+                    value = codec.decode(self._dir(key, codec))
+        return value
+
+
+def _encode_report(report: SimulationReport):
+    yield "report.json", json.dumps(report.to_json()).encode()
+
+
+def _decode_report(entry: Path) -> SimulationReport:
+    return SimulationReport.from_json(
+        json.loads((entry / "report.json").read_bytes())
+    )
+
+
+REPORT = Codec("report", _encode_report, _decode_report)
+
+_ARRAYS = ("core", "addr", "write", "sid")
+
+
+def _encode_trace(workload: Workload):
+    for name in _ARRAYS:
+        buffer = io.BytesIO()
+        np.save(buffer, np.ascontiguousarray(getattr(workload.trace, name)))
+        yield f"{name}.npy", buffer.getbuffer()
+    meta = {
+        "name": workload.name,
+        "streams": [
+            {**dataclasses.asdict(s), "kind": s.kind.value}
+            for s in workload.streams
+        ],
+        "compute_cycles_per_access": workload.compute_cycles_per_access,
+        "description": workload.description,
+        "phases": workload.phases,
+    }
+    yield "workload.json", json.dumps(meta).encode()
+
+
+def _decode_trace(entry: Path) -> Workload:
+    meta = json.loads((entry / "workload.json").read_bytes())
+    arrays = {
+        name: np.load(entry / f"{name}.npy", mmap_mode="r", allow_pickle=False)
+        for name in _ARRAYS
+    }
+    streams = StreamTable()
+    for m in meta["streams"]:
+        streams.configure(
+            StreamConfig(
+                **{**m, "kind": StreamKind(m["kind"]), "dims": tuple(m["dims"])}
+            )
+        )
+    return Workload(
+        name=meta["name"],
+        streams=streams,
+        trace=Trace(**arrays),
+        compute_cycles_per_access=meta["compute_cycles_per_access"],
+        description=meta["description"],
+        phases=[(pos, label) for pos, label in meta["phases"]],
+    )
+
+
+TRACE = Codec("trace", _encode_trace, _decode_trace)
+
+
+class ReportCache(Store):
+    """The report codec on a :class:`Store`: one ``report.json`` of
+    ``SimulationReport.to_json()`` per simulation cell."""
+
+    def get(self, key: str) -> SimulationReport | None:
+        return self.load(key, REPORT)
 
     def put(self, key: str, report: SimulationReport) -> None:
-        with current().span("cache.report_write", cat="io"):
-            try:
-                payload = report.to_json()
-                entry = {
-                    "schema": ENTRY_SCHEMA,
-                    "sha256": payload_digest(payload),
-                    "report": payload,
-                }
-                blob = json.dumps(entry).encode()
-            except (TypeError, ValueError):
-                # Non-serializable report (e.g. a test double): skip
-                # caching rather than fail the run that produced it.
-                return
-            try:
-                atomic_write_bytes(self._path(key), blob)
-            except OSError:
-                return
-
-
-def default_report_cache() -> ReportCache | None:
-    """The process-wide report cache, or ``None`` when disabled."""
-    if not cache_enabled():
-        return None
-    return ReportCache(cache_root())
+        self.save(key, report, REPORT)

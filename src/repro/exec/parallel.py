@@ -18,7 +18,8 @@ crash, hang, or OOM kill must cost one retry, not the whole suite.
   biggest cells start first and the tail of the batch stays balanced.
   Cells sharing a workload are interleaved across distinct workloads so
   concurrent workers build *different* traces under the single-builder
-  lock (:mod:`repro.exec.tracecache`) instead of serializing on one.
+  lock (:meth:`repro.exec.cache.Store.get_or_build`) instead of
+  serializing on one.
 * **Supervision.**  The parent waits on worker pipes *and* process
   sentinels: a death (exit code, kill, OOM) or a hang (per-cell
   wall-clock deadline derived from the cell's estimated size) is

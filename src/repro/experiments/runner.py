@@ -27,7 +27,7 @@ from repro.baselines import (
     host_config,
 )
 from repro.core import NdpExtPolicy
-from repro.exec.cache import ReportCache, cache_enabled, cell_key, default_report_cache
+from repro.exec.cache import ReportCache, cache_enabled, cache_root, cell_key
 from repro.exec.checkpoint import SweepManifest
 from repro.exec.parallel import (
     CellExecutionError,
@@ -146,7 +146,7 @@ class ExperimentContext:
     def disk_cache(self) -> ReportCache | None:
         """The persistent report cache, or None when disabled by env."""
         if self._disk == "unset":
-            self._disk = default_report_cache()
+            self._disk = ReportCache(cache_root()) if cache_enabled() else None
         return self._disk
 
     @property
@@ -212,7 +212,7 @@ class ExperimentContext:
         key = (name, scale)
         if key not in self._workloads:
             # No span here: the registry opens workload.build around
-            # actual generation only, so warm TraceCache hits are not
+            # actual generation only, so warm trace-store hits are not
             # double-counted as build time (they show up as the cache's
             # trace_load io span instead).
             self._workloads[key] = build(name, scale)

@@ -41,8 +41,8 @@ REPRESENTATIVE = ("recsys", "mv", "hotspot", "pathfinder", "pr", "bfs")
 
 def _build_uncached(name: str, scale: WorkloadScale) -> Workload:
     # The span lives here — around actual generation only — so a warm
-    # TraceCache hit (mmap load) is never attributed as build time.  The
-    # cache's own cache.trace_load / cache.trace_build io spans cover
+    # store hit (mmap load) is never attributed as build time.  The
+    # store's own cache.trace_load / cache.trace_build io spans cover
     # the storage layer.
     from repro.obs.tracing import current
 
@@ -64,12 +64,13 @@ def build(name: str, scale: WorkloadScale | None = None) -> Workload:
     merged — the paper's multi-process execution model.
 
     Generation is deterministic in ``(name, scale)``, so results are
-    memoized on disk (see :mod:`repro.exec.tracecache`); a cache hit
-    mmaps the stored trace — page-cache shared across worker processes
-    — and skips the whole generation pass (R-MAT synthesis is a
-    suite-level hot spot).  Concurrent builders of the same cell are
-    serialized by a per-key file lock so the trace is generated exactly
-    once.  Set ``REPRO_DISK_CACHE=0`` to disable.
+    memoized on disk through the trace codec of :mod:`repro.exec.cache`.
+    A hit verifies the entry's checksums and mmaps the stored arrays —
+    page-cache shared across worker processes — skipping the whole
+    generation pass (R-MAT synthesis is a suite-level hot spot); a
+    damaged entry is quarantined and rebuilt.  Concurrent builders of
+    the same cell are serialized by a per-key file lock so the trace is
+    generated exactly once.  Set ``REPRO_DISK_CACHE=0`` to disable.
     """
     if name not in FACTORIES:
         raise KeyError(
@@ -77,15 +78,15 @@ def build(name: str, scale: WorkloadScale | None = None) -> Workload:
         )
     scale = scale or WorkloadScale()
 
-    from repro.exec.cache import cache_enabled, cache_root
+    from repro.exec.cache import TRACE, Store, cache_enabled, cache_root, content_key
 
     if not cache_enabled():
         return _build_uncached(name, scale)
-    from repro.exec.tracecache import TraceCache, workload_key
-
-    cache = TraceCache(cache_root())
-    key = workload_key(name, scale)
-    return cache.get_or_build(key, lambda: _build_uncached(name, scale))
+    return Store(cache_root()).get_or_build(
+        content_key(workload=name, scale=scale),
+        TRACE,
+        lambda: _build_uncached(name, scale),
+    )
 
 
 def build_suite(

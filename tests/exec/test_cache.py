@@ -1,4 +1,5 @@
-"""Persistent report cache: keys, round trips, invalidation, tolerance."""
+"""The persistent store: keys, round trips, invalidation, and one
+corruption table over both codecs (reports and traces)."""
 
 import json
 
@@ -6,7 +7,11 @@ import pytest
 
 from repro.core import NdpExtPolicy
 from repro.exec.cache import (
+    REPORT,
+    SCHEMA,
+    TRACE,
     ReportCache,
+    Store,
     cache_enabled,
     cache_root,
     cell_key,
@@ -16,7 +21,8 @@ from repro.faults import FaultSchedule, UnitFailure
 from repro.sim import SimulationEngine, tiny
 from repro.sim.metrics import SimulationReport
 from repro.workloads import TINY, build
-from tests.reports import assert_reports_identical
+from repro.workloads.registry import _build_uncached
+from tests.reports import assert_reports_identical, assert_workloads_identical
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +109,7 @@ class TestReportCache:
         cache = ReportCache(tmp_path)
         key = cell_key("pr", "ndpext", tiny(), TINY)
         cache.put(key, report)
-        path = cache._path(key)
+        path = cache._dir(key, REPORT) / "report.json"
         path.write_text("{ truncated garbage")
         assert cache.get(key) is None
 
@@ -111,9 +117,10 @@ class TestReportCache:
         cache = ReportCache(tmp_path)
         key = cell_key("pr", "ndpext", tiny(), TINY)
         cache.put(key, report)
-        entry = json.loads(cache._path(key).read_text())
-        entry["schema"] = 999
-        cache._path(key).write_text(json.dumps(entry))
+        meta_path = cache._dir(key, REPORT) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["schema"] = 999
+        meta_path.write_text(json.dumps(meta))
         assert cache.get(key) is None
 
     def test_unserializable_report_skipped(self, tmp_path):
@@ -127,6 +134,97 @@ class TestReportCache:
         )
         cache.put("f" * 64, broken)  # must not raise
         assert cache.get("f" * 64) is None
+
+
+@pytest.fixture(scope="module")
+def workload():
+    return _build_uncached("pr", TINY)
+
+
+def _flip_middle_byte(path):
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _set_schema(schema):
+    def damage(entry, _payload):
+        meta = json.loads((entry / "meta.json").read_text())
+        meta["schema"] = schema
+        (entry / "meta.json").write_text(json.dumps(meta))
+
+    return damage
+
+
+# codec id -> (codec, fixture holding a value, the payload file to damage,
+# equality assertion)
+CODECS = {
+    "report": (
+        REPORT,
+        "report",
+        "report.json",
+        lambda a, b: assert_reports_identical(a, b, skip=("timeline",)),
+    ),
+    "trace": (TRACE, "workload", "addr.npy", assert_workloads_identical),
+}
+
+# damage id -> entry mutation; every one of these must be quarantined.
+CORRUPTIONS = {
+    "undecodable-meta": lambda entry, _payload: (entry / "meta.json").write_text(
+        "{ not json"
+    ),
+    "truncated-payload": lambda entry, payload: (entry / payload).write_bytes(
+        (entry / payload).read_bytes()[:100]
+    ),
+    "same-size-flip": lambda entry, payload: _flip_middle_byte(entry / payload),
+    "unknown-schema": _set_schema("three"),
+    "future-schema": _set_schema(SCHEMA + 1),
+}
+
+
+class TestCorruptionTable:
+    """One rule set for both codecs: damage is quarantined, an older
+    schema is a stale miss that the next ``save`` replaces."""
+
+    def _stored(self, request, tmp_path, codec_id):
+        codec, fixture, payload, same = CODECS[codec_id]
+        value = request.getfixturevalue(fixture)
+        store = Store(tmp_path)
+        key = "ab" + "0" * 62
+        store.save(key, value, codec)
+        return store, key, codec, value, payload, same
+
+    @pytest.mark.parametrize("damage", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("codec_id", sorted(CODECS))
+    def test_damage_is_quarantined(self, request, tmp_path, codec_id, damage):
+        store, key, codec, value, payload, same = self._stored(
+            request, tmp_path, codec_id
+        )
+        entry = store._dir(key, codec)
+        CORRUPTIONS[damage](entry, payload)
+        assert store.load(key, codec) is None
+        assert (store.quarantined, store.misses) == (1, 1)
+        assert not entry.exists()
+        assert (tmp_path / "quarantine" / key / "meta.json").exists()
+        # The slot is free again: the next save publishes a good entry.
+        store.save(key, value, codec)
+        same(value, store.load(key, codec))
+
+    @pytest.mark.parametrize("codec_id", sorted(CODECS))
+    def test_older_schema_is_stale_miss_replaced(self, request, tmp_path, codec_id):
+        store, key, codec, value, payload, same = self._stored(
+            request, tmp_path, codec_id
+        )
+        entry = store._dir(key, codec)
+        _set_schema(SCHEMA - 1)(entry, payload)
+        assert store.load(key, codec) is None
+        assert (store.quarantined, store.misses) == (0, 1)
+        store.save(key, value, codec)  # publishes over the stale entry
+        same(value, store.load(key, codec))
+        assert store.hits == 1
+        assert not (tmp_path / "quarantine").exists()
+        # Neither the temp directory nor the displaced entry is left over.
+        assert [p.name for p in entry.parent.iterdir()] == [key]
 
 
 class TestEnvKnobs:

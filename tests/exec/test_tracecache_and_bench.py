@@ -1,41 +1,17 @@
-"""Workload trace memoization and the bench harness smoke test."""
+"""Workload trace memoization (the store's trace codec) and the bench
+harness smoke test."""
 
+import json
 import os
 
 import numpy as np
 import pytest
 
 from repro.core.consistent import VIRTUAL_NODES
-from repro.exec.cache import cache_root
-from repro.exec.tracecache import TraceCache, workload_key
-from repro.workloads import TINY, build
+from repro.exec.cache import TRACE, Store, cache_root, content_key
+from repro.workloads import TINY, build, registry
 from repro.workloads.registry import _build_uncached
-
-
-def assert_workloads_identical(a, b):
-    assert a.name == b.name
-    assert np.array_equal(a.trace.core, b.trace.core)
-    assert np.array_equal(a.trace.addr, b.trace.addr)
-    assert np.array_equal(a.trace.write, b.trace.write)
-    assert np.array_equal(a.trace.sid, b.trace.sid)
-    assert a.compute_cycles_per_access == b.compute_cycles_per_access
-    assert a.phases == b.phases
-    sa, sb = list(a.streams), list(b.streams)
-    assert len(sa) == len(sb)
-    for x, y in zip(sa, sb):
-        assert (x.sid, x.kind, x.base, x.size, x.elem_size) == (
-            y.sid,
-            y.kind,
-            y.base,
-            y.size,
-            y.elem_size,
-        )
-        assert (x.read_only, x.dims, x.order, x.name) == (
-            y.read_only,
-            y.dims,
-            y.order,
-            y.name,
-        )
+from tests.reports import assert_workloads_identical
 
 
 @pytest.fixture()
@@ -70,10 +46,10 @@ def _count_builds(counter_path):
 class TestTraceCache:
     def test_npz_round_trip(self, cache_dir):
         workload = _build_uncached("pr", TINY)
-        cache = TraceCache(cache_dir)
-        key = workload_key("pr", TINY)
-        cache.put(key, workload)
-        loaded = cache.get(key)
+        store = Store(cache_dir)
+        key = content_key(workload="pr", scale=TINY)
+        store.save(key, workload, TRACE)
+        loaded = store.load(key, TRACE)
         assert loaded is not None
         assert_workloads_identical(workload, loaded)
 
@@ -95,22 +71,21 @@ class TestTraceCache:
         assert_workloads_identical(build("pr", scale), build("pr", scale))
 
     def test_scale_changes_key(self):
-        assert workload_key("pr", TINY) != workload_key(
-            "pr", TINY.scaled(seed=7)
-        )
-        assert workload_key("pr", TINY) != workload_key("bfs", TINY)
+        key = content_key(workload="pr", scale=TINY)
+        assert key != content_key(workload="pr", scale=TINY.scaled(seed=7))
+        assert key != content_key(workload="bfs", scale=TINY)
 
     def test_corrupt_entry_is_quarantined_miss(self, cache_dir):
         workload = _build_uncached("pr", TINY)
-        cache = TraceCache(cache_dir)
-        key = workload_key("pr", TINY)
-        cache.put(key, workload)
-        (cache._dir(key) / "meta.json").write_text("not json")
-        assert cache.get(key) is None
-        assert cache.quarantined == 1
+        store = Store(cache_dir)
+        key = content_key(workload="pr", scale=TINY)
+        store.save(key, workload, TRACE)
+        (store._dir(key, TRACE) / "meta.json").write_text("not json")
+        assert store.load(key, TRACE) is None
+        assert store.quarantined == 1
         # The broken entry was moved aside, not left to fail forever.
-        assert not cache._dir(key).exists()
-        assert (cache.root / "quarantine" / key).exists()
+        assert not store._dir(key, TRACE).exists()
+        assert (store.root / "quarantine" / key).exists()
 
     def test_truncated_array_is_quarantined_and_rebuilt(self, cache_dir):
         build("pr", TINY)  # populate the store
@@ -118,14 +93,52 @@ class TestTraceCache:
         # the very file we are about to truncate, so comparing against
         # it would SIGBUS — the whole point of the corruption.
         expected = _build_uncached("pr", TINY)
-        cache = TraceCache(cache_root())
-        key = workload_key("pr", TINY)
-        path = cache._dir(key) / "addr.npy"
+        store = Store(cache_root())
+        key = content_key(workload="pr", scale=TINY)
+        path = store._dir(key, TRACE) / "addr.npy"
         path.write_bytes(path.read_bytes()[:100])
         # The registry recovers transparently: quarantine + rebuild.
         rebuilt = build("pr", TINY)
         assert_workloads_identical(expected, rebuilt)
-        assert (cache.root / "quarantine" / key).exists()
+        assert (store.root / "quarantine" / key).exists()
+
+    def test_same_size_flip_is_quarantined_and_rebuilt(self, cache_dir):
+        build("pr", TINY)  # populate the store
+        expected = _build_uncached("pr", TINY)
+        (path,) = cache_root().glob("traces/*/*/addr.npy")
+        # One byte of the array data flipped in place: the file keeps
+        # its size, so only the checksum can tell.
+        with open(path, "r+b") as f:
+            f.seek(path.stat().st_size // 2)
+            byte = f.read(1)[0]
+            f.seek(-1, os.SEEK_CUR)
+            f.write(bytes([byte ^ 0x01]))
+        rebuilt = build("pr", TINY)
+        assert (cache_root() / "quarantine" / path.parent.name).is_dir()
+        assert_workloads_identical(expected, rebuilt)
+
+    def test_stale_schema_entry_is_replaced(self, cache_dir, monkeypatch):
+        build("pr", TINY)  # populate the store
+        (meta_path,) = cache_root().glob("traces/*/*/meta.json")
+        meta = json.loads(meta_path.read_text())
+        meta["schema"] -= 1  # an older layout: stale, not corrupt
+        meta_path.write_text(json.dumps(meta))
+        generated = []
+        uncached = registry._build_uncached
+
+        def counting_build(name, scale):
+            generated.append(name)
+            return uncached(name, scale)
+
+        monkeypatch.setattr(registry, "_build_uncached", counting_build)
+        loaded = [build("pr", TINY) for _ in range(3)]
+        # Regenerated once, published over the stale entry, then served
+        # from it: every call gets the shared read-only mmap.
+        assert generated == ["pr"]
+        for workload in loaded:
+            assert isinstance(workload.trace.addr.base, np.memmap)
+            assert not workload.trace.addr.flags.writeable
+        assert not (cache_root() / "quarantine").exists()
 
     def test_single_builder_under_concurrency(self, cache_dir, tmp_path):
         import multiprocessing
@@ -213,7 +226,7 @@ class TestBenchSmoke:
 
 class TestBuildSpanAttribution:
     """The workload.build span must cover actual generation only: a warm
-    TraceCache hit is storage I/O, not build time, and double-counting it
+    trace-store hit is storage I/O, not build time, and double-counting it
     skewed profile and bench attributions (the bug this class pins)."""
 
     def _spans(self, fn):
