@@ -74,6 +74,11 @@ def _lookup(payload: dict, dotted: str) -> float | None:
     return float(node) if isinstance(node, (int, float)) else None
 
 
+def _suite_preset(payload: dict):
+    suite = payload.get("suite")
+    return suite.get("preset") if isinstance(suite, dict) else None
+
+
 def same_mode(entries, quick: bool) -> list[dict]:
     """The history entries recorded by a run in the given mode.
 
@@ -118,9 +123,13 @@ def compare_bench(
     """Compare two bench payloads; one :class:`MetricDelta` per metric
     present in both (missing metrics are skipped, never failed).  The
     previous side of throughput metrics is the best of the previous run
-    and its rolling history."""
+    and its rolling history.  ``suite.*`` wall clocks are skipped when the
+    two suite grids ran on different presets: they time different cells."""
+    same_suite = _suite_preset(current) == _suite_preset(previous)
     deltas: list[MetricDelta] = []
     for dotted, higher_is_better, description in metrics:
+        if dotted.startswith("suite.") and not same_suite:
+            continue
         prev = history_best(previous, dotted, higher_is_better)
         cur = _lookup(current, dotted)
         if prev is None or cur is None or prev <= 0 or cur <= 0:

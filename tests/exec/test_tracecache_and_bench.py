@@ -191,6 +191,8 @@ class TestBenchSmoke:
         floors = {c.metric for c in check_floors(result)}
         assert "kernels.backends.numpy.accesses_per_second" in floors
         assert suite["cells"] == 4
+        # Small cells: four tiny ones are too short to time a pool.
+        assert suite["preset"] == "small"
         # The warm pass must be pure cache: zero simulations.
         assert suite["warm_counters"]["cache_misses"] == 0
         assert suite["warm_counters"]["cache_hits_disk"] == suite["cells"]

@@ -110,6 +110,17 @@ class TestCompare:
         deltas = compare_bench(bench(), previous)
         assert [d.metric for d in deltas] == ["engine_paper.accesses_per_second"]
 
+    def test_suite_clocks_across_presets_are_skipped(self):
+        """Suite grids on different presets time different cells: only
+        the other metrics are compared."""
+        tiny_run, small_run = bench(), bench(serial=100.0, parallel=40.0)
+        tiny_run["suite"]["preset"] = "tiny"
+        small_run["suite"]["preset"] = "small"
+        metrics = {d.metric for d in compare_bench(small_run, tiny_run)}
+        assert metrics == {m for m, _, _ in GUARDED_METRICS if not m.startswith("suite.")}
+        small_run["suite"]["preset"] = "tiny"
+        assert regressions(compare_bench(small_run, tiny_run))
+
     def test_non_positive_values_are_skipped(self):
         deltas = compare_bench(bench(paper_aps=0.0), bench(paper_aps=1000.0))
         assert "engine_paper.accesses_per_second" not in {d.metric for d in deltas}
