@@ -13,6 +13,7 @@ import numpy as np
 from repro import sim, workloads
 from repro.baselines import JigsawPolicy, NdpExtStaticPolicy, NexusPolicy, StaticNucaPolicy
 from repro.core import NdpExtPolicy
+from repro.core.remap import group_ids
 from repro.util import render_table
 
 KERNELS = ("bfs", "pr", "cc")
@@ -61,17 +62,18 @@ def inspect_placement(config):
 
     rows = []
     row_bytes = config.ndp_dram.row_bytes
+    table = policy.mapper.table
     for stream in workload.streams:
-        alloc = policy.mapper.table.get_or_empty(stream.sid)
-        if not alloc.is_allocated():
+        shares = table.shares[stream.sid]
+        if not shares.any():
             continue
-        units = [int(u) for u in np.flatnonzero(alloc.shares)]
+        units = [int(u) for u in np.flatnonzero(shares)]
         rows.append(
             [
                 stream.name,
                 stream.kind.value,
-                f"{alloc.total_rows * row_bytes // 1024} kB",
-                alloc.replication_degree(),
+                f"{int(shares.sum()) * row_bytes // 1024} kB",
+                max(1, len(group_ids(table.groups[stream.sid]))),
                 ",".join(map(str, units[:8])) + ("..." if len(units) > 8 else ""),
             ]
         )

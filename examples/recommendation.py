@@ -15,6 +15,7 @@ import numpy as np
 from repro import sim, workloads
 from repro.baselines import NexusPolicy
 from repro.core import NdpExtPolicy
+from repro.core.remap import group_ids
 from repro.sim.engine import SimulationEngine
 from repro.sim.sram_cache import filter_cores_through_l1
 from repro.util import render_table
@@ -57,14 +58,14 @@ def main() -> None:
     # Where did the embedding tables land?
     rows = []
     row_bytes = config.ndp_dram.row_bytes
+    table = ndpext_policy.mapper.table
     for stream in list(workload.streams)[:12]:
-        alloc = ndpext_policy.mapper.table.get_or_empty(stream.sid)
         rows.append(
             [
                 stream.name,
                 "yes" if stream.read_only else "no",
-                f"{alloc.total_rows * row_bytes // 1024} kB",
-                alloc.replication_degree(),
+                f"{int(table.shares[stream.sid].sum()) * row_bytes // 1024} kB",
+                max(1, len(group_ids(table.groups[stream.sid]))),
             ]
         )
     print(

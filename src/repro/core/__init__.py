@@ -14,7 +14,7 @@ from repro.core.configure import (
     equal_share_allocations,
 )
 from repro.core.consistent import ConsistentRing, preserved_mask, spots_of_group
-from repro.core.remap import RemapTable, StreamAllocation
+from repro.core.remap import RemapTable
 from repro.core.runtime import NdpExtPolicy
 from repro.core.sampler import MissCurveSampler, SamplerParams
 from repro.core.slb import StreamLookaheadBuffer
@@ -41,7 +41,6 @@ __all__ = [
     "preserved_mask",
     "spots_of_group",
     "RemapTable",
-    "StreamAllocation",
     "NdpExtPolicy",
     "MissCurveSampler",
     "SamplerParams",

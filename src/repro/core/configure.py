@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.remap import NO_GROUP, StreamAllocation
+from repro.core.remap import blank_rows, group_ids, single_groups
 from repro.core.stream import StreamConfig
 from repro.sim.topology import Topology
 from repro.util.curves import CurveTable, Lookahead, MissCurve
@@ -65,18 +65,16 @@ class Group:
 
 @dataclass
 class ConfigResult:
-    """Output of one configuration run."""
+    """Output of one configuration run: remap-table ``shares`` and
+    ``groups`` rows for every stream id, of which ``sids`` (ascending)
+    were configured; every other row is empty."""
 
-    allocations: list[StreamAllocation]
+    sids: list[int]
+    shares: np.ndarray
+    groups: np.ndarray
     iterations: int
     exhausted: set[int]
     replication_degree: dict[int, int]
-
-    def allocation_of(self, sid: int) -> StreamAllocation:
-        for alloc in self.allocations:
-            if alloc.sid == sid:
-                return alloc
-        raise KeyError(f"no allocation for stream {sid}")
 
     def summary(self) -> dict:
         """JSON-able description of the chosen configuration, used by the
@@ -86,12 +84,12 @@ class ConfigResult:
             "exhausted": sorted(int(s) for s in self.exhausted),
             "streams": [
                 {
-                    "sid": int(alloc.sid),
-                    "rows": int(alloc.total_rows),
-                    "n_groups": int(alloc.n_groups),
-                    "units": [int(u) for u in np.flatnonzero(alloc.shares > 0)],
+                    "sid": int(sid),
+                    "rows": int(self.shares[sid].sum()),
+                    "n_groups": len(group_ids(self.groups[sid])),
+                    "units": [int(u) for u in np.flatnonzero(self.shares[sid] > 0)],
                 }
-                for alloc in self.allocations
+                for sid in self.sids
             ],
         }
 
@@ -204,12 +202,15 @@ class CacheConfigurator:
             else:
                 exhausted.add(sid)
 
-        allocations = self._finalize(lookahead.ids)
+        sids = sorted(lookahead.ids)
+        shares, groups = self._finalize(sids)
         replication = {
             sid: max(1, len(groups)) for sid, groups in self._groups.items()
         }
         return ConfigResult(
-            allocations=allocations,
+            sids=sids,
+            shares=shares,
+            groups=groups,
             iterations=iterations,
             exhausted=exhausted,
             replication_degree=replication,
@@ -455,56 +456,43 @@ class CacheConfigurator:
     # Output
     # ------------------------------------------------------------------
 
-    def _finalize(self, sids: list[int]) -> list[StreamAllocation]:
-        allocations = []
-        for sid in sorted(sids):
-            shares = [0] * self.n_units
-            groups_arr = [NO_GROUP] * self.n_units
+    def _finalize(self, sids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The remap-table shares and groups rows of the configured streams."""
+        shares, groups = blank_rows(self.n_units)
+        for sid in sids:
             for gid, group in enumerate(self._groups.get(sid, [])):
                 group.remove_empty()
                 for unit, rows in group.rows.items():
                     if rows > 0:
-                        shares[unit] += rows
-                        groups_arr[unit] = gid
-            allocations.append(
-                StreamAllocation(
-                    sid=sid,
-                    shares=np.array(shares, dtype=np.int64),
-                    groups=np.array(groups_arr, dtype=np.int64),
-                    row_base=np.zeros(self.n_units, dtype=np.int64),
-                )
-            )
-        return allocations
+                        shares[sid, unit] += rows
+                        groups[sid, unit] = gid
+        return shares, groups
 
 
 def equal_share_allocations(
     streams: dict[int, StreamConfig],
     n_units: int,
     rows_per_unit: int,
-) -> list[StreamAllocation]:
+) -> tuple[np.ndarray, np.ndarray]:
     """NDPExt-static: split every unit's rows equally among all streams,
-    one global replication group per stream (no replication).
+    one global replication group per stream (no replication).  Returns
+    the remap-table shares and groups rows.
 
     When there are more streams than rows per unit, the remainder rows
     rotate across units so every stream still receives cache space
     somewhere in the system.
     """
-    if not streams:
-        return []
+    shares, _ = blank_rows(n_units)
     sids = sorted(streams)
     n = len(sids)
-    base, rem = divmod(rows_per_unit, n)
-    allocations = []
-    for index, sid in enumerate(sids):
-        shares = np.full(n_units, base, dtype=np.int64)
+    if n:
+        base, rem = divmod(rows_per_unit, n)
+        shares[sids] = base
         if rem:
             # Unit u grants its `rem` leftover rows to streams
             # (u*rem) .. (u*rem + rem - 1) modulo the stream count.
-            for unit in range(n_units):
-                offset = (index - unit * rem) % n
-                if offset < rem:
-                    shares[unit] += 1
-        if shares.sum() == 0:
-            continue
-        allocations.append(StreamAllocation.single_group(sid, shares))
-    return allocations
+            for index, sid in enumerate(sids):
+                for unit in range(n_units):
+                    if (index - unit * rem) % n < rem:
+                        shares[sid, unit] += 1
+    return shares, single_groups(shares)

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.assignment import SamplerAssigner
 from repro.core.configure import CacheConfigurator, equal_share_allocations
+from repro.core.remap import group_ids
 from repro.core.sampler import MissCurveSampler, SamplerParams, stream_tags
 from repro.core.stream import StreamConfig
 from repro.core.stream_cache import StreamCacheMapper
@@ -136,7 +137,7 @@ class NdpExtPolicy(DramCachePolicy):
         initial = equal_share_allocations(
             self._streams, config.n_units, config.rows_per_unit
         )
-        self.mapper.apply(initial)
+        self.mapper.apply(*initial)
 
     # ------------------------------------------------------------------
 
@@ -236,31 +237,28 @@ class NdpExtPolicy(DramCachePolicy):
                 unit_capacity=self.mapper.table.capacity,
                 write_excepted=self.mapper.write_excepted,
             )
+        table = self.mapper.table
         with tracing.current().span("configure.predict_cost"):
-            current = self._current_allocations()
-            old_cost = self._predicted_cost(curves, current)
-            new_cost = self._predicted_cost(curves, result.allocations)
+            old_cost = self._predicted_cost(curves, table.shares, table.groups)
+            new_cost = self._predicted_cost(curves, result.shares, result.groups)
         skipped = (
             not forced
             and old_cost > 0
             and new_cost > old_cost * (1.0 - self.RECONFIG_GAIN_THRESHOLD)
         )
         if skipped:
-            chosen = current
             stats = ReconfigStats()
         else:
-            chosen = result.allocations
-            stats = self.mapper.apply(result.allocations)
+            stats = self.mapper.apply(result.shares, result.groups)
             self.applied_reconfigs += 1
         if self.recorder.enabled:
-            self._predicted_hit_rate = self._predict_hit_rates(curves, chosen)
-            alloc_by_sid = {alloc.sid: alloc for alloc in chosen}
+            # The installed table is the chosen configuration.
+            shares, groups = table.shares, table.groups
+            self._predicted_hit_rate = self._predict_hit_rates(curves, shares, groups)
             # Per-unit rows the chosen configuration allocates — the
             # placement's spatial footprint, next to the spatial
             # accumulator's per-unit *served* counts.
-            unit_rows = np.zeros(self.config.n_units, dtype=np.int64)
-            for alloc in chosen:
-                unit_rows += alloc.shares
+            unit_rows = shares.sum(axis=0)
             self.recorder.event(
                 "reconfig",
                 epoch=epoch_idx,
@@ -276,41 +274,37 @@ class NdpExtPolicy(DramCachePolicy):
                     {
                         "sid": int(sid),
                         "predicted_hit_rate": rate,
-                        "rows": int(alloc_by_sid[sid].total_rows),
-                        "n_groups": int(alloc_by_sid[sid].n_groups),
+                        "rows": int(shares[sid].sum()),
+                        "n_groups": len(group_ids(groups[sid])),
                     }
                     for sid, rate in sorted(self._predicted_hit_rate.items())
-                    if sid in alloc_by_sid
                 ],
             )
         return stats
 
     def _predict_hit_rates(
-        self, curves: CurveTable, allocations
+        self, curves: CurveTable, shares: np.ndarray, groups: np.ndarray
     ) -> dict[int, float]:
-        """Per-stream hit rate the miss-curve model promises for
-        ``allocations``, on the post-L1 request stream."""
+        """Per-stream hit rate the miss-curve model promises for the
+        remap-table rows ``shares`` and ``groups``, on the post-L1
+        request stream."""
         row_bytes = self.config.ndp_dram.row_bytes
         rates: dict[int, float] = {}
-        for alloc in allocations:
-            accesses = self._epoch_access_totals.get(alloc.sid, 0)
-            if alloc.sid not in curves or accesses <= 0:
+        for sid in sorted(curves.ids):
+            accesses = self._epoch_access_totals.get(sid, 0)
+            if accesses <= 0:
                 continue
-            copies = max(1, alloc.n_groups)
-            per_copy = alloc.total_rows * row_bytes / copies
-            misses = curves.misses_at(alloc.sid, per_copy)
-            rates[alloc.sid] = float(
-                np.clip(1.0 - misses / accesses, 0.0, 1.0)
-            )
+            copies = max(1, len(group_ids(groups[sid])))
+            per_copy = int(shares[sid].sum()) * row_bytes / copies
+            misses = curves.misses_at(sid, per_copy)
+            rates[sid] = float(np.clip(1.0 - misses / accesses, 0.0, 1.0))
         return rates
 
-    def _current_allocations(self) -> list:
-        return [
-            self.mapper.table.get_or_empty(sid) for sid in sorted(self._streams)
-        ]
-
-    def _predicted_cost(self, curves: CurveTable, allocations) -> float:
-        """Expected memory time (ns) if ``allocations`` served the curves.
+    def _predicted_cost(
+        self, curves: CurveTable, shares: np.ndarray, groups: np.ndarray
+    ) -> float:
+        """Expected memory time (ns) if the remap-table rows ``shares``
+        and ``groups`` served the curves.
 
         Misses pay the extended-memory penalty; hits pay the round trip to
         wherever the accessing units' replication group lives — so a
@@ -320,39 +314,37 @@ class NdpExtPolicy(DramCachePolicy):
         row_bytes = self.config.ndp_dram.row_bytes
         miss_penalty = self.config.cxl.link_ns + self.config.ext_dram.row_miss_ns
         total = 0.0
-        for alloc in allocations:
-            sid = alloc.sid
-            if sid not in curves:
-                continue
-            copies = max(1, alloc.n_groups)
-            per_copy = alloc.total_rows * row_bytes / copies
+        for sid in sorted(curves.ids):
+            copies = max(1, len(group_ids(groups[sid])))
+            per_copy = int(shares[sid].sum()) * row_bytes / copies
             misses = curves.misses_at(sid, per_copy)
             accesses = self._epoch_access_totals.get(sid, 0)
             hits = max(0.0, accesses - misses)
             total += misses * miss_penalty
-            total += hits * self._mean_hit_distance_ns(alloc)
+            total += hits * self._mean_hit_distance_ns(sid, shares[sid], groups[sid])
         return total
 
-    def _mean_hit_distance_ns(self, alloc) -> float:
-        """Access-weighted mean round trip from consumers to their copy."""
-        counts = self._acc_counts.get(alloc.sid, {})
-        if not counts or alloc.total_rows == 0:
+    def _mean_hit_distance_ns(
+        self, sid: int, shares: np.ndarray, groups: np.ndarray
+    ) -> float:
+        """Access-weighted mean round trip from consumers to their copy,
+        for one stream's remap-table rows."""
+        counts = self._acc_counts.get(sid, {})
+        if not counts or shares.sum() == 0:
             return 0.0
         latency = self.topology.latency_ns
+        members = [np.flatnonzero(groups == gid) for gid in group_ids(groups)]
         num = 0.0
         den = 0
         for unit, weight in counts.items():
-            gid = alloc.group_of_unit(unit)
-            if gid < 0:
+            if groups[unit] < 0:
                 # Served by the nearest group.
-                gid = min(
-                    alloc.group_ids,
-                    key=lambda g: latency[unit, alloc.units_of_group(g)].mean(),
-                )
-            units = alloc.units_of_group(gid)
-            shares = alloc.shares[units]
+                units = members[self.topology.nearest_group(unit, members)]
+            else:
+                units = np.flatnonzero(groups == groups[unit])
+            held = shares[units]
             mean_one_way = float(
-                (latency[unit, units] * shares).sum() / max(1, shares.sum())
+                (latency[unit, units] * held).sum() / max(1, held.sum())
             )
             num += weight * 2.0 * mean_one_way
             den += weight

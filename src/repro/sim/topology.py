@@ -137,10 +137,13 @@ class Topology:
         """
         return float(self.attenuation_matrix[src, dst])
 
-    def mean_latency_from(self, src: int, dsts: list[int]) -> float:
-        if not dsts:
-            raise ValueError("need at least one destination")
-        return float(np.mean([self.latency_ns[src, d] for d in dsts]))
+    def nearest_group(self, src: int, groups: list[np.ndarray]) -> int:
+        """Index of the unit group with the lowest mean latency from
+        ``src``, the first one on a tie: the replication group that serves
+        a unit outside every group."""
+        if not groups:
+            raise ValueError("need at least one group")
+        return int(np.argmin([self.latency_ns[src, units].mean() for units in groups]))
 
     def centroid_unit(self, units: list[int], weights: list[float] | None = None) -> int:
         """The unit minimizing weighted average distance to ``units``.

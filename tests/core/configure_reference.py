@@ -19,6 +19,9 @@ The edits since:
   curve table, and ``configure`` first turns its ``curves`` (a
   ``CurveTable`` or one ``util.curves.MissCurve`` per stream) into these
   copies.
+* The output is packaged as remap-table rows (``ConfigResult.sids``,
+  ``shares``, ``groups``) instead of one allocation object per stream,
+  as in ``core/configure.py``; ``_finalize`` fills the same values.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.remap import NO_GROUP, StreamAllocation
+from repro.core.remap import blank_rows, group_ids
 from repro.core.stream import StreamConfig
 from repro.sim.topology import Topology
 from repro.util.curves import CurveTable
@@ -187,16 +190,12 @@ class Group:
 class ConfigResult:
     """Output of one configuration run."""
 
-    allocations: list[StreamAllocation]
+    sids: list[int]
+    shares: np.ndarray
+    groups: np.ndarray
     iterations: int
     exhausted: set[int]
     replication_degree: dict[int, int]
-
-    def allocation_of(self, sid: int) -> StreamAllocation:
-        for alloc in self.allocations:
-            if alloc.sid == sid:
-                return alloc
-        raise KeyError(f"no allocation for stream {sid}")
 
     def summary(self) -> dict:
         """JSON-able description of the chosen configuration, used by the
@@ -206,12 +205,12 @@ class ConfigResult:
             "exhausted": sorted(int(s) for s in self.exhausted),
             "streams": [
                 {
-                    "sid": int(alloc.sid),
-                    "rows": int(alloc.total_rows),
-                    "n_groups": int(alloc.n_groups),
-                    "units": [int(u) for u in np.flatnonzero(alloc.shares > 0)],
+                    "sid": int(sid),
+                    "rows": int(self.shares[sid].sum()),
+                    "n_groups": len(group_ids(self.groups[sid])),
+                    "units": [int(u) for u in np.flatnonzero(self.shares[sid] > 0)],
                 }
-                for alloc in self.allocations
+                for sid in self.sids
             ],
         }
 
@@ -311,12 +310,14 @@ class CacheConfigurator:
             else:
                 exhausted.add(sid)
 
-        allocations = self._finalize(streams, curves)
+        shares, groups = self._finalize(streams, curves)
         replication = {
             sid: max(1, len(groups)) for sid, groups in self._groups.items()
         }
         return ConfigResult(
-            allocations=allocations,
+            sids=sorted(curves),
+            shares=shares,
+            groups=groups,
             iterations=iterations,
             exhausted=exhausted,
             replication_degree=replication,
@@ -546,23 +547,13 @@ class CacheConfigurator:
         self,
         streams: dict[int, StreamConfig],
         curves: dict[int, MissCurve],
-    ) -> list[StreamAllocation]:
-        allocations = []
+    ) -> tuple[np.ndarray, np.ndarray]:
+        shares, groups_arr = blank_rows(self.n_units)
         for sid in sorted(curves):
-            shares = np.zeros(self.n_units, dtype=np.int64)
-            groups_arr = np.full(self.n_units, NO_GROUP, dtype=np.int64)
             for gid, group in enumerate(self._groups.get(sid, [])):
                 group.remove_empty()
                 for unit, rows in group.rows.items():
                     if rows > 0:
-                        shares[unit] += rows
-                        groups_arr[unit] = gid
-            allocations.append(
-                StreamAllocation(
-                    sid=sid,
-                    shares=shares,
-                    groups=groups_arr,
-                    row_base=np.zeros(self.n_units, dtype=np.int64),
-                )
-            )
-        return allocations
+                        shares[sid, unit] += rows
+                        groups_arr[sid, unit] = gid
+        return shares, groups_arr

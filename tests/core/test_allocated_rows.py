@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.remap import NO_GROUP, StreamAllocation
+from repro.core.remap import NO_GROUP, blank_rows
 from repro.sim.params import tiny
 from tests.core.test_mapper_invariants import build_mapper
 
@@ -16,11 +16,9 @@ def assert_rows_and_spots_valid(config, mapper):
     group's shares: the precondition that keeps ring tie order out of
     every result."""
     table = mapper.table
-    assert (table.rows_used_per_unit() <= config.rows_per_unit).all()
-    for sid in table.sids:
-        alloc = table.get(sid)
-        held = alloc.shares > 0
-        assert (alloc.row_base[held] + alloc.shares[held] <= config.rows_per_unit).all()
+    assert (table.shares.sum(axis=0) <= config.rows_per_unit).all()
+    held = table.shares > 0
+    assert (table.row_base[held] + table.shares[held] <= config.rows_per_unit).all()
     for mapping in mapper._mappings.values():
         for group in mapping.groups:
             assert group.ring is not None
@@ -64,25 +62,17 @@ class TestAllocatedRows:
             if operation[0] == "apply":
                 _, drawn, fit = operation
                 room = mapper.table.capacity.copy()
-                allocations = []
+                table_shares, table_groups = blank_rows(N_UNITS)
                 for stream, (shares, groups) in zip(streams, drawn):
                     shares = np.asarray(shares, dtype=np.int64)
                     if fit:
                         shares = np.minimum(shares, room)
                         room -= shares
-                    allocations.append(
-                        StreamAllocation(
-                            sid=stream.sid,
-                            shares=shares,
-                            groups=np.where(shares > 0, groups, NO_GROUP),
-                            row_base=np.zeros(N_UNITS, dtype=np.int64),
-                        )
-                    )
-                overflows = (
-                    sum(a.shares for a in allocations) > mapper.table.capacity
-                ).any()
+                    table_shares[stream.sid] = shares
+                    table_groups[stream.sid] = np.where(shares > 0, groups, NO_GROUP)
+                overflows = (table_shares.sum(axis=0) > mapper.table.capacity).any()
                 try:
-                    mapper.apply(allocations)
+                    mapper.apply(table_shares, table_groups)
                 except ValueError:
                     assert overflows
                     installed = False
@@ -98,7 +88,7 @@ class TestAllocatedRows:
             if installed:
                 # Only an install trims: a quarantined row that no
                 # allocation covers shrinks just the capacity.
-                assert (mapper.table.rows_used_per_unit() <= mapper.table.capacity).all()
+                assert (mapper.table.shares.sum(axis=0) <= mapper.table.capacity).all()
             assert_rows_and_spots_valid(config, mapper)
 
     def test_eviction_after_an_uncovered_row_fault_trims_the_unit(self):
@@ -111,10 +101,10 @@ class TestAllocatedRows:
         mapper.quarantine_row(0, 3)
         mapper.quarantine_row(0, full - 1)
         assert mapper.table.capacity[0] == full - 2
-        assert mapper.table.rows_used_per_unit()[0] == full - 1
-        last = max(mapper.table.sids)
-        held = int(mapper.table.get(last).shares[0])
+        assert mapper.table.shares[:, 0].sum() == full - 1
+        last = max(stream.sid for stream in streams)
+        held = int(mapper.table.shares[last, 0])
         mapper.evict_units([1])
-        assert mapper.table.rows_used_per_unit()[0] == full - 2
-        assert mapper.table.get(last).shares[0] == held - 1
+        assert mapper.table.shares[:, 0].sum() == full - 2
+        assert mapper.table.shares[last, 0] == held - 1
         assert_rows_and_spots_valid(config, mapper)

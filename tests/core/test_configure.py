@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.configure import CacheConfigurator, equal_share_allocations
+from repro.core.remap import NO_GROUP, RemapTable, n_groups
 from repro.core.stream import StreamConfig, StreamKind
 from repro.sim.params import tiny
 from repro.sim.topology import Topology
@@ -48,8 +49,7 @@ class TestBasicAllocation:
         result = configurator.configure(
             streams, {0: steep_curve()}, {0: [0, 1]}
         )
-        alloc = result.allocation_of(0)
-        assert alloc.total_rows > 0
+        assert result.shares[0].sum() > 0
 
     def test_never_exceeds_unit_capacity(self):
         configurator, config = make_configurator()
@@ -57,16 +57,13 @@ class TestBasicAllocation:
         curves = {i: steep_curve(10_000 * (i + 1)) for i in range(4)}
         acc = {i: list(range(config.n_units)) for i in range(4)}
         result = configurator.configure(streams, curves, acc)
-        used = np.zeros(config.n_units, dtype=np.int64)
-        for alloc in result.allocations:
-            used += alloc.shares
-        assert np.all(used <= config.rows_per_unit)
+        assert np.all(result.shares.sum(axis=0) <= config.rows_per_unit)
 
     def test_stream_without_accessors_gets_nothing(self):
         configurator, _ = make_configurator()
         streams = {0: make_stream(0)}
         result = configurator.configure(streams, {0: steep_curve()}, {0: []})
-        assert result.allocation_of(0).total_rows == 0
+        assert result.shares[0].sum() == 0
         assert 0 in result.exhausted
 
     def test_higher_utility_stream_gets_more(self):
@@ -75,10 +72,7 @@ class TestBasicAllocation:
         curves = {0: steep_curve(100_000), 1: steep_curve(100)}
         acc = {0: [0], 1: [0]}
         result = configurator.configure(streams, curves, acc)
-        assert (
-            result.allocation_of(0).total_rows
-            >= result.allocation_of(1).total_rows
-        )
+        assert result.shares[0].sum() >= result.shares[1].sum()
 
 
 class TestReplication:
@@ -113,11 +107,11 @@ class TestReplication:
         result = configurator.configure(
             streams, {0: steep_curve()}, {0: [0, 1, 2, 3]}
         )
-        alloc = result.allocation_of(0)
+        shares, groups = result.shares[0], result.groups[0]
         # Every allocated unit belongs to exactly one group.
         for unit in range(config.n_units):
-            if alloc.shares[unit] > 0:
-                assert alloc.groups[unit] >= 0
+            if shares[unit] > 0:
+                assert groups[unit] >= 0
 
 
 class TestAffineRestriction:
@@ -129,9 +123,8 @@ class TestAffineRestriction:
         result = configurator.configure(
             streams, {0: steep_curve()}, {0: [0]}
         )
-        alloc = result.allocation_of(0)
         cap_rows = cap_bytes // config.ndp_dram.row_bytes
-        assert np.all(alloc.shares <= cap_rows)
+        assert np.all(result.shares[0] <= cap_rows)
 
     def test_indirect_not_capped(self):
         config = tiny()
@@ -140,29 +133,27 @@ class TestAffineRestriction:
         streams = {0: make_stream(0, kind=StreamKind.INDIRECT)}
         result = configurator.configure(streams, {0: steep_curve()}, {0: [0]})
         cap_rows = cap_bytes // config.ndp_dram.row_bytes
-        assert result.allocation_of(0).shares.max() > cap_rows
+        assert result.shares[0].max() > cap_rows
 
 
 class TestEqualShare:
     def test_even_split(self):
         streams = {i: make_stream(i) for i in range(4)}
-        allocations = equal_share_allocations(streams, n_units=2, rows_per_unit=8)
-        assert len(allocations) == 4
-        for alloc in allocations:
-            assert alloc.total_rows == 4  # 2 rows x 2 units
+        shares, groups = equal_share_allocations(streams, n_units=2, rows_per_unit=8)
+        assert list(shares.sum(axis=1)[:5]) == [4, 4, 4, 4, 0]  # 2 rows x 2 units
+        assert (groups[:4] == 0).all()
 
     def test_more_streams_than_rows_rotates(self):
         """Every stream gets space somewhere even when rows < streams."""
         streams = {i: make_stream(i) for i in range(8)}
-        allocations = equal_share_allocations(streams, n_units=4, rows_per_unit=4)
-        used = np.zeros(4, dtype=np.int64)
-        for alloc in allocations:
-            assert alloc.total_rows > 0
-            used += alloc.shares
-        assert np.all(used <= 4)
+        shares, _ = equal_share_allocations(streams, n_units=4, rows_per_unit=4)
+        assert (shares[:8].sum(axis=1) > 0).all()
+        assert np.all(shares.sum(axis=0) <= 4)
 
     def test_empty(self):
-        assert equal_share_allocations({}, 4, 8) == []
+        shares, groups = equal_share_allocations({}, 4, 8)
+        assert not shares.any()
+        assert (groups == NO_GROUP).all()
 
 
 class TestRandomizedInvariants:
@@ -190,11 +181,11 @@ class TestRandomizedInvariants:
                 )
             )
         result = configurator.configure(streams, curves, acc)
-        used = np.zeros(config.n_units, dtype=np.int64)
-        for alloc in result.allocations:
-            used += alloc.shares
-            # Structural validity is enforced by StreamAllocation itself;
-            # additionally read-write streams must have <= 1 group.
-            if not streams[alloc.sid].read_only:
-                assert alloc.n_groups <= 1
-        assert np.all(used <= config.rows_per_unit)
+        # Structural validity is what an install checks; additionally
+        # read-write streams must have <= 1 group.
+        RemapTable(config.n_units, config.rows_per_unit).install(
+            result.shares, result.groups
+        )
+        for sid in result.sids:
+            if not streams[sid].read_only:
+                assert n_groups(result.groups[sid]) <= 1

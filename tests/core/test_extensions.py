@@ -23,7 +23,7 @@ def make_mapper(kind="affine", elem=64):
     )
     mapper = StreamCacheMapper(config, Topology(config), table)
     mapper.apply(
-        equal_share_allocations(
+        *equal_share_allocations(
             {stream.sid: stream}, config.n_units, config.rows_per_unit
         )
     )

@@ -18,10 +18,10 @@ class TestEvictUnits:
         config, stream, mapper = make_setup()
         mapper.process(trace_of(stream, np.arange(200)))
         mapper.evict_units([0])
-        alloc = mapper.table.get(stream.sid)
-        assert alloc.shares[0] == 0
+        shares = mapper.table.shares[stream.sid]
+        assert shares[0] == 0
         assert mapper.table.capacity[0] == 0
-        assert alloc.shares[1:].sum() > 0  # survivors keep their rows
+        assert shares[1:].sum() > 0  # survivors keep their rows
 
     def test_requests_never_served_by_dead_unit(self):
         config, stream, mapper = make_setup()
@@ -55,28 +55,27 @@ class TestEvictUnits:
             {stream.sid: stream}, config.n_units, config.rows_per_unit
         )
         with pytest.raises(ValueError):
-            mapper.table.set_all(full)  # would put rows on the dead unit
+            mapper.table.install(*full)  # would put rows on the dead unit
 
 
 class TestQuarantineRow:
     def test_reduces_capacity_and_victim_share(self):
         config, stream, mapper = make_setup()
-        before = mapper.table.get(stream.sid).shares.copy()
+        before = mapper.table.shares[stream.sid]
         stats = mapper.quarantine_row(1, 0)
-        after = mapper.table.get(stream.sid).shares
+        after = mapper.table.shares[stream.sid]
         assert mapper.table.capacity[1] == config.rows_per_unit - 1
         assert after[1] == before[1] - 1
         assert after.sum() == before.sum() - 1
 
     def test_unused_row_only_shrinks_capacity(self):
         config, stream, mapper = make_setup()
-        alloc = mapper.table.get(stream.sid)
-        unused_row = int(alloc.shares[1])  # first row past the allocation
-        before = alloc.shares.copy()
+        before = mapper.table.shares[stream.sid]
+        unused_row = int(before[1])  # first row past the allocation
         stats = mapper.quarantine_row(1, unused_row)
         assert stats.invalidations == 0 and stats.movements == 0
         assert mapper.table.capacity[1] == config.rows_per_unit - 1
-        assert np.array_equal(mapper.table.get(stream.sid).shares, before)
+        assert np.array_equal(mapper.table.shares[stream.sid], before)
 
 
 class TestNdpExtRecovery:

@@ -76,7 +76,7 @@ class TestDynamicBehavior:
         policy = NdpExtPolicy()
         report = SimulationEngine(config).run(workload, policy)
         rows = {
-            s.name: policy.mapper.table.get_or_empty(s.sid).total_rows
+            s.name: int(policy.mapper.table.shares[s.sid].sum())
             for s in workload.streams
         }
         assert report.runtime_cycles > 0

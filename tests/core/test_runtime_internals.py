@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.remap import StreamAllocation
 from repro.core.runtime import NdpExtPolicy
 from repro.core.sampler import SamplerParams
 from repro.sim.params import tiny
@@ -15,6 +14,7 @@ from repro.sim.topology import Topology
 from repro.util.curves import CurveTable, Lookahead
 from repro.workloads import TINY, build
 from tests.core import configure_reference as ref
+from tests.core.test_stream_cache import stream_rows
 
 
 @pytest.fixture()
@@ -62,14 +62,10 @@ class TestPredictedCost:
         policy._epoch_access_totals = {sid: 1000}
         policy._acc_counts = {sid: {0: 1000}}
         policy._acc_units = {sid: [0]}
-        small_alloc = StreamAllocation.single_group(
-            sid, np.array([1, 0, 0, 0], dtype=np.int64)
-        )
-        big_alloc = StreamAllocation.single_group(
-            sid, np.array([8, 0, 0, 0], dtype=np.int64)
-        )
-        assert policy._predicted_cost(curves, [big_alloc]) < policy._predicted_cost(
-            curves, [small_alloc]
+        small_rows = stream_rows(config.n_units, sid, [1, 0, 0, 0])
+        big_rows = stream_rows(config.n_units, sid, [8, 0, 0, 0])
+        assert policy._predicted_cost(curves, *big_rows) < policy._predicted_cost(
+            curves, *small_rows
         )
 
     def test_remote_allocation_costlier_than_local(self, policy):
@@ -78,47 +74,38 @@ class TestPredictedCost:
         policy._epoch_access_totals = {sid: 1000}
         policy._acc_counts = {sid: {0: 1000}}
         policy._acc_units = {sid: [0]}
-        local = StreamAllocation.single_group(
-            sid, np.array([4, 0, 0, 0], dtype=np.int64)
-        )
-        remote = StreamAllocation.single_group(
-            sid, np.array([0, 0, 0, 4], dtype=np.int64)
-        )
-        assert policy._predicted_cost(curves, [local]) < policy._predicted_cost(
-            curves, [remote]
+        n_units = policy.config.n_units
+        local = stream_rows(n_units, sid, [4, 0, 0, 0])
+        remote = stream_rows(n_units, sid, [0, 0, 0, 4])
+        assert policy._predicted_cost(curves, *local) < policy._predicted_cost(
+            curves, *remote
         )
 
     def test_unknown_curve_ignored(self, policy):
         sid = next(iter(policy._streams))
-        alloc = StreamAllocation.single_group(
-            sid, np.array([1, 0, 0, 0], dtype=np.int64)
-        )
+        rows = stream_rows(policy.config.n_units, sid, [1, 0, 0, 0])
         empty = CurveTable.empty(policy._curves.capacities)
-        assert policy._predicted_cost(empty, [alloc]) == 0.0
+        assert policy._predicted_cost(empty, *rows) == 0.0
 
 
 class TestMeanHitDistance:
     def test_local_consumer_zero_distance(self, policy):
         sid = next(iter(policy._streams))
         policy._acc_counts = {sid: {0: 100}}
-        alloc = StreamAllocation.single_group(
-            sid, np.array([4, 0, 0, 0], dtype=np.int64)
-        )
-        assert policy._mean_hit_distance_ns(alloc) == 0.0
+        shares, groups = stream_rows(policy.config.n_units, sid, [4, 0, 0, 0])
+        assert policy._mean_hit_distance_ns(sid, shares[sid], groups[sid]) == 0.0
 
     def test_remote_consumer_positive(self, policy):
         sid = next(iter(policy._streams))
         policy._acc_counts = {sid: {3: 100}}
-        alloc = StreamAllocation.single_group(
-            sid, np.array([4, 0, 0, 0], dtype=np.int64)
-        )
-        assert policy._mean_hit_distance_ns(alloc) > 0
+        shares, groups = stream_rows(policy.config.n_units, sid, [4, 0, 0, 0])
+        assert policy._mean_hit_distance_ns(sid, shares[sid], groups[sid]) > 0
 
     def test_empty_allocation_zero(self, policy):
         sid = next(iter(policy._streams))
         policy._acc_counts = {sid: {0: 100}}
-        alloc = StreamAllocation.empty(sid, policy.config.n_units)
-        assert policy._mean_hit_distance_ns(alloc) == 0.0
+        shares, groups = stream_rows(policy.config.n_units, sid, [0, 0, 0, 0])
+        assert policy._mean_hit_distance_ns(sid, shares[sid], groups[sid]) == 0.0
 
 
 class TestFallbackCurve:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.configure import equal_share_allocations
-from repro.core.remap import StreamAllocation
+from repro.core.remap import blank_rows, single_groups
 from repro.core.stream import StreamTable, configure_stream
 from repro.core.stream_cache import (
     StreamCacheMapper,
@@ -33,9 +33,18 @@ def make_setup(read_only=True, kind="indirect", placement="consistent"):
         config, Topology(config), table, placement=placement
     )
     mapper.apply(
-        equal_share_allocations({stream.sid: stream}, config.n_units, config.rows_per_unit)
+        *equal_share_allocations({stream.sid: stream}, config.n_units, config.rows_per_unit)
     )
     return config, stream, mapper
+
+
+def stream_rows(n_units, sid, shares, groups=None):
+    """Table rows holding one stream: ``shares`` in ``groups`` (default:
+    one group over the units with rows)."""
+    table_shares, table_groups = blank_rows(n_units)
+    table_shares[sid] = shares
+    table_groups[sid] = single_groups(shares) if groups is None else groups
+    return table_shares, table_groups
 
 
 def trace_of(stream, elem_ids, cores=None, writes=None):
@@ -66,7 +75,7 @@ class TestHitMiss:
 
     def test_unallocated_stream_bypasses(self):
         config, stream, mapper = make_setup()
-        mapper.apply([])  # no allocations
+        mapper.apply(*blank_rows(config.n_units))  # no allocations
         out = mapper.process(trace_of(stream, [1, 1]))
         assert not out.hit.any()
         assert (out.serving_unit == -1).all()
@@ -104,9 +113,9 @@ class TestHitMiss:
     def test_serving_unit_has_rows(self):
         config, stream, mapper = make_setup()
         out = mapper.process(trace_of(stream, np.arange(500) % 100))
-        alloc = mapper.table.get(stream.sid)
+        shares = mapper.table.shares[stream.sid]
         for unit in np.unique(out.serving_unit):
-            assert alloc.shares[unit] > 0
+            assert shares[unit] > 0
 
 
 class TestWarmState:
@@ -124,7 +133,7 @@ class TestWarmState:
         # or be invalidated.
         shares = np.zeros(config.n_units, dtype=np.int64)
         shares[:2] = config.rows_per_unit // 2
-        stats = mapper.apply([StreamAllocation.single_group(stream.sid, shares)])
+        stats = mapper.apply(*stream_rows(config.n_units, stream.sid, shares))
         assert stats.invalidations + stats.movements > 0
 
     def test_consistent_preserves_more_than_hash(self):
@@ -133,9 +142,7 @@ class TestWarmState:
             config, stream, mapper = make_setup(placement=placement)
             mapper.process(trace_of(stream, np.arange(400)))
             shares = np.full(config.n_units, config.rows_per_unit // 2, np.int64)
-            stats = mapper.apply(
-                [StreamAllocation.single_group(stream.sid, shares)]
-            )
+            stats = mapper.apply(*stream_rows(config.n_units, stream.sid, shares))
             preserved[placement] = stats.movements
         assert preserved["consistent"] > preserved["hash"]
 
@@ -145,7 +152,7 @@ class TestWarmState:
         same = equal_share_allocations(
             {stream.sid: stream}, config.n_units, config.rows_per_unit
         )
-        stats = mapper.apply(same)
+        stats = mapper.apply(*same)
         assert stats.invalidations == 0
         assert stats.movements == 0
 
@@ -162,16 +169,7 @@ class TestWriteException:
         # Two replication groups over the four units.
         shares = np.full(config.n_units, 4, dtype=np.int64)
         groups = np.array([0, 0, 1, 1])
-        mapper.apply(
-            [
-                StreamAllocation(
-                    sid=stream.sid,
-                    shares=shares,
-                    groups=groups,
-                    row_base=np.zeros(config.n_units, np.int64),
-                )
-            ]
-        )
+        mapper.apply(*stream_rows(config.n_units, stream.sid, shares, groups))
         writes = np.zeros(4, bool)
         writes[2] = True
         out = mapper.process(trace_of(stream, [1, 2, 3, 4], writes=writes))
@@ -192,7 +190,7 @@ class TestWriteException:
         )
         mapper = StreamCacheMapper(config, Topology(config), table)
         mapper.apply(
-            equal_share_allocations({stream.sid: stream}, config.n_units, config.rows_per_unit)
+            *equal_share_allocations({stream.sid: stream}, config.n_units, config.rows_per_unit)
         )
         first = mapper.process(trace_of(stream, [1], writes=[True]))
         second = mapper.process(trace_of(stream, [2], writes=[True]))

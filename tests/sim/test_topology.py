@@ -82,11 +82,15 @@ class TestQueries:
             topo.centroid_unit([])
 
     def test_mean_latency(self):
+        """Groups rank by mean latency; a tie goes to the first group."""
         topo = Topology(tiny())
-        mean = topo.mean_latency_from(0, [0, 1])
-        assert mean == pytest.approx(topo.distance_ns(0, 1) / 2)
+        far = max(range(1, topo.n_units), key=lambda u: topo.distance_ns(0, u))
+        near, far = np.array([0, 1]), np.array([far])
+        assert topo.nearest_group(0, [far, near]) == 1
+        assert topo.nearest_group(0, [near, far]) == 0
+        assert topo.nearest_group(0, [near, near.copy()]) == 0
 
     def test_mean_latency_rejects_empty(self):
         topo = Topology(tiny())
         with pytest.raises(ValueError):
-            topo.mean_latency_from(0, [])
+            topo.nearest_group(0, [])

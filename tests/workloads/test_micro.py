@@ -82,8 +82,7 @@ class TestExpectedBehaviours:
         report = engine.run(shared_hot(TINY), policy)
         wl = shared_hot(TINY)
         hot = wl.stream_by_name("hot")
-        alloc = policy.mapper.table.get_or_empty(hot.sid)
-        assert alloc.total_rows > 0
+        assert policy.mapper.table.shares[hot.sid].sum() > 0
         assert report.hits.cache_hit_rate > 0.4
 
     def test_ping_pong_triggers_write_exception(self, config):
