@@ -17,18 +17,16 @@ Usage::
 
 ``--jobs N`` (or ``--jobs auto``, which sizes the pool from the CPU
 count with a cap) fans uncached simulation cells across N *supervised*
-worker processes: crashed or hung workers are detected, the affected
-cell is retried with exponential backoff, and repeat offenders are
-quarantined into a poison list instead of aborting the sweep — results
-stay bit-identical to serial runs.  ``--timeout`` caps per-cell wall
-clock, ``--max-retries`` bounds the attempt budget, and ``--resume
-MANIFEST`` journals completed cells so an interrupted sweep picks up
-exactly where it stopped.  Completed cells persist in a
+worker processes: a crashed or hung worker is replaced and its cell
+retried at once, a cell that raises (or keeps losing its worker) is
+quarantined into a poison list instead of aborting the sweep, and
+results stay bit-identical to serial runs.  Completed cells persist in a
 content-addressed disk cache (``REPRO_CACHE_DIR``, disable with
-``REPRO_DISK_CACHE=0``), so repeated invocations skip simulation
-entirely.  ``bench`` measures the epoch kernels, the paper-scale
-cells, parallel fan-out, and cache behaviour, writing a
-``BENCH_<date>.json``.
+``REPRO_DISK_CACHE=0``) as each one finishes, so repeated invocations
+skip simulation entirely and an interrupted sweep, rerun, simulates
+only the cells it had not finished.  ``bench`` measures the epoch
+kernels, the paper-scale cells, parallel fan-out, and cache behaviour,
+writing a ``BENCH_<date>.json``.
 
 ``figure`` accepts: fig2, fig4b, fig5, fig6, fig7, fig8a, fig8b,
 fig9a..fig9f, sec5d, faults.
@@ -148,29 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         "processes (default: 1 = serial; 'auto' sizes the pool from the "
         "machine's CPU count, capped; results are bit-identical "
         "either way, including across worker crashes and retries)",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="MANIFEST",
-        default=None,
-        help="journal completed cells to this checkpoint manifest and "
-        "skip cells it already records — an interrupted sweep rerun "
-        "with the same manifest recomputes nothing it finished",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-cell wall-clock limit; a hung worker is killed and the "
-        "cell retried (default: derived from the cell's size)",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="retries per cell after the first attempt before it is "
-        "quarantined into the poison list (default: 2)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -575,12 +550,7 @@ def cmd_profile(args) -> None:
     tracer = PerfTracer(process_label="main")
     accesses = 0
     with throwaway_cache_dir(prefix="repro-profile-"):
-        context = ExperimentContext(
-            preset=args.preset,
-            jobs=1,
-            timeout_s=args.timeout,
-            max_retries=args.max_retries,
-        )
+        context = ExperimentContext(preset=args.preset, jobs=1)
         with activate(tracer):
             if args.suite:
                 cells = [
@@ -830,13 +800,7 @@ def main(argv: list[str] | None = None) -> int:
         # point is one resident session), so no ExperimentContext.
         cmd_serve(args)
         return 0
-    context = ExperimentContext(
-        preset=args.preset,
-        jobs=args.jobs,
-        manifest_path=args.resume,
-        timeout_s=args.timeout,
-        max_retries=args.max_retries,
-    )
+    context = ExperimentContext(preset=args.preset, jobs=args.jobs)
     if args.command == "run":
         cmd_run(context, args)
     elif args.command == "compare":

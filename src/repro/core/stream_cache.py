@@ -288,15 +288,22 @@ class StreamCacheMapper:
             return False
         self._block_override[sid] = block_bytes
         self._resident.pop(sid, None)
-        stream = self.streams.get(sid) if sid in self.streams else None
-        if stream is not None and sid in self._mappings:
-            self._mappings[sid] = self._build_installed(stream)
+        self._rebuild(sid)
         return True
 
     def _build_installed(self, stream: StreamConfig) -> StreamMapping:
         """A fresh mapping of ``stream`` from its installed table rows."""
         sid = stream.sid
         return self._build_mapping(stream, self.table.shares[sid], self.table.groups[sid])
+
+    def _rebuild(self, sid: int) -> None:
+        """Rebuild an installed mapping at its own rows, which are the
+        table's unless a write exception collapsed it to one group."""
+        mapping = self._mappings.get(sid)
+        if mapping is not None:
+            self._mappings[sid] = self._build_mapping(
+                self.streams.get(sid), mapping.shares_row, mapping.groups_row
+            )
 
     def _build_mapping(
         self, stream: StreamConfig, shares_row: np.ndarray, groups_row: np.ndarray
@@ -692,9 +699,7 @@ class StreamCacheMapper:
         Returns the number of invalidated entries.
         """
         resident = self._resident.pop(sid, None)
-        stream = self.streams.get(sid)
-        if sid in self._mappings:
-            self._mappings[sid] = self._build_installed(stream)
+        self._rebuild(sid)
         for slb in self.slbs:
             slb.invalidate()
         return len(resident) if resident is not None else 0

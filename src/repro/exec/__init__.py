@@ -7,8 +7,7 @@ Public surface:
   with two codecs: simulation reports, and mmap-shared workload traces
   built once per key under a file lock.
 * :mod:`repro.exec.parallel` — supervised worker-pool execution
-  (retry/timeout/backoff, poison-list quarantine).
-* :mod:`repro.exec.checkpoint` — append-only sweep manifests (resume).
+  (worker-death and timeout retries, poison-list quarantine).
 * :mod:`repro.exec.bench` — the ``python -m repro bench`` harness: the
   kernel, paper-mesh, paper-preset set-up and pool cells that
   the end-to-end ``perfbench`` cannot see.
@@ -22,7 +21,6 @@ from repro.exec.cache import (
     code_stamp,
     throwaway_cache_dir,
 )
-from repro.exec.checkpoint import SweepManifest
 from repro.exec.parallel import (
     CellExecutionError,
     CellTask,
@@ -30,7 +28,6 @@ from repro.exec.parallel import (
     PoolOutcome,
     RetryPolicy,
     auto_jobs,
-    run_cells,
     run_supervised,
 )
 
@@ -41,13 +38,11 @@ __all__ = [
     "PoolOutcome",
     "ReportCache",
     "RetryPolicy",
-    "SweepManifest",
     "auto_jobs",
     "cache_enabled",
     "cache_root",
     "cell_key",
     "code_stamp",
-    "run_cells",
     "run_supervised",
     "throwaway_cache_dir",
 ]

@@ -488,7 +488,19 @@ TRACE = Codec("trace", _encode_trace, _decode_trace)
 
 class ReportCache(Store):
     """The report codec on a :class:`Store`: one ``report.json`` of
-    ``SimulationReport.to_json()`` per simulation cell."""
+    ``SimulationReport.to_json()`` per simulation cell.
+
+    Opening one unlinks the report files of the layout before
+    :class:`Store` (``reports/<xx>/<key>.json``): no read reaches them,
+    and the current layout writes only directories there.
+    """
+
+    def __init__(self, root: Path | str) -> None:
+        super().__init__(root)
+        for path in (self.root / "reports").glob("*/*.json"):
+            if path.is_file():
+                with contextlib.suppress(OSError):
+                    path.unlink()
 
     def get(self, key: str) -> SimulationReport | None:
         return self.load(key, REPORT)

@@ -24,9 +24,11 @@ crash, hang, or OOM kill must cost one retry, not the whole suite.
   sentinels: a death (exit code, kill, OOM) or a hang (per-cell
   wall-clock deadline derived from the cell's estimated size) is
   detected, the worker is killed/reaped, a replacement is forked, and
-  the cell is retried with seeded exponential backoff.  Cells that
-  exhaust their attempt budget are quarantined into a poison list with
-  the captured traceback — the rest of the sweep completes.
+  the cell is retried at once.  A cell that raises is *not* retried:
+  simulation is deterministic, so the same inputs raise again.  It is
+  quarantined into a poison list with the captured traceback on its
+  first attempt, as is a cell that exhausts its attempt budget — the
+  rest of the sweep completes.
 * **Bit identity.**  Every cell is simulated by exactly the same code as
   the serial path, so results are bit-identical to running the loop
   in-process (asserted in ``tests/exec``), including under injected
@@ -39,16 +41,14 @@ the final reports must stay bit-identical.  The knob has no effect on
 serial (in-process) execution.
 
 Platforms without ``fork`` (or ``jobs <= 1``) fall back to a serial loop
-with the same retry/quarantine semantics (no timeouts — a hang cannot be
-killed without process isolation).
+with the same quarantine semantics.  It has nothing to retry: no worker
+can die under it, and a hang cannot be killed without process isolation.
 """
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing
 import os
-import random
 import signal
 import time
 import traceback
@@ -68,6 +68,12 @@ from repro.workloads.base import WorkloadScale
 from repro.workloads.trace import Workload
 
 CHAOS_KILL_ENV = "REPRO_CHAOS_KILL_EVERY"
+
+# A cell's derived wall-clock deadline: a deliberately pessimistic
+# throughput floor, so a legitimate big cell is never killed but a
+# wedged worker does not stall the sweep forever.
+TIMEOUT_FLOOR_S = 60.0
+TIMEOUT_ACCESSES_PER_S = 20_000.0
 
 
 @dataclass
@@ -117,47 +123,27 @@ class CellTask:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Retry, backoff, and timeout semantics for one batch.
+    """Attempt budget and deadline of a pooled batch.
 
-    ``max_attempts`` bounds total tries per cell (first attempt
-    included).  Backoff between attempts is exponential with a seeded
-    jitter — deterministic in ``(seed, cell index, attempt)``, so a
-    replayed sweep waits the same way.  The per-cell wall-clock deadline
-    is ``timeout_s`` when set; otherwise it is derived from the cell's
-    estimated trace length via a deliberately pessimistic throughput
-    floor, so a legitimate big cell is never killed but a wedged worker
-    does not stall the sweep forever.
+    ``max_attempts`` bounds the tries per cell (first attempt included)
+    that worker deaths and timeouts may use up.  The per-cell wall-clock
+    deadline is ``timeout_s`` when set; otherwise it is derived from the
+    cell's estimated trace length (``TIMEOUT_FLOOR_S``,
+    ``TIMEOUT_ACCESSES_PER_S``).
     """
 
     max_attempts: int = 3
-    backoff_base_s: float = 0.05
-    backoff_cap_s: float = 2.0
-    seed: int = 0
     timeout_s: float | None = None
-    timeout_floor_s: float = 60.0
-    timeout_accesses_per_s: float = 20_000.0
-
-    def backoff_s(self, index: int, attempt: int) -> float:
-        # Tuples of ints hash deterministically (unlike str), so the
-        # jitter is stable across processes and PYTHONHASHSEED values.
-        rng = random.Random(hash((self.seed, index, attempt)))
-        step = min(
-            self.backoff_cap_s,
-            self.backoff_base_s * (2 ** max(0, attempt - 1)),
-        )
-        return step * (0.5 + 0.5 * rng.random())
 
     def timeout_for(self, est_accesses: int) -> float:
         if self.timeout_s is not None:
             return self.timeout_s
-        return max(
-            self.timeout_floor_s, est_accesses / self.timeout_accesses_per_s
-        )
+        return max(TIMEOUT_FLOOR_S, est_accesses / TIMEOUT_ACCESSES_PER_S)
 
 
 @dataclass
 class PoisonedCell:
-    """One cell that exhausted its attempt budget."""
+    """One cell that raised, or exhausted its attempt budget."""
 
     index: int
     attempts: int
@@ -184,7 +170,7 @@ class CellExecutionError(RuntimeError):
     def __init__(self, poisoned: Sequence[PoisonedCell]) -> None:
         self.poisoned = list(poisoned)
         lines = [
-            f"{len(self.poisoned)} cell(s) quarantined after repeated failures:"
+            f"{len(self.poisoned)} cell(s) quarantined:"
         ]
         for cell in self.poisoned:
             head = cell.error.strip().splitlines()
@@ -252,6 +238,25 @@ def _noop_event(kind: str, **fields) -> None:
     return None
 
 
+def _quarantine(
+    outcome: PoolOutcome, emit, index: int, label: str, attempts: int,
+    kind: str, error: str,
+) -> None:
+    outcome.poisoned.append(
+        PoisonedCell(
+            index=index, attempts=attempts, kind=kind, error=error, label=label
+        )
+    )
+    emit(
+        "exec_quarantine",
+        index=index,
+        label=label,
+        attempts=attempts,
+        failure=kind,
+        error=error[-2000:],
+    )
+
+
 # ---------------------------------------------------------------------------
 # Worker side.
 
@@ -261,7 +266,7 @@ def _worker_main(conn, tasks: Sequence[CellTask]) -> None:
 
     SIGINT is ignored so a Ctrl+C in the parent's terminal (delivered to
     the whole process group) leaves shutdown sequencing to the
-    supervisor — which journals completed cells before dying.  The
+    supervisor — which stores completed cells before dying.  The
     worker runs under the null tracer: a tracer active in the parent
     observes the parent process only.
     """
@@ -325,7 +330,6 @@ class _Supervisor:
         self.emit = emit
         self.ctx = multiprocessing.get_context("fork")
         self.pending: deque[int] = deque(schedule_order(tasks))
-        self.delayed: list[tuple[float, int]] = []  # (ready time, index)
         self.attempts = [0] * len(tasks)
         self.workers: list[_Worker] = []
         self.done = 0
@@ -383,37 +387,22 @@ class _Supervisor:
         elif kind == "worker-death":
             self.outcome.worker_deaths += 1
         label = self.tasks[index].label
-        if self.attempts[index] >= self.policy.max_attempts:
-            self.outcome.poisoned.append(
-                PoisonedCell(
-                    index=index,
-                    attempts=self.attempts[index],
-                    kind=kind,
-                    error=error,
-                    label=label,
-                )
+        if kind == "exception" or self.attempts[index] >= self.policy.max_attempts:
+            _quarantine(
+                self.outcome, self.emit, index, label, self.attempts[index],
+                kind, error,
             )
             self.done += 1
-            self.emit(
-                "exec_quarantine",
-                index=index,
-                label=label,
-                attempts=self.attempts[index],
-                failure=kind,
-                error=error[-2000:],
-            )
         else:
             self.outcome.retries += 1
-            backoff = self.policy.backoff_s(index, self.attempts[index])
             self.emit(
                 "exec_retry",
                 index=index,
                 label=label,
                 attempt=self.attempts[index],
                 failure=kind,
-                backoff_s=backoff,
             )
-            heapq.heappush(self.delayed, (time.monotonic() + backoff, index))
+            self.pending.append(index)
 
     def handle_message(self, worker: _Worker, msg) -> None:
         kind, index, _attempt, payload = msg
@@ -458,35 +447,21 @@ class _Supervisor:
             for _ in range(min(self.jobs, total)):
                 self.spawn()
             while self.done < total:
-                now = time.monotonic()
-                while self.delayed and self.delayed[0][0] <= now:
-                    self.pending.append(heapq.heappop(self.delayed)[1])
                 for worker in self.workers:
                     if not self.pending:
                         break
                     if worker.index is None:
                         self.assign(worker, self.pending.popleft())
+                # The pool is resized below to every unresolved cell, so
+                # with cells left some worker always holds one.
                 busy = [w for w in self.workers if w.index is not None]
                 if not busy:
-                    if self.delayed:
-                        time.sleep(
-                            max(0.0, self.delayed[0][0] - time.monotonic())
-                        )
-                        continue
-                    if self.pending:
-                        # Every worker died; rebuild the pool.
-                        while len(self.workers) < min(
-                            self.jobs, len(self.pending)
-                        ):
-                            self.spawn()
-                        continue
                     break  # pragma: no cover - defensive
-                timeout = min(w.deadline for w in busy) - now
-                if self.delayed:
-                    timeout = min(timeout, self.delayed[0][0] - now)
                 ready = connection.wait(
                     [w.conn for w in busy] + [w.proc.sentinel for w in busy],
-                    timeout=max(0.0, timeout),
+                    timeout=max(
+                        0.0, min(w.deadline for w in busy) - time.monotonic()
+                    ),
                 )
                 for worker in list(busy):
                     if worker not in self.workers:
@@ -535,63 +510,25 @@ class _Supervisor:
 
 def _run_serial(
     tasks: Sequence[CellTask],
-    policy: RetryPolicy,
     outcome: PoolOutcome,
     on_result,
     emit,
 ) -> PoolOutcome:
     tracer = current()
     for index, task in enumerate(tasks):
-        attempt = 0
-        while True:
-            try:
-                with tracer.span(
-                    "task", cat="task", index=index, attempt=attempt,
-                    label=task.label,
-                ):
-                    report = task.run()
-            except KeyboardInterrupt:
-                raise
-            except BaseException:
-                error = traceback.format_exc()
-                outcome.attempts += 1
-                attempt += 1
-                if attempt >= policy.max_attempts:
-                    outcome.poisoned.append(
-                        PoisonedCell(
-                            index=index,
-                            attempts=attempt,
-                            kind="exception",
-                            error=error,
-                            label=task.label,
-                        )
-                    )
-                    emit(
-                        "exec_quarantine",
-                        index=index,
-                        label=task.label,
-                        attempts=attempt,
-                        failure="exception",
-                        error=error[-2000:],
-                    )
-                    break
-                outcome.retries += 1
-                backoff = policy.backoff_s(index, attempt)
-                emit(
-                    "exec_retry",
-                    index=index,
-                    label=task.label,
-                    attempt=attempt,
-                    failure="exception",
-                    backoff_s=backoff,
-                )
-                time.sleep(backoff)
-                continue
-            outcome.attempts += 1
-            outcome.reports[index] = report
-            if on_result is not None:
-                on_result(index, report)
-            break
+        outcome.attempts += 1
+        try:
+            with tracer.span("task", cat="task", index=index, label=task.label):
+                report = task.run()
+        except Exception:
+            _quarantine(
+                outcome, emit, index, task.label, 1, "exception",
+                traceback.format_exc(),
+            )
+            continue
+        outcome.reports[index] = report
+        if on_result is not None:
+            on_result(index, report)
     return outcome
 
 
@@ -608,39 +545,25 @@ def run_supervised(
     completes (in completion order, not submission order) — callers use
     it to persist results incrementally, so an interrupt loses at most
     the in-flight cells.  ``on_event(kind, **fields)`` mirrors retry /
-    quarantine decisions into the caller's recorder.  Reports come back
-    indexed by submission order; quarantined cells leave ``None`` and an
-    entry in ``outcome.poisoned``.
+    quarantine decisions into the caller's recorder.  ``policy`` bounds
+    the pool's attempts and deadlines; the serial path makes one attempt
+    per cell and ignores it.  Reports come back indexed by submission
+    order; quarantined cells leave ``None`` and an entry in
+    ``outcome.poisoned``.
 
     The serial path records one ``task`` span per cell on the ambient
     tracer (:func:`~repro.obs.tracing.current`); pool workers run
     untraced.
     """
     tasks = list(tasks)
-    policy = policy or RetryPolicy()
     outcome = PoolOutcome(reports=[None] * len(tasks))
     emit = on_event or _noop_event
     if not tasks:
         return outcome
     if jobs <= 1 or not fork_available():
-        return _run_serial(tasks, policy, outcome, on_result, emit)
+        return _run_serial(tasks, outcome, on_result, emit)
     return _Supervisor(
-        tasks, min(jobs, len(tasks)), policy, outcome, on_result, emit
+        tasks, min(jobs, len(tasks)), policy or RetryPolicy(), outcome,
+        on_result, emit,
     ).run()
 
-
-def run_cells(
-    tasks: Sequence[CellTask],
-    jobs: int = 1,
-    policy: RetryPolicy | None = None,
-) -> list[SimulationReport]:
-    """Simulate every task; returns reports in task order.
-
-    Thin strict wrapper over :func:`run_supervised`: quarantined cells
-    raise :class:`CellExecutionError` (after the rest of the batch has
-    completed) instead of returning partial results.
-    """
-    outcome = run_supervised(tasks, jobs=jobs, policy=policy)
-    if outcome.poisoned:
-        raise CellExecutionError(outcome.poisoned)
-    return outcome.reports

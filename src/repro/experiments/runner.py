@@ -28,12 +28,9 @@ from repro.baselines import (
 )
 from repro.core import NdpExtPolicy
 from repro.exec.cache import ReportCache, cache_enabled, cache_root, cell_key
-from repro.exec.checkpoint import SweepManifest
 from repro.exec.parallel import (
     CellExecutionError,
     CellTask,
-    PoisonedCell,
-    RetryPolicy,
     fork_available,
     run_supervised,
 )
@@ -116,9 +113,6 @@ class ExperimentContext:
     preset: str = "small"
     jobs: int = 1
     max_reports: int = 512
-    max_retries: int = 2
-    timeout_s: float | None = None
-    manifest_path: str | None = None
     cache_hits_mem: int = 0
     cache_hits_disk: int = 0
     cache_misses: int = 0
@@ -126,13 +120,11 @@ class ExperimentContext:
     timeouts: int = 0
     worker_deaths: int = 0
     quarantined_cells: int = 0
-    resumed_cells: int = 0
     _workloads: dict[tuple, Workload] = field(default_factory=dict)
     _reports: "OrderedDict[str, SimulationReport]" = field(
         default_factory=OrderedDict
     )
     _disk: ReportCache | None | str = "unset"
-    _manifest: SweepManifest | None | str = "unset"
 
     @property
     def config(self) -> SystemConfig:
@@ -149,25 +141,6 @@ class ExperimentContext:
             self._disk = ReportCache(cache_root()) if cache_enabled() else None
         return self._disk
 
-    @property
-    def manifest(self) -> SweepManifest | None:
-        """The sweep checkpoint journal, or None when not resuming."""
-        if self._manifest == "unset":
-            self._manifest = (
-                SweepManifest(self.manifest_path)
-                if self.manifest_path
-                else None
-            )
-        return self._manifest
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """Retry/timeout semantics for this context's batches."""
-        return RetryPolicy(
-            max_attempts=max(1, self.max_retries + 1),
-            timeout_s=self.timeout_s,
-        )
-
     def counters(self) -> dict[str, int]:
         """The cache/resilience counters as one dict (exporters, tests)."""
         disk = self.disk_cache
@@ -179,7 +152,6 @@ class ExperimentContext:
             "timeouts": self.timeouts,
             "worker_deaths": self.worker_deaths,
             "quarantined_cells": self.quarantined_cells,
-            "resumed_cells": self.resumed_cells,
             "cache_quarantined": disk.quarantined if disk is not None else 0,
         }
 
@@ -192,7 +164,6 @@ class ExperimentContext:
         self._workloads.clear()
         self._reports.clear()
         self._disk = "unset"
-        self._manifest = "unset"
         self.cache_hits_mem = 0
         self.cache_hits_disk = 0
         self.cache_misses = 0
@@ -200,7 +171,6 @@ class ExperimentContext:
         self.timeouts = 0
         self.worker_deaths = 0
         self.quarantined_cells = 0
-        self.resumed_cells = 0
 
     def workload(
         self,
@@ -353,8 +323,7 @@ class ExperimentContext:
         cells: list[Cell],
         jobs: int | None = None,
         recorder: NullRecorder | None = None,
-        strict: bool = True,
-    ) -> list[SimulationReport | None]:
+    ) -> list[SimulationReport]:
         """Run a batch of cells, fanning cache misses across processes.
 
         Cached cells (memory or disk) are served without simulation; the
@@ -362,57 +331,28 @@ class ExperimentContext:
         worker pool (:func:`repro.exec.parallel.run_supervised`) with
         ``jobs`` workers (default: the context's ``jobs`` field).
         Reports come back in ``cells`` order and are bit-identical to
-        serial execution, including under worker crashes (each failure
+        serial execution, including under worker crashes (each death
         costs a retry, not the batch).
 
-        With a checkpoint manifest installed (``manifest_path`` / the
-        CLI's ``--resume``), every completed cell is journaled as it
-        finishes, already-journaled cells are skipped on re-runs, and
-        previously-poisoned cells are not retried.  Cells that exhaust
-        their retry budget are quarantined; the rest of the batch still
-        completes, after which a :class:`CellExecutionError` is raised —
-        or, with ``strict=False``, ``None`` placeholders are returned.
+        Every cell is written to the report cache as it finishes, so a
+        rerun of an interrupted sweep simulates only the cells it had not
+        finished.  A cell that raises is quarantined on its first attempt
+        (the same inputs would raise again); the rest of the batch still
+        completes, after which a :class:`CellExecutionError` is raised.
         """
         jobs = self.jobs if jobs is None else jobs
         rec = recorder or NullRecorder()
-        manifest = self.manifest
         keys = [self._cell_key(cell) for cell in cells]
         resolved: dict[str, SimulationReport] = {}
-        missing: list[tuple[str, Cell]] = []
-        poisoned: list[PoisonedCell] = []
-        seen: set[str] = set()
+        missing: dict[str, Cell] = {}
         for key, cell in zip(keys, cells):
-            if key in seen:
+            if key in resolved or key in missing:
                 continue
-            seen.add(key)
-            if manifest is not None and manifest.is_poisoned(key):
-                record = manifest.poison_record(key) or {}
-                poisoned.append(
-                    PoisonedCell(
-                        index=-1,
-                        attempts=record.get("attempts", 0),
-                        kind=record.get("failure", "journaled"),
-                        error=record.get("error", "poisoned in manifest"),
-                        label=f"{cell.workload}/{cell.policy}",
-                    )
-                )
-                self.quarantined_cells += 1
-                rec.counter("runner.poisoned_skipped")
-                continue
-            journaled = manifest is not None and manifest.is_done(key)
             report = self._lookup(key, recorder)
-            if report is not None:
-                resolved[key] = report
-                if journaled:
-                    self.resumed_cells += 1
-                    rec.counter("runner.resumed")
+            if report is None:
+                missing[key] = cell
             else:
-                # A journaled cell whose cached report vanished (evicted,
-                # quarantined, cache disabled) is re-simulated: the
-                # manifest is advisory, the caches stay authoritative.
-                if journaled:
-                    rec.counter("runner.checkpoint_stale")
-                missing.append((key, cell))
+                resolved[key] = report
         if missing:
             # Serial batches (and cache-less runs) materialize workloads
             # in the parent as before; parallel batches hand workers
@@ -420,47 +360,28 @@ class ExperimentContext:
             prebuild = (
                 jobs <= 1 or not fork_available() or not cache_enabled()
             )
-            tasks = [self._task(cell, prebuild=prebuild) for _, cell in missing]
+            batch = list(missing.items())
+            tasks = [self._task(cell, prebuild=prebuild) for _, cell in batch]
 
             def on_result(index: int, report: SimulationReport) -> None:
-                key, cell = missing[index]
+                key = batch[index][0]
                 self._store(key, report)
                 resolved[key] = report
-                if manifest is not None:
-                    manifest.journal_done(
-                        key, workload=cell.workload, policy=cell.policy
-                    )
 
             def on_event(kind: str, **fields) -> None:
                 rec.event(kind, **fields)
                 rec.counter(f"runner.{kind}")
 
             outcome = run_supervised(
-                tasks,
-                jobs=jobs,
-                policy=self.retry_policy,
-                on_result=on_result,
-                on_event=on_event,
+                tasks, jobs=jobs, on_result=on_result, on_event=on_event
             )
             self.retries += outcome.retries
             self.timeouts += outcome.timeouts
             self.worker_deaths += outcome.worker_deaths
-            for cell_failure in outcome.poisoned:
-                key, cell = missing[cell_failure.index]
-                self.quarantined_cells += 1
-                if manifest is not None:
-                    manifest.journal_poisoned(
-                        key,
-                        failure=cell_failure.kind,
-                        attempts=cell_failure.attempts,
-                        error=cell_failure.error,
-                        workload=cell.workload,
-                        policy=cell.policy,
-                    )
-                poisoned.append(cell_failure)
-        if poisoned and strict:
-            raise CellExecutionError(poisoned)
-        return [resolved.get(key) for key in keys]
+            self.quarantined_cells += len(outcome.poisoned)
+            if outcome.poisoned:
+                raise CellExecutionError(outcome.poisoned)
+        return [resolved[key] for key in keys]
 
     def host_cell(
         self, workload_name: str, scale: WorkloadScale | None = None

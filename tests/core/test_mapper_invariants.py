@@ -170,6 +170,28 @@ class TestCollapsedGroups:
         out = mapper.process(trace_for(streams, picks, [3] * 20))
         assert set(np.unique(out.serving_unit)) <= {2, 3}
 
+    def test_block_change_keeps_the_collapse(self):
+        """A block-size change rebuilds the stream's mapping; a written
+        read-only stream must stay collapsed to one group, or it would
+        replicate again with no exception left to collapse it."""
+        config, streams, mapper = build_mapper(n_streams=1)
+        stream = streams[0]
+        mapper.apply(
+            *stream_rows(
+                config.n_units, stream.sid, np.full(config.n_units, 2), [0, 0, 1, 1]
+            )
+        )
+        picks = [(0, e) for e in range(20)]
+        written = trace_for(streams, picks, [0] * 20)
+        written.write[0] = True
+        mapper.process(written)
+        assert len(mapper._mappings[stream.sid].groups) == 1
+        assert mapper.set_block_override(stream.sid, 512)
+        assert len(mapper._mappings[stream.sid].groups) == 1
+        assert stream.sid in mapper.write_excepted
+        mapper.notify_resize(stream.sid)
+        assert len(mapper._mappings[stream.sid].groups) == 1
+
 
 def installed_rows(mapper):
     return mapper.table.shares, mapper.table.groups

@@ -100,6 +100,19 @@ class TestReportCache:
         assert_reports_identical(report, loaded, skip=("timeline",))
         assert cache.hits == 1
 
+    def test_open_removes_old_layout_files(self, tmp_path, report):
+        key = cell_key("pr", "ndpext", tiny(), TINY)
+        ReportCache(tmp_path).put(key, report)
+        # A report file of the layout before entry directories, in the
+        # shard that holds the live entry.
+        old = tmp_path / "reports" / key[:2] / f"{key}.json"
+        old.write_text(json.dumps(report.to_json()))
+        cache = ReportCache(tmp_path)
+        assert not old.exists()
+        loaded = cache.get(key)
+        assert loaded is not None
+        assert_reports_identical(report, loaded, skip=("timeline",))
+
     def test_missing_entry_is_miss(self, tmp_path):
         cache = ReportCache(tmp_path)
         assert cache.get("0" * 64) is None

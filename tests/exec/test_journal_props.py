@@ -1,7 +1,7 @@
-"""Property tests for the append journal behind the sweep manifest and
-the serve journal: a crash may cut the file at any byte, and a resumed
-run must see exactly the records whose lines were complete, plus every
-record it appends afterwards."""
+"""Tests for the append journal behind the serve journal
+(:mod:`repro.serve.journal`): a crash may cut the file at any byte, and
+a resumed run must see exactly the records whose lines were complete,
+plus every record it appends afterwards."""
 
 import json
 import tempfile
@@ -10,8 +10,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec.checkpoint import AppendJournal, SweepManifest
-from repro.serve.journal import ServeJournal
+from repro.serve.journal import AppendJournal, ServeJournal
 
 RECORD = st.fixed_dictionaries(
     {"kind": st.sampled_from(["cell", "batch", "other"])},
@@ -83,25 +82,9 @@ def test_reload_after_any_cut_is_complete_lines_plus_appends(records, more, cut)
     cut=st.floats(0.0, 1.0),
 )
 def test_schemas_fold_the_surviving_records(keys, done, resumed, cut):
-    """Both schemas fold exactly the kept records plus the new ones."""
+    """The serve schema folds exactly the kept records plus the new ones."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "m.jsonl"
-        manifest = SweepManifest(path, stamp="s")
-        for key in keys:
-            manifest.journal_done(key)
-        manifest.close()
-        offset = round(cut * path.stat().st_size)
-        data = _cut(path, offset)
         unique = list(dict.fromkeys(keys))
-        kept = unique[: max(_complete_lines(data, offset) - 1, 0)]
-        manifest = SweepManifest(path, stamp="s")
-        assert {k for k in "abcdef" if manifest.is_done(k)} == set(kept)
-        for key in resumed:
-            manifest.journal_done(key)
-        manifest.close()
-        manifest = SweepManifest(path, stamp="s")
-        assert {k for k in "abcdef" if manifest.is_done(k)} == set(kept + resumed)
-
         path = Path(tmp) / "serve.jsonl"
         journal = ServeJournal(path, scenario_key="sc", stamp="s")
         for key in unique:
@@ -157,3 +140,56 @@ def test_mismatched_pins_rotate_to_stale(written, opened, keys):
         assert (header["stamp"], header["scenario"]) == opened
         resumed = ServeJournal(path, scenario_key=opened[1], stamp=opened[0])
         assert [r["key"] for r in resumed.pending()] == ["z"]
+
+
+def test_torn_tail_is_tolerated(tmp_path):
+    path = tmp_path / "j.jsonl"
+    journal = ListJournal(path)
+    journal.append({"kind": "cell", "key": "k1"})
+    journal.append({"kind": "cell", "key": "k2"})
+    journal.close()
+    with open(path, "a") as f:
+        f.write('{"kind": "cell", "key": "k3"')
+    assert [r["key"] for r in ListJournal(path).records] == ["k1", "k2"]
+
+
+def test_resume_after_torn_tail_keeps_new_records(tmp_path):
+    path = tmp_path / "j.jsonl"
+    journal = ListJournal(path)
+    journal.append({"kind": "cell", "key": "k1"})
+    journal.close()
+    with open(path, "a") as f:
+        f.write('{"kind": "cell", "ke')  # crash mid-append
+    resumed = ListJournal(path)
+    resumed.append({"kind": "cell", "key": "k2"})
+    resumed.append({"kind": "cell", "key": "k3"})
+    resumed.close()
+    assert [r["key"] for r in ListJournal(path).records] == ["k1", "k2", "k3"]
+
+
+def test_reads_and_extends_the_existing_byte_format(tmp_path):
+    path = tmp_path / "j.jsonl"
+    old = (
+        '{"kind": "header", "schema": 1, "stamp": "s"}\n'
+        '{"kind": "cell", "key": "k1", "workload": "pr"}\n'
+    )
+    path.write_text(old)
+    journal = ListJournal(path)
+    assert journal.records == [{"kind": "cell", "key": "k1", "workload": "pr"}]
+    journal.append({"kind": "cell", "key": "k2"})
+    journal.close()
+    assert path.read_text() == old + '{"kind": "cell", "key": "k2"}\n'
+
+
+def test_stale_stamp_rotates_aside(tmp_path):
+    path = tmp_path / "j.jsonl"
+    old = ListJournal(path, stamp="old")
+    old.append({"kind": "cell", "key": "k"})
+    old.close()
+    fresh = ListJournal(path, stamp="new")
+    assert fresh.records == []
+    assert path.with_name("j.jsonl.stale").exists()
+    fresh.append({"kind": "cell", "key": "k2"})
+    fresh.close()
+    header = json.loads(path.read_text().splitlines()[0])
+    assert header["stamp"] == "new"

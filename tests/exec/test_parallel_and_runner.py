@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import NdpExtPolicy
-from repro.exec.parallel import CellTask, fork_available, run_cells
+from repro.exec.parallel import CellTask, fork_available, run_supervised
 from repro.experiments.runner import Cell, ExperimentContext
 from repro.sim import SimulationEngine, tiny
 from repro.workloads import TINY, build
@@ -32,8 +32,8 @@ class TestRunCells:
             CellTask(workload, config, NdpExtPolicy),
             CellTask(workload, config, lambda: NdpExtPolicy(mode="static")),
         ]
-        serial = run_cells(tasks, jobs=1)
-        parallel = run_cells(tasks, jobs=2)
+        serial = run_supervised(tasks, jobs=1).reports
+        parallel = run_supervised(tasks, jobs=2).reports
         assert len(serial) == len(parallel) == 2
         for a, b in zip(serial, parallel):
             assert_reports_identical(a, b, skip=("timeline",))
@@ -47,8 +47,8 @@ class TestRunCells:
         monkeypatch.setattr(multiprocessing, "get_context", boom)
         config = tiny()
         workload = build("pr", TINY)
-        reports = run_cells([CellTask(workload, config, NdpExtPolicy)], jobs=1)
-        assert reports[0].runtime_cycles > 0
+        outcome = run_supervised([CellTask(workload, config, NdpExtPolicy)], jobs=1)
+        assert outcome.reports[0].runtime_cycles > 0
 
 
 class TestRunMany:

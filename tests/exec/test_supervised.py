@@ -1,7 +1,6 @@
 """Chaos paths of the supervised pool: SIGKILLed workers, hangs,
-transient failures, poison-list quarantine, and checkpoint/resume."""
+one-attempt quarantine of raising cells, and resuming from the cache."""
 
-import json
 import os
 import time
 import types
@@ -10,14 +9,14 @@ import pytest
 
 from repro.baselines import NexusPolicy
 from repro.core import NdpExtPolicy
-from repro.exec.checkpoint import SweepManifest
 from repro.exec.parallel import (
     CHAOS_KILL_ENV,
+    TIMEOUT_ACCESSES_PER_S,
+    TIMEOUT_FLOOR_S,
     CellExecutionError,
     CellTask,
     RetryPolicy,
     fork_available,
-    run_cells,
     run_supervised,
     schedule_order,
 )
@@ -60,15 +59,14 @@ def _always_boom():
     raise ValueError("policy exploded")
 
 
-def _flaky_policy(flag):
-    """Fails the first attempt (marked by a flag file, so the failure is
-    visible across worker processes), succeeds on the retry."""
+def _counting_boom(log):
+    """Raises on every call, and appends one line to ``log`` first (a
+    file, so calls made in worker processes are counted too)."""
 
     def factory():
-        if not os.path.exists(flag):
-            open(flag, "w").close()
-            raise RuntimeError("transient glitch")
-        return NdpExtPolicy()
+        with open(log, "a") as f:
+            f.write("call\n")
+        raise RuntimeError("policy exploded")
 
     return factory
 
@@ -84,23 +82,15 @@ def _hang_once_policy(flag):
 
 
 class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(seed=3)
-        assert policy.backoff_s(5, 1) == policy.backoff_s(5, 1)
-        assert policy.backoff_s(5, 1) != policy.backoff_s(5, 2)
-        for attempt in range(1, 9):
-            backoff = policy.backoff_s(0, attempt)
-            assert 0.0 < backoff <= policy.backoff_cap_s
-
     def test_explicit_timeout_wins(self):
         assert RetryPolicy(timeout_s=5.0).timeout_for(10**9) == 5.0
 
     def test_derived_timeout_scales_with_cell_size(self):
         policy = RetryPolicy()
-        assert policy.timeout_for(0) == policy.timeout_floor_s
+        assert policy.timeout_for(0) == TIMEOUT_FLOOR_S
         big = 10**9
         assert policy.timeout_for(big) == pytest.approx(
-            big / policy.timeout_accesses_per_s
+            big / TIMEOUT_ACCESSES_PER_S
         )
 
 
@@ -125,7 +115,7 @@ class TestScheduleOrder:
 class TestChaosKills:
     @needs_fork
     def test_sigkilled_workers_recover_bit_identical(self, monkeypatch):
-        serial = run_cells(_grid_tasks(), jobs=1)
+        serial = run_supervised(_grid_tasks(), jobs=1).reports
         # Every worker SIGKILLs itself before the first attempt of every
         # even-indexed cell: two deaths, two retries, zero lost results.
         monkeypatch.setenv(CHAOS_KILL_ENV, "2")
@@ -144,16 +134,15 @@ class TestChaosKills:
         serial = serial_ctx.run_many(GRID, jobs=1)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "other"))
         monkeypatch.setenv(CHAOS_KILL_ENV, "2")
-        manifest_path = tmp_path / "chaos.jsonl"
-        chaos_ctx = ExperimentContext(
-            preset="tiny", manifest_path=str(manifest_path)
-        )
+        chaos_ctx = ExperimentContext(preset="tiny")
         chaos = chaos_ctx.run_many(GRID, jobs=2)
         assert chaos_ctx.worker_deaths >= 1
         for a, b in zip(serial, chaos):
             assert_reports_identical(a, b, skip=("timeline",))
-        # Every completed cell was journaled despite the kills.
-        assert SweepManifest(manifest_path).done_count == len(GRID)
+        # Every completed cell was stored despite the kills.
+        rerun = ExperimentContext(preset="tiny")
+        rerun.run_many(GRID, jobs=1)
+        assert (rerun.cache_hits_disk, rerun.cache_misses) == (len(GRID), 0)
 
     @needs_fork
     def test_retry_events_reach_recorder(self, cache_dir, monkeypatch):
@@ -169,35 +158,33 @@ class TestChaosKills:
 
 
 class TestRetries:
-    def test_serial_retries_transient_failures(self, tmp_path):
+    def _raising_task(self, tmp_path):
+        log = tmp_path / "calls"
         task = CellTask(
-            build("pr", TINY),
-            tiny(),
-            _flaky_policy(str(tmp_path / "flag")),
-            label="pr/flaky",
+            build("pr", TINY), tiny(), _counting_boom(str(log)), label="pr/boom"
         )
-        outcome = run_supervised(
-            [task], jobs=1, policy=RetryPolicy(backoff_base_s=0.001)
-        )
-        assert outcome.reports[0] is not None
-        assert outcome.retries == 1
-        assert outcome.attempts == 2
-        assert not outcome.poisoned
+        return task, log
+
+    def _assert_failed_once(self, outcome, log):
+        # Simulation is deterministic: a retry would raise again.
+        assert outcome.reports == [None]
+        assert outcome.attempts == 1
+        assert outcome.retries == 0
+        assert log.read_text().count("call") == 1
+        (poisoned,) = outcome.poisoned
+        assert (poisoned.kind, poisoned.attempts) == ("exception", 1)
+        assert "policy exploded" in poisoned.error
+
+    def test_serial_exception_fails_once(self, tmp_path):
+        task, log = self._raising_task(tmp_path)
+        outcome = run_supervised([task], jobs=1, policy=RetryPolicy())
+        self._assert_failed_once(outcome, log)
 
     @needs_fork
-    def test_parallel_retries_worker_exceptions(self, tmp_path):
-        task = CellTask(
-            build("pr", TINY),
-            tiny(),
-            _flaky_policy(str(tmp_path / "flag")),
-            label="pr/flaky",
-        )
-        outcome = run_supervised(
-            [task], jobs=2, policy=RetryPolicy(backoff_base_s=0.001)
-        )
-        assert outcome.reports[0] is not None
-        assert outcome.retries == 1
-        assert not outcome.poisoned
+    def test_parallel_exception_fails_once(self, tmp_path):
+        task, log = self._raising_task(tmp_path)
+        outcome = run_supervised([task], jobs=2, policy=RetryPolicy())
+        self._assert_failed_once(outcome, log)
 
     @needs_fork
     def test_hung_worker_is_killed_and_cell_retried(self, tmp_path):
@@ -207,7 +194,7 @@ class TestRetries:
             _hang_once_policy(str(tmp_path / "flag")),
             label="pr/hang",
         )
-        policy = RetryPolicy(timeout_s=2.0, backoff_base_s=0.01)
+        policy = RetryPolicy(timeout_s=2.0)
         start = time.monotonic()
         outcome = run_supervised([task], jobs=2, policy=policy)
         assert outcome.timeouts == 1
@@ -218,29 +205,29 @@ class TestRetries:
 
 
 class TestPoisonList:
-    def test_strict_raises_after_batch_completes(self):
-        workload = build("pr", TINY)
-        config = tiny()
-        bad = CellTask(workload, config, _always_boom, label="pr/bad")
-        good = CellTask(workload, config, NdpExtPolicy, label="pr/good")
-        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.001)
+    def test_strict_raises_after_batch_completes(self, cache_dir):
+        context = ExperimentContext(preset="tiny")
+        bad = Cell("pr", "bad", policy_factory=_always_boom)
         with pytest.raises(CellExecutionError) as err:
-            run_cells([bad, good], jobs=1, policy=policy)
+            context.run_many([bad, GRID[0]], jobs=1)
         assert "pr/bad" in str(err.value)
         assert "ValueError" in str(err.value)
+        assert context.quarantined_cells == 1
+        # The good cell finished and was stored before the raise.
+        context.run_many([GRID[0]], jobs=1)
+        assert context.cache_hits_mem == 1
 
     def test_non_strict_returns_placeholders(self):
         workload = build("pr", TINY)
         config = tiny()
         bad = CellTask(workload, config, _always_boom, label="pr/bad")
         good = CellTask(workload, config, NdpExtPolicy, label="pr/good")
-        policy = RetryPolicy(max_attempts=2, backoff_base_s=0.001)
-        outcome = run_supervised([bad, good], jobs=1, policy=policy)
+        outcome = run_supervised([bad, good], jobs=1)
         assert outcome.reports[0] is None
         assert outcome.reports[1] is not None
         poisoned = outcome.poisoned[0]
         assert poisoned.kind == "exception"
-        assert poisoned.attempts == 2
+        assert poisoned.attempts == 1
         assert "policy exploded" in poisoned.error
 
     @needs_fork
@@ -256,186 +243,41 @@ class TestPoisonList:
 
 
 class TestResume:
-    def test_resume_recomputes_nothing(self, cache_dir, monkeypatch, tmp_path):
-        manifest_path = tmp_path / "sweep.jsonl"
-        first = ExperimentContext(
-            preset="tiny", manifest_path=str(manifest_path)
-        )
-        reports = first.run_many(GRID, jobs=1)
-        assert SweepManifest(manifest_path).done_count == len(GRID)
+    """The report cache is the sweep checkpoint: every finished cell is
+    stored as it completes, so a rerun simulates only what is missing."""
+
+    def test_resume_recomputes_nothing(self, cache_dir, monkeypatch):
+        reports = ExperimentContext(preset="tiny").run_many(GRID, jobs=1)
 
         def boom(self, *a, **kw):  # pragma: no cover - fails the test
-            raise AssertionError("re-simulated a journaled cell")
+            raise AssertionError("re-simulated a cached cell")
 
         monkeypatch.setattr(SimulationEngine, "run", boom)
-        resumed = ExperimentContext(
-            preset="tiny", manifest_path=str(manifest_path)
-        )
+        resumed = ExperimentContext(preset="tiny")
         again = resumed.run_many(GRID, jobs=1)
         assert resumed.cache_misses == 0
-        assert resumed.resumed_cells == len(GRID)
+        assert resumed.cache_hits_disk == len(GRID)
         for a, b in zip(reports, again):
             assert_reports_identical(a, b, skip=("timeline",))
 
-    def test_interrupted_sweep_resumes_only_missing(self, cache_dir, tmp_path):
-        manifest = str(tmp_path / "sweep.jsonl")
-        first = ExperimentContext(preset="tiny", manifest_path=manifest)
+    def test_interrupted_sweep_resumes_only_missing(self, cache_dir):
+        first = ExperimentContext(preset="tiny")
         first.run_many(GRID[:2], jobs=1)  # "interrupted" after two cells
-        second = ExperimentContext(preset="tiny", manifest_path=manifest)
+        second = ExperimentContext(preset="tiny")
         second.run_many(GRID, jobs=1)
-        assert second.resumed_cells == 2
+        assert second.cache_hits_disk == 2
         assert second.cache_misses == 1
-        assert SweepManifest(manifest).done_count == len(GRID)
 
-    def test_manifest_is_advisory_without_cache(self, monkeypatch, tmp_path):
-        # A journaled cell whose report vanished (here: cache disabled)
-        # is recomputed — the manifest never invents results.
-        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        manifest = str(tmp_path / "sweep.jsonl")
-        first = ExperimentContext(preset="tiny", manifest_path=manifest)
-        first.run_many(GRID[:1], jobs=1)
-        second = ExperimentContext(preset="tiny", manifest_path=manifest)
-        second.run_many(GRID[:1], jobs=1)
-        assert second.cache_misses == 1
-        assert second.resumed_cells == 0
-
-    def test_poisoned_cells_skip_the_retry_budget(
-        self, cache_dir, monkeypatch, tmp_path
-    ):
-        manifest_path = tmp_path / "sweep.jsonl"
-        context = ExperimentContext(
-            preset="tiny", manifest_path=str(manifest_path)
-        )
-        manifest = SweepManifest(manifest_path)
-        manifest.journal_poisoned(
-            context._cell_key(GRID[0]),
-            failure="timeout",
-            attempts=3,
-            error="wedged",
-        )
-        manifest.close()
-
-        def boom(self, *a, **kw):  # pragma: no cover - fails the test
-            raise AssertionError("poisoned cell was re-attempted")
-
-        monkeypatch.setattr(SimulationEngine, "run", boom)
-        out = context.run_many([GRID[0]], jobs=1, strict=False)
-        assert out == [None]
-        assert context.quarantined_cells == 1
-        with pytest.raises(CellExecutionError, match="timeout"):
-            context.run_many([GRID[0]], jobs=1)
-
-    def test_cli_resume_journals_and_skips(
-        self, cache_dir, monkeypatch, tmp_path, capsys
-    ):
+    def test_cli_rerun_is_served_from_cache(self, cache_dir, monkeypatch, capsys):
         from repro.__main__ import main
 
-        manifest = tmp_path / "cli.jsonl"
-        argv = [
-            "--preset",
-            "tiny",
-            "--resume",
-            str(manifest),
-            "compare",
-            "--workload",
-            "pr",
-        ]
+        argv = ["--preset", "tiny", "compare", "--workload", "pr"]
         assert main(argv) == 0
-        journal = manifest.read_text()
-        assert '"status": "done"' in journal
+        table = capsys.readouterr().out
 
         def boom(self, *a, **kw):  # pragma: no cover - fails the test
-            raise AssertionError("resumed CLI run re-simulated a cell")
+            raise AssertionError("CLI rerun re-simulated a cell")
 
         monkeypatch.setattr(SimulationEngine, "run", boom)
         assert main(argv) == 0
-        # Nothing new to journal: the manifest is byte-identical.
-        assert manifest.read_text() == journal
-        capsys.readouterr()
-
-
-class TestManifest:
-    def test_round_trip_and_error_trim(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        manifest = SweepManifest(path, stamp="s1")
-        manifest.journal_done("k1", workload="pr", policy="ndpext")
-        manifest.journal_poisoned(
-            "k2", failure="timeout", attempts=3, error="x" * 5000
-        )
-        manifest.close()
-        again = SweepManifest(path, stamp="s1")
-        assert again.is_done("k1")
-        assert again.is_poisoned("k2")
-        assert len(again.poison_record("k2")["error"]) <= 2000
-        assert again.done_count == 1
-        assert again.poisoned_count == 1
-
-    def test_done_overrides_poisoned(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        manifest = SweepManifest(path, stamp="s")
-        manifest.journal_poisoned("k", failure="exception", attempts=3, error="e")
-        manifest.journal_done("k")
-        manifest.close()
-        again = SweepManifest(path, stamp="s")
-        assert again.is_done("k")
-        assert not again.is_poisoned("k")
-
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        manifest = SweepManifest(path, stamp="s")
-        manifest.journal_done("k1")
-        manifest.journal_done("k2")
-        manifest.close()
-        with open(path, "a") as f:
-            f.write('{"kind": "cell", "status": "done", "key": "k3"')
-        again = SweepManifest(path, stamp="s")
-        assert again.is_done("k1")
-        assert again.is_done("k2")
-        assert not again.is_done("k3")
-
-    def test_reads_and_extends_the_existing_byte_format(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        old = (
-            '{"kind": "header", "schema": 1, "stamp": "s1"}\n'
-            '{"kind": "cell", "status": "done", "key": "k1", "workload": "pr"}\n'
-            '{"kind": "cell", "status": "poisoned", "key": "k2", '
-            '"failure": "timeout", "attempts": 3, "error": "boom"}\n'
-        )
-        path.write_text(old)
-        manifest = SweepManifest(path, stamp="s1")
-        assert manifest.is_done("k1")
-        assert manifest.poison_record("k2")["failure"] == "timeout"
-        manifest.journal_done("k1")  # already journaled: no new line
-        manifest.journal_done("k3")
-        manifest.close()
-        assert path.read_text() == (
-            old + '{"kind": "cell", "status": "done", "key": "k3"}\n'
-        )
-
-    def test_resume_after_torn_tail_keeps_new_records(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        manifest = SweepManifest(path, stamp="s")
-        manifest.journal_done("k1")
-        manifest.close()
-        with open(path, "a") as f:
-            f.write('{"kind": "cell", "status": "do')  # crash mid-append
-        resumed = SweepManifest(path, stamp="s")
-        resumed.journal_done("k2")
-        resumed.journal_done("k3")
-        resumed.close()
-        again = SweepManifest(path, stamp="s")
-        assert [again.is_done(k) for k in ("k1", "k2", "k3")] == [True] * 3
-        assert again.done_count == 3
-
-    def test_stale_stamp_rotates_aside(self, tmp_path):
-        path = tmp_path / "m.jsonl"
-        old = SweepManifest(path, stamp="old")
-        old.journal_done("k")
-        old.close()
-        fresh = SweepManifest(path, stamp="new")
-        assert not fresh.is_done("k")
-        assert path.with_name("m.jsonl.stale").exists()
-        fresh.journal_done("k2")
-        fresh.close()
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["stamp"] == "new"
+        assert capsys.readouterr().out == table
