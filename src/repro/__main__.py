@@ -450,19 +450,30 @@ def cmd_run(context: ExperimentContext, args) -> None:
 def cmd_compare(context: ExperimentContext, args) -> None:
     """Every registered policy on one workload, normalized to the host.
 
-    The host baseline runs first so the speedup column means the same
-    thing as the paper's figures (runtime(host) / runtime(policy)),
-    independent of registration order.
+    The speedup column means the same thing as the paper's figures:
+    runtime(host) / runtime(policy).  Without ``--trace-out`` the host
+    and every policy resolve in one ``run_many`` batch.
     """
-    if not args.trace_out:
-        # Batch the whole column so uncached cells share the fan-out
-        # (recorded runs bypass the caches, so prefetching would only
-        # duplicate work when traces were requested).
-        context.run_many(
-            [context.host_cell(args.workload)]
-            + [Cell(args.workload, name) for name in sorted(POLICIES)]
+    names = sorted(POLICIES)
+    host_cell = context.host_cell(args.workload)
+    if args.trace_out:
+        # Recorded runs bypass the caches, so each policy runs on its own.
+        reports = []
+        for name in names:
+            recorder = _new_recorder(context, args.workload, name)
+            tracer = _span_sink(args.trace_out)
+            with activate(tracer):
+                reports.append(
+                    context.run(args.workload, name, recorder=recorder)
+                )
+            path = f"{args.trace_out}.{name}.jsonl"
+            recorder.write_jsonl(path, tracer)
+            print(f"[trace] wrote {path}")
+        (host,) = context.run_many([host_cell])
+    else:
+        host, *reports = context.run_many(
+            [host_cell] + [Cell(args.workload, name) for name in names]
         )
-    host = context.run_host(args.workload)
     rows = [
         [
             "host",
@@ -471,17 +482,7 @@ def cmd_compare(context: ExperimentContext, args) -> None:
             f"{host.hits.cache_hit_rate:.3f}",
         ]
     ]
-    for name in sorted(POLICIES):
-        recorder = (
-            _new_recorder(context, args.workload, name) if args.trace_out else None
-        )
-        tracer = _span_sink(args.trace_out)
-        with activate(tracer):
-            report = context.run(args.workload, name, recorder=recorder)
-        if recorder is not None:
-            path = f"{args.trace_out}.{name}.jsonl"
-            recorder.write_jsonl(path, tracer)
-            print(f"[trace] wrote {path}")
+    for name, report in zip(names, reports):
         rows.append(
             [
                 name,

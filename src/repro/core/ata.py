@@ -8,8 +8,9 @@ don't happen, and the overflowing accesses stream from extended memory.
 
 The ATA itself is a set-associative structure; the simulator models its
 hit/miss behaviour through the shared cache primitives, so this module
-carries the sizing math, the affine-space cap, and the per-unit tag-cost
-accounting.
+carries the sizing math and the per-unit tag-cost accounting.  The
+configurator enforces the affine-space cap when it allocates rows
+(``CacheConfigurator.affine_rows_cap``).
 """
 
 from __future__ import annotations
@@ -43,18 +44,3 @@ class AffineTagArray:
     def sram_bytes(self) -> int:
         """Tag SRAM cost: 4 bytes per block (64 kB at paper scale)."""
         return self.n_blocks * TAG_BYTES
-
-    def blocks_for(self, capacity_bytes: int) -> int:
-        return max(0, capacity_bytes // self.block_bytes)
-
-    def clamp_affine_rows(
-        self, requested_rows: int, already_used_rows: int, row_bytes: int
-    ) -> int:
-        """Clamp an affine allocation to the remaining affine space.
-
-        ``already_used_rows`` counts rows other affine streams already
-        hold in this unit.  Returns how many of ``requested_rows`` fit.
-        """
-        cap_rows = self.space_bytes // row_bytes
-        free = max(0, cap_rows - already_used_rows)
-        return min(requested_rows, free)

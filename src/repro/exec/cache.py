@@ -172,16 +172,15 @@ def cell_key(
     policy: str,
     config,
     scale,
-    cache_key: str = "",
+    options: dict | None = None,
     faults=None,
     stamp: str | None = None,
 ) -> str:
     """Content hash identifying one simulation cell.
 
-    ``cache_key`` is the caller's variant discriminator — required
-    whenever a custom ``policy_factory`` changes behaviour without
-    changing the policy name or the config (the established runner
-    convention, e.g. ``"placement:consistent"``).
+    ``options`` are the policy's constructor keyword arguments (the
+    variant), hashed by value and independent of their order, so two
+    variants of one policy never share a key.
     """
     return content_key(
         stamp=stamp,
@@ -189,7 +188,7 @@ def cell_key(
         policy=policy,
         config=config,
         scale=scale,
-        cache_key=cache_key,
+        options=options or {},
         faults=faults,
     )
 

@@ -19,8 +19,8 @@ narrower links cost more only in proportion to extended-memory traffic.
 
 from __future__ import annotations
 
-from repro.baselines import NexusPolicy
-from repro.core import NdpExtPolicy
+from dataclasses import replace
+
 from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
 from repro.faults import CxlCrcBurst, CxlLaneDowntrain, FaultSchedule, UnitFailure
 from repro.util import render_table
@@ -28,12 +28,14 @@ from repro.util import render_table
 WORKLOADS = ("pr",)
 FAIL_EPOCH = 3
 
+# variant -> (policy, options).
 VARIANTS = {
-    "ndpext-remap": lambda: NdpExtPolicy(name="ndpext-remap"),
-    "ndpext-failstop": lambda: NdpExtPolicy(
-        fault_recovery=False, name="ndpext-failstop"
+    "ndpext-remap": ("ndpext", {"name": "ndpext-remap"}),
+    "ndpext-failstop": (
+        "ndpext",
+        {"fault_recovery": False, "name": "ndpext-failstop"},
     ),
-    "nexus-failstop": NexusPolicy,
+    "nexus-failstop": ("nexus", {}),
 }
 
 
@@ -52,36 +54,37 @@ def run_unit_failure(
     verbose: bool = True,
 ) -> dict:
     context = context or DEFAULT_CONTEXT
-    # Batch the clean runs; the faulted runs depend on each clean run's
-    # epoch count (to place the failure) so they follow per-variant.
-    context.run_many(
+    # The faulted runs depend on each clean run's epoch count (to place
+    # the failure), so the clean batch runs first.
+    clean_cells = [
+        Cell(wname, policy, options=options)
+        for wname in workloads
+        for policy, options in VARIANTS.values()
+    ]
+    clean_reports = context.run_many(clean_cells)
+    # Short runs (test scales) have few epochs: strike no later than the
+    # final one so the failure always lands.
+    whens = [
+        max(1, min(fail_epoch, len(clean.per_epoch_cycles) - 1))
+        for clean in clean_reports
+    ]
+    faulted_reports = context.run_many(
         [
-            Cell(w, v, policy_factory=f, cache_key=f"faults:{v}")
-            for w in workloads
-            for v, f in VARIANTS.items()
+            replace(
+                cell,
+                faults=FaultSchedule(
+                    (UnitFailure(epoch=when, unit=fail_unit),), seed=1
+                ),
+            )
+            for cell, when in zip(clean_cells, whens)
         ]
     )
+    runs = iter(zip(clean_reports, faulted_reports, whens))
     result: dict[str, dict] = {}
     for wname in workloads:
         row: dict[str, dict] = {}
-        when = fail_epoch
-        for vname, factory in VARIANTS.items():
-            clean = context.run(
-                wname, vname, policy_factory=factory, cache_key=f"faults:{vname}"
-            )
-            # Short runs (test scales) have few epochs: strike no later
-            # than the final one so the failure always lands.
-            when = max(1, min(fail_epoch, len(clean.per_epoch_cycles) - 1))
-            schedule = FaultSchedule(
-                (UnitFailure(epoch=when, unit=fail_unit),), seed=1
-            )
-            faulted = context.run(
-                wname,
-                vname,
-                policy_factory=factory,
-                cache_key=f"faults:{vname}",
-                faults=schedule,
-            )
+        for vname in VARIANTS:
+            clean, faulted, when = next(runs)
             row[vname] = {
                 "clean_cycles": clean.runtime_cycles,
                 "faulted_cycles": faulted.runtime_cycles,
@@ -144,16 +147,21 @@ def run_link_degradation(
             (CxlLaneDowntrain(epoch=2, lanes=max(1, lanes // 4)),), seed=2
         ),
     }
-    schedules = [None] + list(scenarios.values())
-    context.run_many(
-        [Cell(w, "ndpext", faults=s) for w in workloads for s in schedules]
+    reports = iter(
+        context.run_many(
+            [
+                Cell(wname, "ndpext", faults=schedule)
+                for wname in workloads
+                for schedule in (None, *scenarios.values())
+            ]
+        )
     )
     result: dict[str, dict] = {}
     for wname in workloads:
-        clean = context.run(wname, "ndpext")
+        clean = next(reports)
         row: dict[str, dict] = {}
-        for sname, schedule in scenarios.items():
-            faulted = context.run(wname, "ndpext", faults=schedule)
+        for sname in scenarios:
+            faulted = next(reports)
             row[sname] = {
                 "slowdown": faulted.runtime_cycles / clean.runtime_cycles,
                 "crc_retries": faulted.faults.crc_retries,

@@ -14,7 +14,7 @@ hit rate NDP >> NUCA; next-level-memory fraction NUCA >> NDP.
 
 from __future__ import annotations
 
-from repro.baselines import StaticNucaPolicy, host_config
+from repro.baselines import host_config
 from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
 from repro.util import render_table
 
@@ -41,12 +41,7 @@ def run(context: ExperimentContext | None = None, verbose: bool = True) -> dict:
     ndp, nuca = context.run_many(
         [
             Cell(WORKLOAD, "static-nuca"),
-            Cell(
-                WORKLOAD,
-                "nuca-fig2-static",
-                config=_fig2_nuca_config(context),
-                policy_factory=StaticNucaPolicy,
-            ),
+            Cell(WORKLOAD, "static-nuca", config=_fig2_nuca_config(context)),
         ]
     )
 

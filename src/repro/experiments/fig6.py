@@ -25,13 +25,11 @@ def run(
     verbose: bool = True,
 ) -> dict:
     context = context or DEFAULT_CONTEXT
-    context.run_many(
+    reports = context.run_many(
         [Cell(w, p) for w in workloads for p in ("nexus", "ndpext")]
     )
     result: dict[str, dict] = {}
-    for wname in workloads:
-        nexus = context.run(wname, "nexus")
-        ndpext = context.run(wname, "ndpext")
+    for wname, nexus, ndpext in zip(workloads, reports[0::2], reports[1::2]):
         norm = nexus.energy.total_nj or 1.0
         result[wname] = {
             "nexus": {c: getattr(nexus.energy, c) / norm for c in COMPONENTS},

@@ -34,22 +34,25 @@ SCALE_POINTS = (
 CXL_LATENCIES_NS = (50.0, 100.0, 200.0, 400.0)
 
 
-def _config_cells(config, workloads) -> list[Cell]:
-    """The (ndpext, nexus) cell pair per workload under ``config``."""
-    return [
-        Cell(wname, policy, config=config)
-        for wname in workloads
-        for policy in ("ndpext", "nexus")
-    ]
-
-
-def _speedup_for_config(context: ExperimentContext, config, workloads) -> float:
-    reports = context.run_many(_config_cells(config, workloads))
+def _speedups(context: ExperimentContext, configs: dict, workloads) -> dict:
+    """Geomean NDPExt-over-Nexus speedup per config, from one batch."""
+    reports = context.run_many(
+        [
+            Cell(wname, policy, config=config)
+            for config in configs.values()
+            for wname in workloads
+            for policy in ("ndpext", "nexus")
+        ]
+    )
     speedups = [
         nexus.runtime_cycles / ndpext.runtime_cycles
         for ndpext, nexus in zip(reports[0::2], reports[1::2])
     ]
-    return geomean(speedups)
+    n = len(workloads)
+    return {
+        label: geomean(speedups[i * n : (i + 1) * n])
+        for i, label in enumerate(configs)
+    }
 
 
 def run_scaling(
@@ -70,14 +73,7 @@ def run_scaling(
     configs["single-unit"] = base.scaled(
         name=f"{base.name}-1unit", stacks_x=1, stacks_y=1, mesh_x=1, mesh_y=1
     )
-    # One batch over the whole sweep so uncached cells share the fan-out.
-    context.run_many(
-        [c for config in configs.values() for c in _config_cells(config, workloads)]
-    )
-    result = {
-        label: _speedup_for_config(context, config, workloads)
-        for label, config in configs.items()
-    }
+    result = _speedups(context, configs, workloads)
     if verbose:
         rows = [[label, f"{x:.2f}"] for label, x in result.items()]
         print(
@@ -105,13 +101,7 @@ def run_cxl(
         )
         for latency in CXL_LATENCIES_NS
     }
-    context.run_many(
-        [c for config in configs.values() for c in _config_cells(config, workloads)]
-    )
-    result = {
-        latency: _speedup_for_config(context, config, workloads)
-        for latency, config in configs.items()
-    }
+    result = _speedups(context, configs, workloads)
     if verbose:
         rows = [[f"{int(l)} ns", f"{x:.2f}"] for l, x in result.items()]
         print(

@@ -20,7 +20,8 @@ normalized to the paper's default:
 
 from __future__ import annotations
 
-from repro.core import NdpExtPolicy
+from dataclasses import replace
+
 from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
 from repro.util import geomean, render_table
 from repro.workloads import REPRESENTATIVE
@@ -32,6 +33,17 @@ SAMPLER_SETS = (8, 32, 256)
 INTERVALS = (1, 2, 4)
 
 
+def _geomean_runtimes(
+    context: ExperimentContext, cases: dict[str, list[Cell]]
+) -> dict[str, float]:
+    """Geomean runtime of each case's cells, all cases in one batch."""
+    reports = iter(context.run_many([c for cells in cases.values() for c in cells]))
+    return {
+        case: geomean([next(reports).runtime_cycles for _ in cells])
+        for case, cells in cases.items()
+    }
+
+
 def _sweep(
     context: ExperimentContext,
     workloads: tuple[str, ...],
@@ -40,31 +52,14 @@ def _sweep(
     verbose: bool,
     paper_note: str,
 ) -> dict[str, float]:
-    """Run NdpExtPolicy under parameter overrides; normalize to 'default'."""
-    context.run_many(
-        [
-            Cell(
-                wname,
-                "ndpext",
-                policy_factory=lambda kw=kwargs: NdpExtPolicy(**kw),
-                cache_key=f"{label}:{case}",
-            )
-            for case, kwargs in cases.items()
-            for wname in workloads
-        ]
+    """Run NdpExtPolicy under option overrides; normalize to 'default'."""
+    runtimes = _geomean_runtimes(
+        context,
+        {
+            case: [Cell(wname, "ndpext", options=options) for wname in workloads]
+            for case, options in cases.items()
+        },
     )
-    runtimes: dict[str, float] = {}
-    for case, kwargs in cases.items():
-        per_workload = []
-        for wname in workloads:
-            report = context.run(
-                wname,
-                "ndpext",
-                policy_factory=lambda kw=kwargs: NdpExtPolicy(**kw),
-                cache_key=f"{label}:{case}",
-            )
-            per_workload.append(report.runtime_cycles)
-        runtimes[case] = geomean(per_workload)
     base = runtimes.get("default") or next(iter(runtimes.values()))
     normalized = {case: base / runtime for case, runtime in runtimes.items()}
     if verbose:
@@ -123,31 +118,21 @@ def run_affine_space(
         "default": base_space,
         "unlimited": context.config.unit_cache_bytes,
     }
-    # The affine cap lives in the system config; build per-case configs
-    # and run them through the cached, batched executor.
-    from dataclasses import replace as dreplace
-
+    # The affine cap lives in the system config: one config per case.
     configs = {
         case: context.config.scaled(
             name=f"{context.config.name}-affine-{case}",
-            stream=dreplace(context.config.stream, affine_space_bytes=space),
+            stream=replace(context.config.stream, affine_space_bytes=space),
         )
         for case, space in spaces.items()
     }
-    context.run_many(
-        [
-            Cell(wname, "ndpext", config=config)
-            for config in configs.values()
-            for wname in workloads
-        ]
+    runtimes = _geomean_runtimes(
+        context,
+        {
+            case: [Cell(wname, "ndpext", config=config) for wname in workloads]
+            for case, config in configs.items()
+        },
     )
-    runtimes: dict[str, float] = {}
-    for case, config in configs.items():
-        per_workload = [
-            context.run(wname, "ndpext", config=config).runtime_cycles
-            for wname in workloads
-        ]
-        runtimes[case] = geomean(per_workload)
     normalized = {c: runtimes["default"] / r for c, r in runtimes.items()}
     if verbose:
         rows = [[c, f"{x:.3f}"] for c, x in normalized.items()]
@@ -184,17 +169,18 @@ def run_reconfig_method(
         "partial": {"mode": "partial", "partial_epochs": 2},
         "full": {"mode": "full"},
     }
+    reports = iter(
+        context.run_many(
+            [
+                Cell(wname, "ndpext", options=options)
+                for wname in workloads
+                for options in methods.values()
+            ]
+        )
+    )
     result: dict[str, dict[str, float]] = {}
     for wname in workloads:
-        runtimes = {}
-        for method, kwargs in methods.items():
-            report = context.run(
-                wname,
-                "ndpext",
-                policy_factory=lambda kw=kwargs: NdpExtPolicy(**kw),
-                cache_key=f"method:{method}",
-            )
-            runtimes[method] = report.runtime_cycles
+        runtimes = {method: next(reports).runtime_cycles for method in methods}
         result[wname] = {
             m: runtimes["full"] / r for m, r in runtimes.items()
         }

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.baselines import (
@@ -49,7 +50,7 @@ from repro.util import geomean
 from repro.workloads import SMALL, TINY, WorkloadScale, build
 from repro.workloads.trace import Workload
 
-POLICIES: dict[str, Callable[[], object]] = {
+POLICIES: dict[str, type] = {
     "jigsaw": JigsawPolicy,
     "whirlpool": WhirlpoolPolicy,
     "nexus": NexusPolicy,
@@ -83,18 +84,20 @@ SCALES: dict[str, WorkloadScale] = {
 class Cell:
     """One requested simulation cell, before workloads are materialized.
 
-    The declarative counterpart of :meth:`ExperimentContext.run`'s
-    keyword arguments — experiments build lists of these and hand them
-    to :meth:`ExperimentContext.run_many` for batched (and optionally
+    ``options`` are the keyword arguments of ``POLICIES[policy]``: a
+    policy variant is plain data, and the cell key hashes it, so
+    editing a variant misses the cache.  The policy ``"host"`` is the
+    non-NDP host baseline (see :meth:`ExperimentContext.host_cell`).
+    Experiments build lists of these and hand them to
+    :meth:`ExperimentContext.run_many` for batched (and optionally
     parallel) execution.
     """
 
     workload: str
     policy: str
     config: SystemConfig | None = None
-    policy_factory: Callable[[], object] | None = None
     scale: WorkloadScale | None = None
-    cache_key: str = ""
+    options: dict = field(default_factory=dict)
     faults: FaultSchedule | None = None
 
 
@@ -172,12 +175,7 @@ class ExperimentContext:
         self.worker_deaths = 0
         self.quarantined_cells = 0
 
-    def workload(
-        self,
-        name: str,
-        scale: WorkloadScale | None = None,
-        recorder: NullRecorder | None = None,
-    ) -> Workload:
+    def workload(self, name: str, scale: WorkloadScale | None = None) -> Workload:
         scale = scale or self.scale
         key = (name, scale)
         if key not in self._workloads:
@@ -197,7 +195,7 @@ class ExperimentContext:
             cell.policy,
             cell.config if cell.config is not None else self.config,
             cell.scale or self.scale,
-            cache_key=cell.cache_key,
+            options=cell.options,
             faults=cell.faults,
         )
 
@@ -249,7 +247,8 @@ class ExperimentContext:
         scale = cell.scale or self.scale
         label = f"{cell.workload}/{cell.policy}"
         config = cell.config if cell.config is not None else self.config
-        factory = cell.policy_factory or POLICIES[cell.policy]
+        policy = HostJigsawPolicy if cell.policy == "host" else POLICIES[cell.policy]
+        factory = partial(policy, **cell.options)
         if prebuild or (cell.workload, scale) in self._workloads:
             return CellTask(
                 workload=self.workload(cell.workload, scale),
@@ -276,47 +275,25 @@ class ExperimentContext:
         workload_name: str,
         policy_name: str,
         config: SystemConfig | None = None,
-        policy_factory: Callable[[], object] | None = None,
         scale: WorkloadScale | None = None,
-        cache_key: str = "",
         faults: FaultSchedule | None = None,
         recorder: NullRecorder | None = None,
     ) -> SimulationReport:
-        """Run (or fetch) one simulation cell.
+        """Run (or fetch) one simulation cell: ``run_many`` of one.
 
         A live ``recorder`` bypasses both result-cache layers entirely:
         the caller wants this run's event trace, which a cached report
         does not carry (and the recorded run must not poison the caches
         for trace-free callers either).
         """
-        cell = Cell(
-            workload=workload_name,
-            policy=policy_name,
-            config=config,
-            policy_factory=policy_factory,
-            scale=scale,
-            cache_key=cache_key,
-            faults=faults,
-        )
-        recording = recorder is not None and recorder.enabled
-        if recording:
-            recorder.counter("runner.recorded_runs")
-            workload = self.workload(workload_name, scale, recorder=recorder)
-            factory = policy_factory or POLICIES[policy_name]
-            engine = SimulationEngine(
-                cell.config if cell.config is not None else self.config,
-                faults=faults,
-                recorder=recorder,
-            )
-            with current().span("runner.recorded_run"):
-                return engine.run(workload, factory())
-        key = self._cell_key(cell)
-        report = self._lookup(key, recorder)
-        if report is not None:
-            return report
-        report = self._task(cell).run()
-        self._store(key, report)
-        return report
+        cell = Cell(workload_name, policy_name, config, scale, faults=faults)
+        if recorder is None or not recorder.enabled:
+            return self.run_many([cell], jobs=1, recorder=recorder)[0]
+        recorder.counter("runner.recorded_runs")
+        task = self._task(cell)
+        engine = SimulationEngine(task.config, faults=faults, recorder=recorder)
+        with current().span("runner.recorded_run"):
+            return engine.run(task.workload, task.policy_factory())
 
     def run_many(
         self,
@@ -388,27 +365,7 @@ class ExperimentContext:
     ) -> Cell:
         """The non-NDP host baseline cell for ``workload_name``."""
         return Cell(
-            workload=workload_name,
-            policy="host",
-            config=host_config(self.config),
-            policy_factory=HostJigsawPolicy,
-            scale=scale,
-        )
-
-    def run_host(
-        self,
-        workload_name: str,
-        scale: WorkloadScale | None = None,
-        recorder: NullRecorder | None = None,
-    ) -> SimulationReport:
-        """The non-NDP host baseline for the same workload."""
-        return self.run(
-            workload_name,
-            "host",
-            config=host_config(self.config),
-            policy_factory=HostJigsawPolicy,
-            scale=scale,
-            recorder=recorder,
+            workload_name, "host", config=host_config(self.config), scale=scale
         )
 
 
@@ -428,26 +385,16 @@ def speedup_table(
     Mirrors Fig. 5's normalization: every bar is runtime(baseline) /
     runtime(policy).
     """
-    # Prefetch the whole grid in one batch so uncached cells fan out
-    # across the context's `jobs` workers; the loop below then only
-    # reads the in-process cache.
-    grid = [
-        context.host_cell(wname) if baseline == "host" else Cell(wname, baseline)
-        for wname in workload_names
-    ]
-    grid += [
-        Cell(wname, pname)
-        for wname in workload_names
-        for pname in policy_names
-    ]
-    context.run_many(grid)
+    grid = []
+    for wname in workload_names:
+        grid.append(
+            context.host_cell(wname) if baseline == "host" else Cell(wname, baseline)
+        )
+        grid += [Cell(wname, pname) for pname in policy_names]
+    reports = iter(context.run_many(grid))
     table: dict[str, dict[str, float]] = {}
     for wname in workload_names:
-        base = (
-            context.run_host(wname)
-            if baseline == "host"
-            else context.run(wname, baseline)
-        )
+        base = next(reports)
         if base.runtime_cycles <= 0:
             raise ValueError(
                 f"baseline {baseline!r} on {wname!r} reported "
@@ -455,7 +402,7 @@ def speedup_table(
             )
         table[wname] = {}
         for pname in policy_names:
-            report = context.run(wname, pname)
+            report = next(reports)
             if report.runtime_cycles <= 0:
                 raise ValueError(
                     f"policy {pname!r} on {wname!r} reported non-positive "

@@ -14,7 +14,6 @@ slower; the speedup is a few percent.
 
 from __future__ import annotations
 
-from repro.core import NdpExtPolicy
 from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
 from repro.util import geomean, render_table
 
@@ -23,40 +22,21 @@ WORKLOADS = ("pr", "recsys", "bfs", "cc", "gnn")
 PLACEMENTS = ("consistent", "hash")
 
 
-def _cells(workloads) -> list[Cell]:
-    return [
-        Cell(
-            wname,
-            "ndpext",
-            policy_factory=lambda p=placement: NdpExtPolicy(placement=p),
-            cache_key=f"placement:{placement}",
-        )
-        for wname in workloads
-        for placement in PLACEMENTS
-    ]
-
-
 def run(
     context: ExperimentContext | None = None,
     workloads: tuple[str, ...] = WORKLOADS,
     verbose: bool = True,
 ) -> dict:
     context = context or DEFAULT_CONTEXT
-    context.run_many(_cells(workloads))
+    reports = context.run_many(
+        [
+            Cell(wname, "ndpext", options={"placement": placement})
+            for wname in workloads
+            for placement in PLACEMENTS
+        ]
+    )
     result: dict[str, dict] = {}
-    for wname in workloads:
-        consistent = context.run(
-            wname,
-            "ndpext",
-            policy_factory=lambda: NdpExtPolicy(placement="consistent"),
-            cache_key="placement:consistent",
-        )
-        bulk = context.run(
-            wname,
-            "ndpext",
-            policy_factory=lambda: NdpExtPolicy(placement="hash"),
-            cache_key="placement:hash",
-        )
+    for wname, consistent, bulk in zip(workloads, reports[0::2], reports[1::2]):
         result[wname] = {
             "bulk_invalidations": bulk.reconfig_invalidations,
             "consistent_invalidations": consistent.reconfig_invalidations,

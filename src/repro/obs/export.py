@@ -375,16 +375,6 @@ def _slo_lines(w: _Writer, status: dict, base: dict) -> None:
                 )
 
 
-def slo_prometheus(
-    status: dict, extra_labels: dict[str, object] | None = None
-) -> str:
-    """Render one :meth:`SloEngine.status` payload standalone (the live
-    endpoint embeds the same series through :func:`serve_prometheus`)."""
-    w = _Writer()
-    _slo_lines(w, status, dict(extra_labels or {}))
-    return "\n".join(w.lines) + "\n"
-
-
 def json_payload(
     report: SimulationReport,
     extra: dict | None = None,

@@ -12,11 +12,6 @@ class TestSizing:
         assert ata.n_blocks == 16 * 1024
         assert ata.sram_bytes == 64 * 1024
 
-    def test_blocks_for(self):
-        ata = AffineTagArray(block_bytes=1024, space_bytes=1 << 20)
-        assert ata.blocks_for(4096) == 4
-        assert ata.blocks_for(100) == 0
-
     def test_rejects_non_power_of_two_block(self):
         with pytest.raises(ValueError):
             AffineTagArray(block_bytes=1000, space_bytes=1 << 20)
@@ -29,15 +24,3 @@ class TestSizing:
         with pytest.raises(ValueError):
             AffineTagArray(ways=0)
 
-
-class TestClamp:
-    def test_clamps_to_remaining_space(self):
-        ata = AffineTagArray(block_bytes=1024, space_bytes=16 * 1024)
-        # 8 rows of 2 kB fit the 16 kB affine space.
-        assert ata.clamp_affine_rows(10, already_used_rows=0, row_bytes=2048) == 8
-        assert ata.clamp_affine_rows(10, already_used_rows=6, row_bytes=2048) == 2
-        assert ata.clamp_affine_rows(10, already_used_rows=8, row_bytes=2048) == 0
-
-    def test_no_clamp_when_within_cap(self):
-        ata = AffineTagArray(block_bytes=1024, space_bytes=1 << 20)
-        assert ata.clamp_affine_rows(3, already_used_rows=0, row_bytes=2048) == 3

@@ -37,13 +37,33 @@ class TestCellKey:
             "pr", "ndpext", config, TINY
         )
 
+    def test_options_differing_in_one_value_get_distinct_keys(self):
+        config = tiny()
+        two = {"mode": "partial", "partial_epochs": 2}
+        three = {"mode": "partial", "partial_epochs": 3}
+        assert cell_key("pr", "ndpext", config, TINY, options=two) != cell_key(
+            "pr", "ndpext", config, TINY, options=three
+        )
+
+    def test_equal_options_in_either_order_share_a_key(self):
+        config = tiny()
+        forward = {"mode": "partial", "partial_epochs": 2}
+        backward = {"partial_epochs": 2, "mode": "partial"}
+        assert list(forward) != list(backward)
+        assert cell_key("pr", "ndpext", config, TINY, options=forward) == (
+            cell_key("pr", "ndpext", config, TINY, options=backward)
+        )
+
     def test_discriminates_every_ingredient(self):
         config = tiny()
         base = cell_key("pr", "ndpext", config, TINY)
         assert cell_key("bfs", "ndpext", config, TINY) != base
         assert cell_key("pr", "nexus", config, TINY) != base
         assert cell_key("pr", "ndpext", config, TINY.scaled(seed=2)) != base
-        assert cell_key("pr", "ndpext", config, TINY, cache_key="v:1") != base
+        assert (
+            cell_key("pr", "ndpext", config, TINY, options={"mode": "static"})
+            != base
+        )
         assert (
             cell_key("pr", "ndpext", config, TINY, faults=FaultSchedule())
             != base

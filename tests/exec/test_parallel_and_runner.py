@@ -90,6 +90,14 @@ class TestDiskLayer:
         for a, b in zip(context.run_many(GRID), reports):
             assert_reports_identical(a, b, skip=("timeline",))
 
+    def test_options_edited_in_place_miss_the_cache(self, context):
+        cell = Cell("pr", "ndpext", options={"mode": "partial", "partial_epochs": 2})
+        context.run_many([cell])
+        cell.options["partial_epochs"] = 3
+        context.run_many([cell])
+        assert context.cache_misses == 2
+        assert context.cache_hits_mem == context.cache_hits_disk == 0
+
     def test_disk_cache_disabled_by_env(self, context, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
         context.run("pr", "ndpext")

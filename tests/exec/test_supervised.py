@@ -207,10 +207,11 @@ class TestRetries:
 class TestPoisonList:
     def test_strict_raises_after_batch_completes(self, cache_dir):
         context = ExperimentContext(preset="tiny")
-        bad = Cell("pr", "bad", policy_factory=_always_boom)
+        # NdpExtPolicy rejects an unknown mode in its constructor.
+        bad = Cell("hotspot", "ndpext", options={"mode": "bogus"})
         with pytest.raises(CellExecutionError) as err:
             context.run_many([bad, GRID[0]], jobs=1)
-        assert "pr/bad" in str(err.value)
+        assert "hotspot/ndpext" in str(err.value)
         assert "ValueError" in str(err.value)
         assert context.quarantined_cells == 1
         # The good cell finished and was stored before the raise.

@@ -1,8 +1,21 @@
 """Structural tests for the experiment drivers (tiny preset for speed)."""
 
+import argparse
+
 import pytest
 
-from repro.experiments import fig2, fig4b, fig5, fig6, fig7, fig8, fig9, sec5d
+from repro.__main__ import cmd_compare
+from repro.experiments import (
+    faults,
+    fig2,
+    fig4b,
+    fig5,
+    fig6,
+    fig7,
+    fig8,
+    fig9,
+    sec5d,
+)
 from repro.experiments.runner import (
     ExperimentContext,
     add_geomean_row,
@@ -72,8 +85,9 @@ class TestRunner:
         assert extended["geomean"]["p"] == pytest.approx(4.0)
 
     def test_host_runs(self, context):
-        report = context.run_host("pr")
+        (report,) = context.run_many([context.host_cell("pr")])
         assert report.runtime_cycles > 0
+        assert report.policy == "host"
 
 
 class TestFigureDrivers:
@@ -128,3 +142,57 @@ class TestFigureDrivers:
         assert row["consistent_invalidations"] <= row["bulk_invalidations"] or (
             row["bulk_invalidations"] == 0
         )
+
+
+# Every batched driver on one workload, each on a cold context.
+DRIVERS = {
+    "fig2": lambda ctx: fig2.run(ctx, verbose=False),
+    "fig5": lambda ctx: fig5.run(ctx, workloads=("pr",), verbose=False),
+    "fig6": lambda ctx: fig6.run(ctx, workloads=("pr",), verbose=False),
+    "fig7": lambda ctx: fig7.run(ctx, workloads=("pr",), verbose=False),
+    "fig8a": lambda ctx: fig8.run_scaling(ctx, workloads=("pr",), verbose=False),
+    "fig8b": lambda ctx: fig8.run_cxl(ctx, workloads=("pr",), verbose=False),
+    "fig9a": lambda ctx: fig9.run_associativity(
+        ctx, workloads=("pr",), verbose=False
+    ),
+    "fig9b": lambda ctx: fig9.run_block_size(ctx, workloads=("pr",), verbose=False),
+    "fig9c": lambda ctx: fig9.run_affine_space(
+        ctx, workloads=("pr",), verbose=False
+    ),
+    "fig9d": lambda ctx: fig9.run_sampler_sets(
+        ctx, workloads=("pr",), verbose=False
+    ),
+    "fig9e": lambda ctx: fig9.run_reconfig_method(
+        ctx, workloads=("pr",), verbose=False
+    ),
+    "fig9f": lambda ctx: fig9.run_reconfig_interval(
+        ctx, workloads=("pr",), verbose=False
+    ),
+    "sec5d": lambda ctx: sec5d.run(ctx, workloads=("pr",), verbose=False),
+    "faults": lambda ctx: faults.run(ctx, verbose=False),
+    "compare": lambda ctx: cmd_compare(
+        ctx, argparse.Namespace(workload="pr", trace_out=None)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIVERS))
+def test_driver_simulates_each_cell_once_and_rereads_none(
+    name, monkeypatch, capsys
+):
+    """A cold driver takes every report from the batches it submits:
+    each distinct cell is one cache miss, and nothing is re-read from
+    the in-process cache afterwards."""
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    context = ExperimentContext(preset="tiny")
+    keys: set[str] = set()
+    run_many = context.run_many
+
+    def spy(cells, *args, **kwargs):
+        keys.update(context._cell_key(cell) for cell in cells)
+        return run_many(cells, *args, **kwargs)
+
+    monkeypatch.setattr(context, "run_many", spy)
+    DRIVERS[name](context)
+    assert context.cache_hits_mem == 0
+    assert context.cache_misses == len(keys) > 0

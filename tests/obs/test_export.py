@@ -243,9 +243,11 @@ class TestServePrometheusFormat:
         assert f'tenant="{weird}"' not in text
 
 
-class TestSloPrometheusStandalone:
-    def test_renders_status_payload(self):
-        from repro.obs.export import slo_prometheus
+class TestServeSloSeries:
+    def test_renders_slo_status(self):
+        from repro.obs.export import serve_prometheus
+        from repro.obs.histogram import LatencyHistogram
+        from repro.serve import ServeReport, TenantStats
 
         status = {
             "tenants": {
@@ -263,18 +265,24 @@ class TestSloPrometheusStandalone:
                 }
             }
         }
-        text = slo_prometheus(status, {"preset": "tiny"})
+        report = ServeReport(
+            scenario="storm",
+            tenants={"a": TenantStats(submitted=1, admitted=1)},
+            latency=LatencyHistogram(),
+            epochs=1,
+            reconfigs=0,
+            health_reconfig_requests=0,
+            degraded_windows=[],
+            slo=status,
+        )
+        text = serve_prometheus(report, {"preset": "tiny"})
         for line in text.strip().splitlines():
             assert METRIC_LINE.match(line) or COMMENT_LINE.match(line), line
-        assert 'repro_slo_alert_state{preset="tiny",tenant="a"} 2' in text
-        assert "repro_slo_budget_remaining" in text
+        labels = 'scenario="storm",preset="tiny",tenant="a"'
+        assert f"repro_slo_alert_state{{{labels}}} 2" in text
+        assert f"repro_slo_budget_remaining{{{labels}}} -0.5" in text
         assert 'window="slow"} 15.0' in text
-        assert 'repro_slo_latency_windows_met{preset="tiny",tenant="a",objective="latency_p99"} 1' in text
-
-    def test_empty_status_is_headers_only(self):
-        from repro.obs.export import slo_prometheus
-
-        text = slo_prometheus({"tenants": {}})
-        assert all(
-            line.startswith("#") for line in text.strip().splitlines()
+        assert (
+            f'repro_slo_latency_windows_met{{{labels},objective="latency_p99"}} 1'
+            in text
         )
