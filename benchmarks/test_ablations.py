@@ -20,27 +20,37 @@ their contribution is measurable rather than assumed:
 from conftest import once
 
 from repro.core import NdpExtPolicy, annotate_workload
+from repro.experiments.runner import Cell
 from repro.sim import SimulationEngine
 from repro.util import geomean
 
 WORKLOADS = ("pr", "recsys", "hotspot")
 
 
-def _runtimes(context, policy_factory, workloads=WORKLOADS, transform=None):
+def _runtimes(context, options=None):
+    """NDPExt's runtime per workload: cells of the shared context, so
+    the plain arms are simulated once per session."""
+    reports = context.run_many(
+        [Cell(name, "ndpext", options=options or {}) for name in WORKLOADS]
+    )
+    return {name: r.runtime_cycles for name, r in zip(WORKLOADS, reports)}
+
+
+def _engine_runtimes(context, policy_factory, transform=lambda w: w):
+    """Direct engine runs, for arms no cell can express: a class
+    attribute override or a workload transform."""
     engine = SimulationEngine(context.config)
     result = {}
-    for name in workloads:
-        workload = context.workload(name)
-        if transform is not None:
-            workload = transform(workload)
+    for name in WORKLOADS:
+        workload = transform(context.workload(name))
         result[name] = engine.run(workload, policy_factory()).runtime_cycles
     return result
 
 
 def test_warm_start_ablation(benchmark, context):
     def run():
-        warm = _runtimes(context, lambda: NdpExtPolicy())
-        cold = _runtimes(context, lambda: NdpExtPolicy(warm_start=False))
+        warm = _runtimes(context)
+        cold = _runtimes(context, {"warm_start": False})
         return {w: cold[w] / warm[w] for w in warm}
 
     gains = once(benchmark, run)
@@ -57,8 +67,8 @@ def test_hysteresis_ablation(benchmark, context):
         return policy
 
     def run():
-        guarded = _runtimes(context, lambda: NdpExtPolicy())
-        churny = _runtimes(context, make_churny)
+        guarded = _runtimes(context)
+        churny = _engine_runtimes(context, make_churny)
         return {w: churny[w] / guarded[w] for w in guarded}
 
     gains = once(benchmark, run)
@@ -69,10 +79,8 @@ def test_hysteresis_ablation(benchmark, context):
 
 def test_adaptive_blocks_extension(benchmark, context):
     def run():
-        fixed = _runtimes(context, lambda: NdpExtPolicy())
-        adaptive = _runtimes(
-            context, lambda: NdpExtPolicy(adaptive_blocks=True)
-        )
+        fixed = _runtimes(context)
+        adaptive = _runtimes(context, {"adaptive_blocks": True})
         return {w: fixed[w] / adaptive[w] for w in fixed}
 
     gains = once(benchmark, run)
@@ -82,10 +90,8 @@ def test_adaptive_blocks_extension(benchmark, context):
 
 def test_auto_annotation_extension(benchmark, context):
     def run():
-        manual = _runtimes(context, lambda: NdpExtPolicy())
-        auto = _runtimes(
-            context, lambda: NdpExtPolicy(), transform=annotate_workload
-        )
+        manual = _runtimes(context)
+        auto = _engine_runtimes(context, NdpExtPolicy, transform=annotate_workload)
         return {w: manual[w] / auto[w] for w in manual}
 
     ratios = once(benchmark, run)

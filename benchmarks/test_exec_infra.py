@@ -10,8 +10,9 @@ import pytest
 
 from repro.core import NdpExtPolicy
 from repro.exec.cache import ReportCache, cell_key
-from repro.sim import SimulationEngine, small
-from repro.workloads import SMALL, build
+from repro.experiments.runner import Cell
+from repro.sim import SimulationEngine
+from repro.workloads import SMALL
 
 
 def _legacy_l1_filter(epochs, params):
@@ -41,17 +42,15 @@ def _grouped_l1_filter(epochs, params, engine_cls):
 
 
 @pytest.fixture(scope="module")
-def cell():
-    config = small()
-    workload = build("pr", SMALL)
-    report = SimulationEngine(config).run(workload, NdpExtPolicy())
-    return config, workload, report
+def cell(context):
+    (report,) = context.run_many([Cell("pr", "ndpext")])
+    return context.config, context.workload("pr"), report
 
 
 def test_report_cache_round_trip(benchmark, tmp_path, cell):
     config, _workload, report = cell
     cache = ReportCache(tmp_path)
-    key = cell_key("pr", "ndpext", config, SMALL)
+    key = cell_key("pr", NdpExtPolicy, config, SMALL)
     cache.put(key, report)
 
     result = benchmark(cache.get, key)

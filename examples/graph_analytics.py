@@ -8,10 +8,12 @@ and which units hold it — the paper's Section V output, made visible.
 Run:  python examples/graph_analytics.py
 """
 
+from functools import partial
+
 import numpy as np
 
 from repro import sim, workloads
-from repro.baselines import JigsawPolicy, NdpExtStaticPolicy, NexusPolicy, StaticNucaPolicy
+from repro.baselines import JigsawPolicy, NexusPolicy, StaticNucaPolicy
 from repro.core import NdpExtPolicy
 from repro.core.remap import group_ids
 from repro.util import render_table
@@ -25,7 +27,7 @@ def compare_policies(config, kernels):
         "static-nuca": StaticNucaPolicy,
         "jigsaw": JigsawPolicy,
         "nexus": NexusPolicy,
-        "ndpext-static": NdpExtStaticPolicy,
+        "ndpext-static": partial(NdpExtPolicy, mode="static"),
         "ndpext": NdpExtPolicy,
     }
     rows = []

@@ -8,7 +8,6 @@ from repro.baselines.common import (
 )
 from repro.baselines.host import HostJigsawPolicy, host_config
 from repro.baselines.jigsaw import JigsawPolicy
-from repro.baselines.ndpext_static import NdpExtStaticPolicy
 from repro.baselines.nexus import NexusPolicy
 from repro.baselines.static_nuca import StaticNucaPolicy
 from repro.baselines.whirlpool import WhirlpoolPolicy
@@ -21,7 +20,6 @@ __all__ = [
     "HostJigsawPolicy",
     "host_config",
     "JigsawPolicy",
-    "NdpExtStaticPolicy",
     "NexusPolicy",
     "StaticNucaPolicy",
     "WhirlpoolPolicy",

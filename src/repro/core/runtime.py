@@ -43,9 +43,6 @@ class NdpExtPolicy(DramCachePolicy):
         placement: str = "consistent",
         reconfig_interval: int = 1,
         partial_epochs: int = 4,
-        indirect_ways: int | None = None,
-        affine_block_bytes: int | None = None,
-        sampler_sets: int | None = None,
         adaptive_blocks: bool = False,
         warm_start: bool = True,
         fault_recovery: bool = True,
@@ -59,9 +56,6 @@ class NdpExtPolicy(DramCachePolicy):
         self.placement = placement
         self.reconfig_interval = reconfig_interval
         self.partial_epochs = partial_epochs
-        self.indirect_ways = indirect_ways
-        self.affine_block_bytes = affine_block_bytes
-        self.sampler_sets = sampler_sets
         # Extension of the paper's Fig. 9(b) future work: pick each affine
         # stream's block size from its profiled spatial run length instead
         # of one global 1 kB.
@@ -106,14 +100,12 @@ class NdpExtPolicy(DramCachePolicy):
             topology,
             streams,
             placement=self.placement,
-            indirect_ways=self.indirect_ways,
-            affine_block_bytes=self.affine_block_bytes,
             warm_start=self.warm_start,
         )
         self.assigner = SamplerAssigner(
             samplers_per_unit=config.stream.samplers_per_unit
         )
-        self.sampler_params = SamplerParams.for_system(config, self.sampler_sets)
+        self.sampler_params = SamplerParams.for_system(config)
         self.sampler = MissCurveSampler(self.sampler_params)
         self.configurator = CacheConfigurator(
             topology=topology,

@@ -58,13 +58,13 @@ class SamplerParams:
         return self.sample_sets * self.capacity_points * SAMPLER_SET_BYTES
 
     @classmethod
-    def for_system(cls, config, sample_sets: int | None = None) -> "SamplerParams":
-        """The samplers of ``config`` (``sample_sets`` overrides its sets
-        per sampler).  A stream, or one replication copy, can grow up to
-        the whole distributed cache, so the cases span that range."""
+    def for_system(cls, config) -> "SamplerParams":
+        """The samplers of ``config``.  A stream, or one replication copy,
+        can grow up to the whole distributed cache, so the cases span
+        that range."""
         stream = config.stream
         return cls(
-            sample_sets=stream.sampler_sets if sample_sets is None else sample_sets,
+            sample_sets=stream.sampler_sets,
             capacity_points=stream.sampler_points,
             min_capacity=stream.sampler_min_bytes,
             max_capacity=max(stream.sampler_min_bytes * 2, config.total_cache_bytes),

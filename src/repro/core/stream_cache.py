@@ -226,9 +226,6 @@ class StreamCacheMapper:
         topology: Topology,
         streams: StreamTable,
         placement: str = "consistent",
-        indirect_ways: int | None = None,
-        affine_block_bytes: int | None = None,
-        affine_ways: int = 4,
         warm_start: bool = True,
     ) -> None:
         if placement not in ("hash", "consistent"):
@@ -241,12 +238,8 @@ class StreamCacheMapper:
         self.streams = streams
         self.placement = placement
         self.row_bytes = config.ndp_dram.row_bytes
-        self.indirect_ways = (
-            indirect_ways if indirect_ways is not None else config.stream.indirect_ways
-        )
-        self.affine_ways = affine_ways
         self.ata = AffineTagArray(
-            block_bytes=affine_block_bytes or config.stream.affine_block_bytes,
+            block_bytes=config.stream.affine_block_bytes,
             space_bytes=config.stream.affine_space_bytes,
         )
         self.slbs = [
@@ -310,7 +303,7 @@ class StreamCacheMapper:
     ) -> StreamMapping:
         granularity = self.granularity_of(stream)
         entries_per_row = max(1, self.row_bytes // granularity)
-        ways = self.affine_ways if stream.is_affine else self.indirect_ways
+        ways = self.ata.ways if stream.is_affine else self.config.stream.indirect_ways
         # A unit granted fewer entries than the associativity still forms
         # one (narrower) set — small allocations must stay usable.
         held = shares_row[shares_row > 0]

@@ -37,6 +37,7 @@ import contextlib
 import dataclasses
 import enum
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -169,26 +170,34 @@ def content_key(*, stamp: str | None = None, **parts) -> str:
 
 def cell_key(
     workload: str,
-    policy: str,
+    policy: Callable,
     config,
     scale,
     options: dict | None = None,
     faults=None,
     stamp: str | None = None,
 ) -> str:
-    """Content hash identifying one simulation cell.
+    """Content hash identifying one simulation cell: what the engine runs.
 
-    ``options`` are the policy's constructor keyword arguments (the
-    variant), hashed by value and independent of their order, so two
-    variants of one policy never share a key.
+    ``policy`` is a policy class or a ``functools.partial`` of one;
+    ``options`` are further keyword arguments.  The key hashes the class
+    name and every constructor argument, defaults applied, so a
+    spelled-out default or an alias shares the plain call's key, and an
+    option the constructor does not take raises ``TypeError``.
+    ``SystemConfig.name`` is a label no simulation reads, so it is left
+    out.
     """
+    bound = inspect.signature(policy).bind(**(options or {}))
+    bound.apply_defaults()
+    system = _canonical(config)
+    del system["name"]
     return content_key(
         stamp=stamp,
         workload=workload,
-        policy=policy,
-        config=config,
+        policy=getattr(policy, "func", policy).__name__,
+        config=system,
         scale=scale,
-        options=options or {},
+        options=bound.arguments,
         faults=faults,
     )
 

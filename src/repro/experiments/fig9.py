@@ -1,7 +1,10 @@
 """Fig. 9: design-choice studies (six panels).
 
 Each panel sweeps one NDPExt design parameter and reports runtime
-normalized to the paper's default:
+normalized to the paper's default.  Panels (a)-(d) vary hardware, so
+they sweep the system's ``StreamCacheParams``; (e), (f) and (b)'s
+``adaptive`` case vary the runtime, so they set ``NdpExtPolicy``
+options.
 
 (a) indirect-stream cache associativity (1 -> 64 ways): direct-mapped is
     acceptable; higher associativity brings only minor gains, largest
@@ -23,25 +26,20 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.experiments.runner import DEFAULT_CONTEXT, Cell, ExperimentContext
+from repro.sim import SystemConfig
 from repro.util import geomean, render_table
 from repro.workloads import REPRESENTATIVE
 
 INDIRECT_WAYS = (1, 4, 16, 64)
 BLOCK_BYTES = (256, 512, 1024, 2048, 4096)
-AFFINE_SPACES = ("quarter", "half", "default", "unlimited")
 SAMPLER_SETS = (8, 32, 256)
 INTERVALS = (1, 2, 4)
 
 
-def _geomean_runtimes(
-    context: ExperimentContext, cases: dict[str, list[Cell]]
-) -> dict[str, float]:
-    """Geomean runtime of each case's cells, all cases in one batch."""
-    reports = iter(context.run_many([c for cells in cases.values() for c in cells]))
-    return {
-        case: geomean([next(reports).runtime_cycles for _ in cells])
-        for case, cells in cases.items()
-    }
+def _stream_config(context: ExperimentContext, **fields) -> SystemConfig:
+    """The context's system with ``fields`` of its stream cache replaced."""
+    config = context.config
+    return config.scaled(stream=replace(config.stream, **fields))
 
 
 def _sweep(
@@ -51,20 +49,33 @@ def _sweep(
     cases: dict[str, dict],
     verbose: bool,
     paper_note: str,
+    title: str | None = None,
 ) -> dict[str, float]:
-    """Run NdpExtPolicy under option overrides; normalize to 'default'."""
-    runtimes = _geomean_runtimes(
-        context,
-        {
-            case: [Cell(wname, "ndpext", options=options) for wname in workloads]
-            for case, options in cases.items()
-        },
+    """Run NDPExt on every workload per case, all cases in one batch;
+    normalize the geomean runtimes to 'default'.
+
+    Each case is the keyword arguments of its :class:`Cell`: a system
+    ``config`` for a hardware parameter, ``options`` for a runtime one.
+    """
+    reports = iter(
+        context.run_many(
+            [
+                Cell(wname, "ndpext", **fields)
+                for fields in cases.values()
+                for wname in workloads
+            ]
+        )
     )
+    runtimes = {
+        case: geomean([next(reports).runtime_cycles for _ in workloads])
+        for case in cases
+    }
     base = runtimes.get("default") or next(iter(runtimes.values()))
     normalized = {case: base / runtime for case, runtime in runtimes.items()}
     if verbose:
         rows = [[case, f"{x:.3f}"] for case, x in normalized.items()]
-        print(render_table([label, "speedup vs default"], rows, title=f"Fig 9: {label}"))
+        title = title or f"Fig 9: {label}"
+        print(render_table([label, "speedup vs default"], rows, title=title))
         print(f"paper: {paper_note}")
     return normalized
 
@@ -75,8 +86,11 @@ def run_associativity(
     verbose: bool = True,
 ) -> dict[str, float]:
     context = context or DEFAULT_CONTEXT
+    default_ways = context.config.stream.indirect_ways
     cases = {
-        ("default" if w == 1 else f"{w}-way"): {"indirect_ways": w}
+        ("default" if w == default_ways else f"{w}-way"): {
+            "config": _stream_config(context, indirect_ways=w)
+        }
         for w in INDIRECT_WAYS
     }
     return _sweep(
@@ -91,13 +105,16 @@ def run_block_size(
     verbose: bool = True,
 ) -> dict[str, float]:
     context = context or DEFAULT_CONTEXT
+    default_bytes = context.config.stream.affine_block_bytes
     cases = {
-        ("default" if b == 1024 else f"{b}B"): {"affine_block_bytes": b}
+        ("default" if b == default_bytes else f"{b}B"): {
+            "config": _stream_config(context, affine_block_bytes=b)
+        }
         for b in BLOCK_BYTES
     }
     # This repo's extension of the panel's future-work note: per-stream
     # block sizes picked from profiled run lengths.
-    cases["adaptive"] = {"adaptive_blocks": True}
+    cases["adaptive"] = {"options": {"adaptive_blocks": True}}
     return _sweep(
         context, workloads, "affine block size", cases, verbose,
         "larger blocks slightly better for spatial locality; 1 kB default"
@@ -118,27 +135,15 @@ def run_affine_space(
         "default": base_space,
         "unlimited": context.config.unit_cache_bytes,
     }
-    # The affine cap lives in the system config: one config per case.
-    configs = {
-        case: context.config.scaled(
-            name=f"{context.config.name}-affine-{case}",
-            stream=replace(context.config.stream, affine_space_bytes=space),
-        )
+    cases = {
+        case: {"config": _stream_config(context, affine_space_bytes=space)}
         for case, space in spaces.items()
     }
-    runtimes = _geomean_runtimes(
-        context,
-        {
-            case: [Cell(wname, "ndpext", config=config) for wname in workloads]
-            for case, config in configs.items()
-        },
+    return _sweep(
+        context, workloads, "affine space", cases, verbose,
+        "16 MB cap is negligible; unlimited gains ~2% (mv, gnn)",
+        title="Fig 9(c): affine space restriction",
     )
-    normalized = {c: runtimes["default"] / r for c, r in runtimes.items()}
-    if verbose:
-        rows = [[c, f"{x:.3f}"] for c, x in normalized.items()]
-        print(render_table(["affine space", "speedup vs default"], rows, title="Fig 9(c): affine space restriction"))
-        print("paper: 16 MB cap is negligible; unlimited gains ~2% (mv, gnn)")
-    return normalized
 
 
 def run_sampler_sets(
@@ -149,7 +154,9 @@ def run_sampler_sets(
     context = context or DEFAULT_CONTEXT
     default_k = context.config.stream.sampler_sets
     cases = {
-        ("default" if k == default_k else f"k={k}"): {"sampler_sets": k}
+        ("default" if k == default_k else f"k={k}"): {
+            "config": _stream_config(context, sampler_sets=k)
+        }
         for k in sorted(set(SAMPLER_SETS) | {default_k})
     }
     return _sweep(
@@ -206,7 +213,7 @@ def run_reconfig_interval(
 ) -> dict[str, float]:
     context = context or DEFAULT_CONTEXT
     cases = {
-        ("default" if i == 1 else f"x{i}"): {"reconfig_interval": i}
+        ("default" if i == 1 else f"x{i}"): {"options": {"reconfig_interval": i}}
         for i in INTERVALS
     }
     return _sweep(

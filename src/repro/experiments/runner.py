@@ -21,7 +21,6 @@ from typing import Callable
 from repro.baselines import (
     HostJigsawPolicy,
     JigsawPolicy,
-    NdpExtStaticPolicy,
     NexusPolicy,
     StaticNucaPolicy,
     WhirlpoolPolicy,
@@ -39,6 +38,7 @@ from repro.faults import FaultSchedule
 from repro.obs import NullRecorder
 from repro.obs.tracing import current
 from repro.sim import (
+    DramCachePolicy,
     SimulationEngine,
     SimulationReport,
     SystemConfig,
@@ -50,11 +50,14 @@ from repro.util import geomean
 from repro.workloads import SMALL, TINY, WorkloadScale, build
 from repro.workloads.trace import Workload
 
-POLICIES: dict[str, type] = {
+# Each entry is a policy class, or a ``partial`` of one when the name
+# stands for a variant: ``ndpext-static`` is NDPExt that never
+# reconfigures (the ablation baseline of Figs. 5 and 9(e)).
+POLICIES: dict[str, Callable[..., DramCachePolicy]] = {
     "jigsaw": JigsawPolicy,
     "whirlpool": WhirlpoolPolicy,
     "nexus": NexusPolicy,
-    "ndpext-static": NdpExtStaticPolicy,
+    "ndpext-static": partial(NdpExtPolicy, mode="static"),
     "ndpext": NdpExtPolicy,
     "static-nuca": StaticNucaPolicy,
 }
@@ -85,9 +88,12 @@ class Cell:
     """One requested simulation cell, before workloads are materialized.
 
     ``options`` are the keyword arguments of ``POLICIES[policy]``: a
-    policy variant is plain data, and the cell key hashes it, so
-    editing a variant misses the cache.  The policy ``"host"`` is the
-    non-NDP host baseline (see :meth:`ExperimentContext.host_cell`).
+    policy variant is plain data.  The cell key hashes what the engine
+    runs (:func:`repro.exec.cache.cell_key`), so editing a variant
+    misses the cache, while a spelled-out default, an alias such as
+    ``ndpext-static`` or a renamed config hits it.  The policy
+    ``"host"`` is the non-NDP host baseline (see
+    :meth:`ExperimentContext.host_cell`).
     Experiments build lists of these and hand them to
     :meth:`ExperimentContext.run_many` for batched (and optionally
     parallel) execution.
@@ -189,10 +195,14 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Cache plumbing.
 
+    @staticmethod
+    def _policy(cell: Cell) -> Callable[..., DramCachePolicy]:
+        return HostJigsawPolicy if cell.policy == "host" else POLICIES[cell.policy]
+
     def _cell_key(self, cell: Cell) -> str:
         return cell_key(
             cell.workload,
-            cell.policy,
+            self._policy(cell),
             cell.config if cell.config is not None else self.config,
             cell.scale or self.scale,
             options=cell.options,
@@ -247,8 +257,7 @@ class ExperimentContext:
         scale = cell.scale or self.scale
         label = f"{cell.workload}/{cell.policy}"
         config = cell.config if cell.config is not None else self.config
-        policy = HostJigsawPolicy if cell.policy == "host" else POLICIES[cell.policy]
-        factory = partial(policy, **cell.options)
+        factory = partial(self._policy(cell), **cell.options)
         if prebuild or (cell.workload, scale) in self._workloads:
             return CellTask(
                 workload=self.workload(cell.workload, scale),
@@ -316,6 +325,8 @@ class ExperimentContext:
         finished.  A cell that raises is quarantined on its first attempt
         (the same inputs would raise again); the rest of the batch still
         completes, after which a :class:`CellExecutionError` is raised.
+        Options a cell's policy does not take raise ``TypeError`` while
+        the keys are derived, before any cell runs.
         """
         jobs = self.jobs if jobs is None else jobs
         rec = recorder or NullRecorder()

@@ -1,17 +1,19 @@
 """End-to-end tests for the concrete baseline policies."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.baselines import (
     HostJigsawPolicy,
     JigsawPolicy,
-    NdpExtStaticPolicy,
     NexusPolicy,
     StaticNucaPolicy,
     WhirlpoolPolicy,
     host_config,
 )
+from repro.core import NdpExtPolicy
 from repro.sim import SimulationEngine
 from repro.sim.params import tiny
 from repro.workloads import TINY, build
@@ -32,7 +34,7 @@ ALL_POLICIES = [
     JigsawPolicy,
     WhirlpoolPolicy,
     NexusPolicy,
-    NdpExtStaticPolicy,
+    pytest.param(partial(NdpExtPolicy, mode="static"), id="ndpext-static"),
 ]
 
 
@@ -126,7 +128,7 @@ class TestHost:
         """The core Fig. 5 ordering at tiny scale for a streaming
         workload (the strongest NDP case)."""
         workload = build("hotspot", TINY)
-        ndp = SimulationEngine(config).run(workload, NdpExtStaticPolicy())
+        ndp = SimulationEngine(config).run(workload, NdpExtPolicy(mode="static"))
         host = SimulationEngine(host_config(config)).run(
             workload, HostJigsawPolicy()
         )

@@ -1,5 +1,7 @@
 """End-to-end tests for the NDPExt runtime policy."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.runtime import NdpExtPolicy
@@ -28,19 +30,28 @@ class TestModes:
             NdpExtPolicy(reconfig_interval=0)
 
     @pytest.mark.parametrize("k", [0, -3])
-    def test_non_positive_sampler_sets_rejected(self, config, workload, k):
-        """An explicit k is used as given, never replaced by the config's."""
-        from repro.sim.topology import Topology
-
-        with pytest.raises(ValueError, match="sample_sets"):
-            NdpExtPolicy(sampler_sets=k).setup(config, Topology(config), workload)
+    def test_non_positive_sampler_sets_rejected(self, config, k):
+        """k is set on the system config only, which refuses k <= 0, so
+        no runtime can be built with a sampler of no sets."""
+        with pytest.raises(ValueError, match="sampler_sets"):
+            config.scaled(stream=replace(config.stream, sampler_sets=k))
 
     def test_explicit_sampler_sets_used(self, config, workload):
+        """The runtime's samplers and its SRAM accounting both read k
+        from the config."""
         from repro.sim.topology import Topology
 
-        policy = NdpExtPolicy(sampler_sets=7)
-        policy.setup(config, Topology(config), workload)
+        seven = config.scaled(stream=replace(config.stream, sampler_sets=7))
+        policy = NdpExtPolicy()
+        policy.setup(seven, Topology(seven), workload)
         assert policy.sampler_params.sample_sets == 7
+        default = NdpExtPolicy()
+        default.setup(config, Topology(config), workload)
+        stream = config.stream
+        assert (
+            default.mapper.sram_bytes_per_unit() - policy.mapper.sram_bytes_per_unit()
+            == stream.samplers_per_unit * (stream.sampler_sets - 7) * stream.sampler_points * 4
+        )
 
     def test_names(self):
         assert NdpExtPolicy().name == "ndpext"

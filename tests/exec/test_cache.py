@@ -1,10 +1,12 @@
 """The persistent store: keys, round trips, invalidation, and one
 corruption table over both codecs (reports and traces)."""
 
+import inspect
 import json
 
 import pytest
 
+from repro.baselines import NexusPolicy
 from repro.core import NdpExtPolicy
 from repro.exec.cache import (
     REPORT,
@@ -17,6 +19,7 @@ from repro.exec.cache import (
     cell_key,
     code_stamp,
 )
+from repro.experiments.runner import POLICIES
 from repro.faults import FaultSchedule, UnitFailure
 from repro.sim import SimulationEngine, tiny
 from repro.sim.metrics import SimulationReport
@@ -33,16 +36,16 @@ def report():
 class TestCellKey:
     def test_stable_across_calls(self):
         config = tiny()
-        assert cell_key("pr", "ndpext", config, TINY) == cell_key(
-            "pr", "ndpext", config, TINY
+        assert cell_key("pr", NdpExtPolicy, config, TINY) == cell_key(
+            "pr", NdpExtPolicy, config, TINY
         )
 
     def test_options_differing_in_one_value_get_distinct_keys(self):
         config = tiny()
         two = {"mode": "partial", "partial_epochs": 2}
         three = {"mode": "partial", "partial_epochs": 3}
-        assert cell_key("pr", "ndpext", config, TINY, options=two) != cell_key(
-            "pr", "ndpext", config, TINY, options=three
+        assert cell_key("pr", NdpExtPolicy, config, TINY, options=two) != cell_key(
+            "pr", NdpExtPolicy, config, TINY, options=three
         )
 
     def test_equal_options_in_either_order_share_a_key(self):
@@ -50,46 +53,69 @@ class TestCellKey:
         forward = {"mode": "partial", "partial_epochs": 2}
         backward = {"partial_epochs": 2, "mode": "partial"}
         assert list(forward) != list(backward)
-        assert cell_key("pr", "ndpext", config, TINY, options=forward) == (
-            cell_key("pr", "ndpext", config, TINY, options=backward)
+        assert cell_key("pr", NdpExtPolicy, config, TINY, options=forward) == (
+            cell_key("pr", NdpExtPolicy, config, TINY, options=backward)
         )
 
     def test_discriminates_every_ingredient(self):
         config = tiny()
-        base = cell_key("pr", "ndpext", config, TINY)
-        assert cell_key("bfs", "ndpext", config, TINY) != base
-        assert cell_key("pr", "nexus", config, TINY) != base
-        assert cell_key("pr", "ndpext", config, TINY.scaled(seed=2)) != base
+        base = cell_key("pr", NdpExtPolicy, config, TINY)
+        assert cell_key("bfs", NdpExtPolicy, config, TINY) != base
+        assert cell_key("pr", NexusPolicy, config, TINY) != base
+        assert cell_key("pr", NdpExtPolicy, config, TINY.scaled(seed=2)) != base
         assert (
-            cell_key("pr", "ndpext", config, TINY, options={"mode": "static"})
+            cell_key("pr", NdpExtPolicy, config, TINY, options={"mode": "static"})
             != base
         )
         assert (
-            cell_key("pr", "ndpext", config, TINY, faults=FaultSchedule())
+            cell_key("pr", NdpExtPolicy, config, TINY, faults=FaultSchedule())
             != base
         )
         assert (
             cell_key(
                 "pr",
-                "ndpext",
+                NdpExtPolicy,
                 config,
                 TINY,
                 faults=FaultSchedule((UnitFailure(epoch=1, unit=0),)),
             )
-            != cell_key("pr", "ndpext", config, TINY, faults=FaultSchedule())
+            != cell_key("pr", NdpExtPolicy, config, TINY, faults=FaultSchedule())
         )
 
     def test_config_content_not_just_name(self):
         config = tiny()
         renamed_only = config.scaled(name=config.name, epoch_accesses=123)
-        assert cell_key("pr", "ndpext", config, TINY) != cell_key(
-            "pr", "ndpext", renamed_only, TINY
+        assert cell_key("pr", NdpExtPolicy, config, TINY) != cell_key(
+            "pr", NdpExtPolicy, renamed_only, TINY
         )
+
+    def test_renamed_config_shares_a_key(self):
+        config = tiny()
+        renamed = config.scaled(name=f"{config.name}-relabelled")
+        assert cell_key("pr", NdpExtPolicy, config, TINY) == cell_key(
+            "pr", NdpExtPolicy, renamed, TINY
+        )
+
+    @pytest.mark.parametrize("name", sorted(POLICIES))
+    def test_spelled_default_shares_a_key(self, name):
+        config = tiny()
+        factory = POLICIES[name]
+        defaults = {
+            param.name: param.default
+            for param in inspect.signature(factory).parameters.values()
+            if param.default is not param.empty
+        }
+        assert defaults
+        plain = cell_key("pr", factory, config, TINY)
+        for option, value in defaults.items():
+            spelled = cell_key("pr", factory, config, TINY, options={option: value})
+            assert spelled == plain, option
+        assert cell_key("pr", factory, config, TINY, options=defaults) == plain
 
     def test_stamp_changes_invalidate(self):
         config = tiny()
-        assert cell_key("pr", "ndpext", config, TINY, stamp="a") != cell_key(
-            "pr", "ndpext", config, TINY, stamp="b"
+        assert cell_key("pr", NdpExtPolicy, config, TINY, stamp="a") != cell_key(
+            "pr", NdpExtPolicy, config, TINY, stamp="b"
         )
         # The real stamp is deterministic within one process.
         assert code_stamp() == code_stamp()
@@ -113,7 +139,7 @@ class TestReportJson:
 class TestReportCache:
     def test_round_trip(self, tmp_path, report):
         cache = ReportCache(tmp_path)
-        key = cell_key("pr", "ndpext", tiny(), TINY)
+        key = cell_key("pr", NdpExtPolicy, tiny(), TINY)
         cache.put(key, report)
         loaded = cache.get(key)
         assert loaded is not None
@@ -121,7 +147,7 @@ class TestReportCache:
         assert cache.hits == 1
 
     def test_open_removes_old_layout_files(self, tmp_path, report):
-        key = cell_key("pr", "ndpext", tiny(), TINY)
+        key = cell_key("pr", NdpExtPolicy, tiny(), TINY)
         ReportCache(tmp_path).put(key, report)
         # A report file of the layout before entry directories, in the
         # shard that holds the live entry.
@@ -140,7 +166,7 @@ class TestReportCache:
 
     def test_corrupt_entry_is_miss_not_crash(self, tmp_path, report):
         cache = ReportCache(tmp_path)
-        key = cell_key("pr", "ndpext", tiny(), TINY)
+        key = cell_key("pr", NdpExtPolicy, tiny(), TINY)
         cache.put(key, report)
         path = cache._dir(key, REPORT) / "report.json"
         path.write_text("{ truncated garbage")
@@ -148,7 +174,7 @@ class TestReportCache:
 
     def test_unknown_schema_is_miss(self, tmp_path, report):
         cache = ReportCache(tmp_path)
-        key = cell_key("pr", "ndpext", tiny(), TINY)
+        key = cell_key("pr", NdpExtPolicy, tiny(), TINY)
         cache.put(key, report)
         meta_path = cache._dir(key, REPORT) / "meta.json"
         meta = json.loads(meta_path.read_text())

@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.__main__ import cmd_compare
+from repro.__main__ import FIGURES, cmd_compare
 from repro.experiments import (
     faults,
     fig2,
@@ -17,6 +17,7 @@ from repro.experiments import (
     sec5d,
 )
 from repro.experiments.runner import (
+    Cell,
     ExperimentContext,
     add_geomean_row,
     speedup_table,
@@ -61,7 +62,6 @@ class TestRunner:
         assert faulted is again
 
     def test_speedup_table_rejects_degenerate_runtime(self, context):
-        from repro.experiments.runner import Cell
         from repro.sim.metrics import SimulationReport
 
         broken = ExperimentContext(preset="tiny")
@@ -83,6 +83,23 @@ class TestRunner:
         table = {"a": {"p": 2.0}, "b": {"p": 8.0}}
         extended = add_geomean_row(table)
         assert extended["geomean"]["p"] == pytest.approx(4.0)
+
+    def test_alias_and_variant_are_one_cell(self, context):
+        alias = Cell("pr", "ndpext-static")
+        variant = Cell("pr", "ndpext", options={"mode": "static"})
+        assert context._cell_key(alias) == context._cell_key(variant)
+        a, b = context.run_many([alias, variant])
+        assert a is b
+        assert a.policy == "ndpext-static"
+
+    def test_unknown_option_raises_before_any_cell_runs(self, monkeypatch):
+        monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+        fresh = ExperimentContext(preset="tiny")
+        cells = [Cell("pr", "nexus"), Cell("pr", "ndpext", options={"sampler_set": 8})]
+        with pytest.raises(TypeError, match="sampler_set"):
+            fresh.run_many(cells)
+        assert fresh.cache_misses == 0
+        assert not fresh._reports
 
     def test_host_runs(self, context):
         (report,) = context.run_many([context.host_cell("pr")])
@@ -196,3 +213,23 @@ def test_driver_simulates_each_cell_once_and_rereads_none(
     DRIVERS[name](context)
     assert context.cache_hits_mem == 0
     assert context.cache_misses == len(keys) > 0
+
+
+def test_figure_suite_simulates_each_distinct_cell_once(monkeypatch, capsys):
+    """One cold shared context over every figure: a simulation per
+    distinct cell key, and aliases, spelled-out defaults and renamed
+    configs are not distinct cells (339 simulations before they were
+    resolved, 273 after)."""
+    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+    context = ExperimentContext(preset="tiny")
+    keys: set[str] = set()
+    run_many = context.run_many
+
+    def spy(cells, *args, **kwargs):
+        keys.update(context._cell_key(cell) for cell in cells)
+        return run_many(cells, *args, **kwargs)
+
+    monkeypatch.setattr(context, "run_many", spy)
+    for driver in FIGURES.values():
+        driver(context)
+    assert context.cache_misses == len(keys) == 273

@@ -1,11 +1,12 @@
 """Cross-module integration tests: full-stack invariants on real runs."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.baselines import (
     JigsawPolicy,
-    NdpExtStaticPolicy,
     NexusPolicy,
     StaticNucaPolicy,
 )
@@ -29,7 +30,7 @@ def reports():
             StaticNucaPolicy,
             JigsawPolicy,
             NexusPolicy,
-            NdpExtStaticPolicy,
+            partial(NdpExtPolicy, mode="static"),
             NdpExtPolicy,
         ):
             policy = factory()

@@ -4,7 +4,6 @@ expected first-order cache behaviours of the whole stack."""
 import numpy as np
 import pytest
 
-from repro.baselines import NdpExtStaticPolicy
 from repro.core import NdpExtPolicy
 from repro.sim import SimulationEngine
 from repro.sim.params import tiny
@@ -44,7 +43,7 @@ class TestExpectedBehaviours:
     def test_sequential_high_hit_from_blocks(self, config):
         """Streaming scans hit inside 1 kB blocks after each block fill."""
         report = SimulationEngine(config).run(
-            sequential(TINY), NdpExtStaticPolicy()
+            sequential(TINY), NdpExtPolicy(mode="static")
         )
         # L1 + block prefetch absorb almost everything.
         total = report.hits.total_requests
@@ -54,7 +53,7 @@ class TestExpectedBehaviours:
     def test_strided_defeats_blocks(self, config):
         """2 kB strides touch one element per block: mostly misses."""
         report = SimulationEngine(config).run(
-            strided(TINY, stride_elems=256), NdpExtStaticPolicy()
+            strided(TINY, stride_elems=256), NdpExtPolicy(mode="static")
         )
         assert report.hits.miss_rate > 0.5
 
@@ -62,14 +61,14 @@ class TestExpectedBehaviours:
         """Skew concentrates the working set: higher hit rate than uniform
         at the same footprint."""
         engine = SimulationEngine(config)
-        zipf = engine.run(zipf_gather(TINY), NdpExtStaticPolicy())
-        uniform = engine.run(uniform_gather(TINY), NdpExtStaticPolicy())
+        zipf = engine.run(zipf_gather(TINY), NdpExtPolicy(mode="static"))
+        uniform = engine.run(uniform_gather(TINY), NdpExtPolicy(mode="static"))
         assert zipf.hits.cache_hit_rate > uniform.hits.cache_hit_rate
 
     def test_uniform_hit_tracks_capacity_ratio(self, config):
         """For uniform gathers, hit rate ~ cache/footprint (steady state)."""
         report = SimulationEngine(config).run(
-            uniform_gather(TINY), NdpExtStaticPolicy()
+            uniform_gather(TINY), NdpExtPolicy(mode="static")
         )
         wl = uniform_gather(TINY)
         ratio = config.total_cache_bytes / wl.footprint_bytes
