@@ -10,7 +10,6 @@ Usage::
     python -m repro report [--output results.md]
     python -m repro stats trace.jsonl [other.jsonl]
     python -m repro dash trace.jsonl --out dash.html [--prom m.prom]
-    python -m repro bench [--quick] [--out BENCH.json] [--check PREV.json]
     python -m repro profile --workload pr --policy ndpext [--perf-out prof.json]
     python -m repro profile --suite [--report-out bottleneck.json]
     python -m repro serve --workload pr [--storm] [--journal serve.jsonl]
@@ -24,9 +23,7 @@ results stay bit-identical to serial runs.  Completed cells persist in a
 content-addressed disk cache (``REPRO_CACHE_DIR``, disable with
 ``REPRO_DISK_CACHE=0``) as each one finishes, so repeated invocations
 skip simulation entirely and an interrupted sweep, rerun, simulates
-only the cells it had not finished.  ``bench`` measures the epoch
-kernels, the paper-scale cells, parallel fan-out, and cache behaviour,
-writing a ``BENCH_<date>.json``.
+only the cells it had not finished.
 
 ``figure`` accepts: fig2, fig4b, fig5, fig6, fig7, fig8a, fig8b,
 fig9a..fig9f, sec5d, faults.
@@ -45,9 +42,6 @@ self-contained HTML page: per-tier latency CDFs with exact percentiles,
 the per-unit served-request heatmap, the stack-to-stack link matrix,
 and the epoch timeline.  ``--prom``/``--json`` additionally export the
 same content in Prometheus text format / as a metrics JSON payload.
-``bench --check PREV.json`` compares the fresh bench against a previous
-one and warns on regressions beyond 20%; ``--check-strict`` exits
-non-zero instead of warning.
 
 ``profile`` answers *where the simulator's own wall clock goes*: it
 runs one cell (or, with ``--suite``, a small grid, serially) in this
@@ -179,31 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rep_p.add_argument(
         "--output", default="results.md", help="report path (default: results.md)"
-    )
-
-    bench_p = sub.add_parser(
-        "bench", help="benchmark the epoch kernels, paper-scale cells, parallel fan-out, caching"
-    )
-    bench_p.add_argument(
-        "--quick",
-        action="store_true",
-        help="tiny preset / reduced workload set (CI smoke run)",
-    )
-    bench_p.add_argument(
-        "--out",
-        default=None,
-        help="result JSON path (default: BENCH_<date>.json)",
-    )
-    bench_p.add_argument(
-        "--check",
-        default=None,
-        metavar="PREV.json",
-        help="compare against a previous bench file and flag regressions",
-    )
-    bench_p.add_argument(
-        "--check-strict",
-        action="store_true",
-        help="exit non-zero on regressions instead of warning",
     )
 
     prof_p = sub.add_parser(
@@ -785,11 +754,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.dash import cmd_dash
 
         cmd_dash(args)
-        return 0
-    if args.command == "bench":
-        from repro.exec.bench import cmd_bench
-
-        cmd_bench(args)
         return 0
     if args.command == "profile":
         # Builds its own context *after* redirecting REPRO_CACHE_DIR,

@@ -8,9 +8,6 @@ Public surface:
   built once per key under a file lock.
 * :mod:`repro.exec.parallel` — supervised worker-pool execution
   (worker-death and timeout retries, poison-list quarantine).
-* :mod:`repro.exec.bench` — the ``python -m repro bench`` harness: the
-  kernel, paper-mesh, paper-preset set-up and pool cells that
-  the end-to-end ``perfbench`` cannot see.
 """
 
 from repro.exec.cache import (

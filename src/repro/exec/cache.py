@@ -73,8 +73,8 @@ _code_stamp_cache: str | None = None
 def throwaway_cache_dir(prefix: str = "repro-throwaway-"):
     """Redirect ``REPRO_CACHE_DIR`` to a temp dir for the enclosed block.
 
-    Used by the ``profile`` verb and the bench harness, which need runs
-    that *actually execute* rather than hit the user's warm cache.  The
+    Used by the ``profile`` verb, which needs runs that *actually
+    execute* rather than hit the user's warm cache.  The
     environment variable is restored and the directory removed no
     matter how the block exits — a crashing profiled run cannot leak a
     directory or leave the redirect in place — and cleanup errors are

@@ -19,9 +19,6 @@ Layers (DESIGN.md "Observability" and "Distributional observability"):
   directly to keep this package import-light).
 * Exporters — :func:`prometheus_text` / :func:`json_payload` over a
   report, and the ``dash`` HTML renderer.
-* :mod:`repro.obs.regress` — the ``bench --check`` gate: fixed 20%
-  threshold over the kept cells' metrics, a same-mode best-of-history
-  ratchet, and absolute floors.
 
 ``read_trace`` / ``summarize`` / ``diff_rows`` are the read side used
 by ``python -m repro stats``; ``read_trace(path).report`` is the run's

@@ -189,13 +189,16 @@ def summarize(trace: TraceFile) -> dict:
         + trace.events_of("fault_row")
         + trace.events_of("fault_lanes")
     )
-    accuracy = trace.events_of("hit_accuracy")
-    pred_err = [
-        abs(s["predicted"] - s["realized"])
-        for e in accuracy
+    accuracy = [
+        s
+        for e in trace.events_of("hit_accuracy")
         for s in e.get("streams", [])
         if s.get("predicted") is not None
     ]
+    pred_err = [abs(s["predicted"] - s["realized"]) for s in accuracy]
+    # Signed, access-weighted: below zero when the model under-predicts.
+    weight = sum(s["accesses"] for s in accuracy)
+    bias = sum((s["predicted"] - s["realized"]) * s["accesses"] for s in accuracy)
     histograms = report.tier_histograms or {}
     serve_counts = serve_event_counts(trace)
     slo = slo_summary(trace)
@@ -216,6 +219,7 @@ def summarize(trace: TraceFile) -> dict:
         "mean_hit_prediction_error": (
             sum(pred_err) / len(pred_err) if pred_err else 0.0
         ),
+        "hit_prediction_bias": bias / weight if weight else 0.0,
         "p99_local_ns": (
             histograms["local"].percentile(99.0) if "local" in histograms else 0.0
         ),

@@ -81,8 +81,8 @@ class TestThrowawayCacheDir:
         assert not Path(tmp).exists()
 
     def test_inner_redirect_still_restored(self, monkeypatch):
-        """bench points the var at subdirectories inside the block; the
-        manager must still restore the original on exit."""
+        """A caller that points the var at a subdirectory inside the
+        block still gets the original restored on exit."""
         monkeypatch.setenv(CACHE_DIR_ENV, "/original")
         with throwaway_cache_dir() as tmp:
             os.environ[CACHE_DIR_ENV] = str(tmp / "phase2")

@@ -1,5 +1,4 @@
-"""Workload trace memoization (the store's trace codec) and the bench
-harness smoke test."""
+"""Workload trace memoization (the store's trace codec)."""
 
 import json
 import os
@@ -7,7 +6,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.consistent import VIRTUAL_NODES
 from repro.exec.cache import TRACE, Store, cache_root, content_key
 from repro.workloads import TINY, build, registry
 from repro.workloads.registry import _build_uncached
@@ -167,69 +165,10 @@ class TestTraceCache:
         assert not (tmp_path / "c2").exists()
 
 
-class TestBenchSmoke:
-    def test_quick_bench_end_to_end(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "bench-cache"))
-        from repro.exec.bench import run_bench
-        from repro.obs.regress import check_floors
-
-        result = run_bench(quick=True, jobs=2)
-        # Only the cells perfbench cannot measure; the unshrunk
-        # paper-preset set-up cell is a full-run cell only.
-        assert set(result) == {
-            "date", "quick", "cpu_count", "code_stamp",
-            "kernels", "engine_paper", "suite",
-        }
-        suite = result["suite"]
-        kernels = result["kernels"]
-        paper = result["engine_paper"]
-        # One kernel set, timed under the key earlier bench files carry.
-        assert set(kernels["backends"]) == {"numpy"}
-        assert kernels["backends"]["numpy"]["accesses_per_second"] > 0
-        assert paper["n_units"] == 128
-        assert paper["accesses_per_second"] > 0
-        floors = {c.metric for c in check_floors(result)}
-        assert "kernels.backends.numpy.accesses_per_second" in floors
-        assert suite["cells"] == 4
-        # Small cells: four tiny ones are too short to time a pool.
-        assert suite["preset"] == "small"
-        # The warm pass must be pure cache: zero simulations.
-        assert suite["warm_counters"]["cache_misses"] == 0
-        assert suite["warm_counters"]["cache_hits_disk"] == suite["cells"]
-        assert suite["warm_speedup"] > 1.0
-
-    def test_paper_setup_cell_runs_in_a_child_process(self, tmp_path, monkeypatch):
-        """The cell's peak RSS must be its own, so it runs in a spawned
-        child; on the tiny preset it still builds rings and reports them."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "setup-cache"))
-        from repro.exec.bench import bench_paper_setup
-
-        cell = bench_paper_setup(preset="tiny")
-        assert cell["pid"] != os.getpid()
-        assert cell["preset"] == "tiny" and cell["workload"] == "mv"
-        assert cell["setup_s"] > 0
-        assert cell["ring_positions"] > 0
-        assert cell["ring_positions"] % VIRTUAL_NODES == 0
-        assert cell["peak_rss_mb"] > 0
-        # The cell also steps every epoch of the trace.
-        assert cell["epochs"] >= 1
-        assert cell["epoch_s"] > 0
-
-    def test_cli_bench_writes_json(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cli-cache"))
-        monkeypatch.chdir(tmp_path)
-        from repro.__main__ import main
-
-        out = tmp_path / "bench.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        assert out.exists()
-        assert "wrote" in capsys.readouterr().out
-
-
 class TestBuildSpanAttribution:
     """The workload.build span must cover actual generation only: a warm
     trace-store hit is storage I/O, not build time, and double-counting it
-    skewed profile and bench attributions (the bug this class pins)."""
+    skewed profile attributions (the bug this class pins)."""
 
     def _spans(self, fn):
         from repro.obs.tracing import PerfTracer, activate
